@@ -5,8 +5,7 @@ Subcommands:
   synth    generate a synthetic city in the ingest CSV schemas
 
 Exit codes: 0 ok, 2 input/validation error, 3 internal error. All
-randomness flows from --seed; GEOSEG_THREADS caps parallelism (the
-current implementation is sequential, which is the degenerate cap).
+randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -29,19 +28,7 @@ def _write_json(path, payload) -> None:
         f.write("\n")
 
 
-def _threads() -> int:
-    raw = os.environ.get("GEOSEG_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise GeosegError(f"GEOSEG_THREADS={raw!r} is not an integer")
-    if value < 1:
-        raise GeosegError(f"GEOSEG_THREADS={value} must be >= 1")
-    return value
-
-
 def run_analyze(args) -> None:
-    _threads()  # validated; execution is sequential either way
     for path in (args.students, args.edges, args.schools, args.apartments):
         if not os.path.exists(path):
             raise GeosegError(f"input file not found: {path}")

@@ -91,7 +91,7 @@ def geographic_neighbors(dm: DistanceMatrix, school_id: str, k: int,
     if not 1 <= k <= n - 1:
         raise KOutOfRange(f"k={k} outside [1, {n - 1}]")
     i = dm.index_of(school_id)
-    candidates = np.array([j for j in range(n) if j != i])
+    candidates = np.delete(np.arange(n), i)
     rng = substream(seed, school_id)
     picked = _ranked_prefix(dm.distances[i, candidates], candidates, k, rng)
     return [dm.ids[j] for j in picked]

@@ -1,6 +1,6 @@
 """CSV parsing and the data-cleaning rules.
 
-Input schemas (all CSV, header required, UTF-8, dot decimal separator):
+Input schemas (all CSV, header required, UTF-8, optional BOM, dot decimals):
   students:   student_id, school_id   (one row per school claim)
   edges:      student_id_a, student_id_b
   schools:    school_id, latitude, longitude, score  (empty score = missing)
@@ -8,8 +8,8 @@ Input schemas (all CSV, header required, UTF-8, dot decimal separator):
 
 Filtering order is fixed so reports are reproducible: excluded-id and
 oversize schools, then missing-score schools, then multi-school students,
-then students stranded in removed schools, then the no-same-school-friend
-rule iterated to a fixed point.
+then students stranded in removed schools, then students with no
+same-school friend.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def _float_field(row, key, path, line_no):
 
 
 def _reader(path, required_columns):
-    with open(path, newline="", encoding="utf-8") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.DictReader(f)
         header = reader.fieldnames or []
         missing = [c for c in required_columns if c not in header]
@@ -177,9 +177,10 @@ def parse_inputs(students_file, edges_file, schools_file,
 def apply_filters(raw: RawInputs, config: FilterConfig | None = None):
     """Run the cleaning rules; returns (StudentGraph, roster, FilterReport).
 
-    The no-same-school-friend rule runs to a fixed point: removing a
-    student can strand a friend, so a single pass is not idempotent. The
-    report records the iteration count.
+    The no-same-school-friend rule repeats until a pass removes no one. A
+    removed student had no same-school friend, so removing it lowers no
+    one's count and the second pass always stops. The report records the
+    pass count.
     """
     config = config or FilterConfig()
     report = FilterReport(settings={

@@ -80,17 +80,22 @@ def _pair_probabilities(curve: DecayCurve, dm: DistanceMatrix,
     return iu, probs, n_uncovered
 
 
+def _draw_adjacency(n: int, iu, probs: np.ndarray,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Symmetric boolean adjacency with one independent Bernoulli tie per
+    upper-triangle pair, consuming len(probs) uniforms from rng."""
+    adj = np.zeros((n, n), dtype=bool)
+    ties = rng.random(len(probs)) < probs
+    adj[iu[0][ties], iu[1][ties]] = True
+    return adj | adj.T
+
+
 def generate_null_graph(curve: DecayCurve, dm: DistanceMatrix, seed: int,
                         uncovered: str = "zero") -> SchoolNetwork:
     """One binary random network with the curve's per-bin tie probability."""
     iu, probs, _ = _pair_probabilities(curve, dm, uncovered)
-    rng = np.random.default_rng(seed)
-    n = len(dm.ids)
-    w = np.zeros((n, n), dtype=np.int64)
-    ties = rng.random(len(probs)) < probs
-    w[iu[0][ties], iu[1][ties]] = 1
-    w += w.T
-    return SchoolNetwork(list(dm.ids), w, kind="binary")
+    adj = _draw_adjacency(len(dm.ids), iu, probs, np.random.default_rng(seed))
+    return SchoolNetwork(list(dm.ids), adj.astype(np.int64), kind="binary")
 
 
 def _s_d_on_binary(adj: np.ndarray, scores: np.ndarray, k: int,
@@ -142,7 +147,6 @@ def null_distribution_s_d(
         raise ValueError("roster and distance matrix school lists differ")
     iu, probs, n_uncovered = _pair_probabilities(curve, dm, uncovered)
     scores = np.array([s.score for s in roster])
-    n = len(roster)
     samples = np.empty(simulations)
     collected = 0
     discarded = 0
@@ -154,10 +158,7 @@ def null_distribution_s_d(
             )
         rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
         index += 1
-        adj = np.zeros((n, n), dtype=bool)
-        ties = rng.random(len(probs)) < probs
-        adj[iu[0][ties], iu[1][ties]] = True
-        adj |= adj.T
+        adj = _draw_adjacency(len(roster), iu, probs, rng)
         value = _s_d_on_binary(adj, scores, k, rng)
         if value is None:
             discarded += 1

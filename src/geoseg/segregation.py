@@ -44,8 +44,51 @@ def digital_neighbors(net: SchoolNetwork, school_id: str, k: int,
     return [net.schools[j] for j in picked]
 
 
-def _score_map(roster: list[School]) -> dict[str, float]:
-    return {s.id: s.score for s in roster}
+def _neighbor_means(roster: list[School], neighbor_lists,
+                    k_max: int) -> np.ndarray:
+    """(schools x k_max) table: column k-1 is each school's mean score over
+    its first k neighbors, NaN below k neighbors. cumsum adds left to
+    right, so an entry equals sum(first k) / k bit for bit."""
+    score = {s.id: s.score for s in roster}
+    table = np.full((len(roster), k_max), np.nan)
+    for row, neighbors in zip(table, neighbor_lists):
+        row[:len(neighbors)] = np.cumsum([score[j] for j in neighbors])
+    return table / np.arange(1, k_max + 1)
+
+
+def _geographic_means(roster, dm, k_max, seed) -> np.ndarray:
+    if len(roster) < 3:
+        raise TooFewSamples(f"need >= 3 schools, got {len(roster)}")
+    neighbors = [geographic_neighbors(dm, s.id, k_max, seed) for s in roster]
+    return _neighbor_means(roster, neighbors, k_max)
+
+
+def _digital_means(roster, net, k_max, seed) -> np.ndarray:
+    if k_max < 1:
+        raise KOutOfRange(f"k={k_max} must be >= 1")
+    degrees = (net.weights > 0).sum(axis=1)
+    ks = [min(int(degrees[net.index[s.id]]), k_max) for s in roster]
+    neighbors = [digital_neighbors(net, s.id, k, seed) if k else []
+                 for s, k in zip(roster, ks)]
+    return _neighbor_means(roster, neighbors, k_max)
+
+
+def _report(name, roster, table, k, seed, permutations,
+            **settings) -> SegregationReport:
+    """Correlation of each school's score with column k-1 of its
+    neighbor-mean table; schools with fewer than k neighbors are left
+    out."""
+    if k < 1:
+        raise KOutOfRange(f"k={k} must be >= 1")
+    kept = ~np.isnan(table[:, k - 1])
+    own = np.array([s.score for s in roster])[kept]
+    means = table[kept, k - 1]
+    if len(own) < 3:
+        raise TooFewSamples(f"only {len(own)} schools have degree >= {k}")
+    value = pearson(own, means)
+    p = permutation_p_value(own, means, permutations, seed) if permutations else None
+    settings = {"k": k, "seed": seed, "permutations": permutations, **settings}
+    return SegregationReport(name, value, len(own), p, settings)
 
 
 def geographic_segregation(
@@ -57,27 +100,9 @@ def geographic_segregation(
 ) -> SegregationReport:
     """S_g(k): correlation of each school's score with the mean score of
     its k nearest schools by great-circle distance."""
-    if len(roster) < 3:
-        raise TooFewSamples(f"need >= 3 schools, got {len(roster)}")
-    scores = _score_map(roster)
-    own, neighbor_mean = [], []
-    for school in roster:
-        neighbors = geographic_neighbors(dm, school.id, k, seed)
-        own.append(school.score)
-        neighbor_mean.append(sum(scores[j] for j in neighbors) / k)
-    value = pearson(own, neighbor_mean)
-    p = (
-        permutation_p_value(own, neighbor_mean, permutations, seed)
-        if permutations
-        else None
-    )
-    return SegregationReport(
-        statistic_name="geographic_segregation",
-        value=value,
-        sample_size=len(roster),
-        p_value=p,
-        settings={"k": k, "seed": seed, "permutations": permutations},
-    )
+    return _report("geographic_segregation", roster,
+                   _geographic_means(roster, dm, k, seed), k, seed,
+                   permutations)
 
 
 def digital_segregation(
@@ -90,37 +115,9 @@ def digital_segregation(
     """S_d(k): correlation of each school's score with the mean score of
     its k digital neighbors. Schools with degree < k are excluded and the
     exclusion count recorded in settings."""
-    scores = _score_map(roster)
-    degrees = (net.weights > 0).sum(axis=1)
-    own, neighbor_mean = [], []
-    excluded = 0
-    for school in roster:
-        if degrees[net.index[school.id]] < k:
-            excluded += 1
-            continue
-        neighbors = digital_neighbors(net, school.id, k, seed)
-        own.append(school.score)
-        neighbor_mean.append(sum(scores[j] for j in neighbors) / k)
-    if len(own) < 3:
-        raise TooFewSamples(f"only {len(own)} schools have degree >= {k}")
-    value = pearson(own, neighbor_mean)
-    p = (
-        permutation_p_value(own, neighbor_mean, permutations, seed)
-        if permutations
-        else None
-    )
-    return SegregationReport(
-        statistic_name="digital_segregation",
-        value=value,
-        sample_size=len(own),
-        p_value=p,
-        settings={
-            "k": k,
-            "seed": seed,
-            "permutations": permutations,
-            "excluded_schools": excluded,
-        },
-    )
+    table = _digital_means(roster, net, k, seed)
+    return _report("digital_segregation", roster, table, k, seed, permutations,
+                   excluded_schools=int(np.isnan(table[:, k - 1]).sum()))
 
 
 def degree_outcome_correlation(
@@ -154,11 +151,21 @@ def segregation_profile(
     seed: int,
     permutations: int = 0,
 ) -> list[tuple[SegregationReport, SegregationReport]]:
-    """(S_g(k), S_d(k)) report pairs for each k."""
+    """(S_g(k), S_d(k)) report pairs for each k. Each school is ranked once,
+    to max(k_values) neighbors; every k reads a prefix of that order."""
+    k_values = list(k_values)
+    if not k_values:
+        return []
+    k_max = max(k_values)
+    geo_means = _geographic_means(roster, dm, k_max, seed)
+    dig_means = _digital_means(roster, net, k_max, seed)
     return [
         (
-            geographic_segregation(roster, dm, k, seed, permutations),
-            digital_segregation(roster, net, k, seed, permutations),
+            _report("geographic_segregation", roster, geo_means, k, seed,
+                    permutations),
+            _report("digital_segregation", roster, dig_means, k, seed,
+                    permutations,
+                    excluded_schools=int(np.isnan(dig_means[:, k - 1]).sum())),
         )
         for k in k_values
     ]

@@ -113,11 +113,6 @@ class TestAnalyzeCommand:
         assert code == 2
         assert "missing.csv" in capsys.readouterr().err
 
-    def test_thread_env_var_validated(self, city, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("GEOSEG_THREADS", "zero")
-        assert run_analyze(city, tmp_path / "out") == 2
-        assert "GEOSEG_THREADS" in capsys.readouterr().err
-
     def test_profile_covers_k_range(self, city, tmp_path):
         out = tmp_path / "out"
         assert run_analyze(city, out) == 0

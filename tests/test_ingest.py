@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoseg.errors import (
     CoordinateOutOfRange,
@@ -10,10 +12,12 @@ from geoseg.errors import (
 from geoseg.ingest import (
     FilterConfig,
     RawInputs,
+    RawSchool,
     apartment_prices,
     apply_filters,
     parse_inputs,
 )
+from geoseg.model import GeoPoint
 
 
 def write(path, text):
@@ -107,6 +111,19 @@ class TestParse:
         )
         raw = parse_inputs(*paths)
         assert raw.edges == edge_set
+
+    @pytest.mark.parametrize("with_bom", range(4))
+    def test_utf8_bom_accepted(self, files, with_bom):
+        # spreadsheet exports often start with a byte-order mark
+        texts = [
+            "student_id,school_id\na,1\nb,1\n",
+            "student_id_a,student_id_b\na,b\n",
+            SCHOOLS_2,
+            APARTMENTS_1,
+        ]
+        plain = parse_inputs(*files(*texts))
+        texts[with_bom] = "\ufeff" + texts[with_bom]
+        assert parse_inputs(*files(*texts)) == plain
 
 
 class TestApartments:
@@ -296,3 +313,40 @@ class TestFilters:
                 and graph.assignment[a] == graph.assignment[b]
             )
             assert same >= 1
+
+
+@st.composite
+def raw_inputs(draw):
+    """Small raw inputs with multi-school, stranded and dangling students;
+    school "0" always has a score so some school survives."""
+    n_schools = draw(st.integers(1, 4))
+    schools = [
+        RawSchool(str(i), GeoPoint(0.0, 0.01 * i),
+                  50.0 if i == 0 else draw(st.sampled_from([None, 60.0])))
+        for i in range(n_schools)
+    ]
+    school_ids = st.sampled_from([str(i) for i in range(n_schools + 1)])
+    n_students = draw(st.integers(0, 14))
+    claims = {
+        f"u{i}": draw(st.sets(school_ids, min_size=1, max_size=2))
+        for i in range(n_students)
+    }
+    ends = st.integers(0, n_students + 1)  # the last two ids dangle
+    edges = {
+        (f"u{min(a, b)}", f"u{max(a, b)}")
+        for a, b in draw(st.sets(st.tuples(ends, ends), max_size=40))
+        if a != b
+    }
+    return RawInputs(claims=claims, edges=edges, schools=schools, apartments=[])
+
+
+@given(raw_inputs())
+@settings(max_examples=300, deadline=None)
+def test_friend_rule_stops_by_second_pass(raw):
+    # a removed student had no same-school friend, so removing it can
+    # strand no one: the second pass never removes anybody
+    _, _, report = apply_filters(raw)
+    assert report.fixed_point_iterations <= 2
+    assert report.fixed_point_iterations == 1 + bool(
+        report.students_removed_no_same_school_friend
+    )

@@ -3,9 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from geoseg.errors import InsufficientNeighbors, TooFewSamples, ZeroVariance
-from geoseg.geo import school_distance_matrix
-from geoseg.model import GeoPoint, School, SchoolNetwork
+from geoseg.errors import (
+    InsufficientNeighbors,
+    KOutOfRange,
+    TooFewSamples,
+    ZeroVariance,
+)
+from geoseg.geo import geographic_neighbors, school_distance_matrix
+from geoseg.model import (
+    GeoPoint,
+    School,
+    SchoolNetwork,
+    SegregationReport,
+    pearson,
+    permutation_p_value,
+)
 from geoseg.segregation import (
     degree_outcome_correlation,
     digital_neighbors,
@@ -163,15 +175,130 @@ class TestDegreeOutcome:
         assert all(v > 0.2 for v in values)
 
 
+def reference_profile(roster, dm, net, k_values, seed, permutations=0):
+    """The per-school, per-k loops the prefix-sum table replaced: every
+    school is ranked from scratch at every k and its neighbor scores are
+    summed in Python. Kept as the oracle for segregation_profile."""
+    scores = {s.id: s.score for s in roster}
+    degrees = (net.weights > 0).sum(axis=1)
+
+    def report(name, own, neighbor_mean, k, **settings):
+        p = (
+            permutation_p_value(own, neighbor_mean, permutations, seed)
+            if permutations
+            else None
+        )
+        return SegregationReport(
+            name, pearson(own, neighbor_mean), len(own), p,
+            {"k": k, "seed": seed, "permutations": permutations, **settings},
+        )
+
+    profile = []
+    for k in k_values:
+        geo_mean = [
+            sum(scores[j] for j in geographic_neighbors(dm, s.id, k, seed)) / k
+            for s in roster
+        ]
+        linked = [s for s in roster if degrees[net.index[s.id]] >= k]
+        dig_mean = [
+            sum(scores[j] for j in digital_neighbors(net, s.id, k, seed)) / k
+            for s in linked
+        ]
+        profile.append((
+            report("geographic_segregation", [s.score for s in roster],
+                   geo_mean, k),
+            report("digital_segregation", [s.score for s in linked], dig_mean,
+                   k, excluded_schools=len(roster) - len(linked)),
+        ))
+    return profile
+
+
+def tied_grid_city(seed):
+    """5 x 5 grid of schools, 1/64 degree apart, with tie weights in
+    {0, 1, 2}: many exactly equal distances and weights."""
+    rng = np.random.default_rng(seed)
+    h = 1 / 64
+    roster = [
+        School(f"g{r}{c}", GeoPoint(r * h, c * h), float(rng.integers(30, 90)))
+        for r in range(-2, 3)
+        for c in range(-2, 3)
+    ]
+    n = len(roster)
+    w = np.triu(rng.choice([0, 1, 2], size=(n, n), p=[0.3, 0.4, 0.3]), k=1)
+    net = SchoolNetwork([s.id for s in roster], w + w.T, "raw-count")
+    return roster, school_distance_matrix(roster), net
+
+
+def sparse_city():
+    """Synthetic city whose degrees (2..12) straddle k = 1..10."""
+    roster, net, _ = generate_city(SynthConfig(n_schools=40, seed=2))
+    return roster, school_distance_matrix(roster), net
+
+
+def as_dicts(profile):
+    return [(g.to_dict(), d.to_dict()) for g, d in profile]
+
+
+class TestProfileOracle:
+    K = 10
+
+    @pytest.mark.parametrize("city", [lambda: tied_grid_city(5), sparse_city])
+    def test_matches_per_k_reference(self, city):
+        roster, dm, net = city()
+        ks = range(1, self.K + 1)
+        expected = reference_profile(roster, dm, net, ks, seed=7,
+                                     permutations=100)
+        profile = segregation_profile(roster, dm, net, ks, seed=7,
+                                      permutations=100)
+        assert as_dicts(profile) == as_dicts(expected)
+        for k, (geo_rep, dig_rep) in zip(ks, expected):
+            assert (geographic_segregation(roster, dm, k, 7, 100).to_dict()
+                    == geo_rep.to_dict())
+            assert (digital_segregation(roster, net, k, 7, 100).to_dict()
+                    == dig_rep.to_dict())
+
+    def test_cities_exercise_ties_and_exclusions(self):
+        roster, dm, net = tied_grid_city(5)
+        straddling = 0
+        for i in range(len(roster)):
+            d = np.sort(np.delete(dm.distances[i], i))[: self.K + 1]
+            w = np.sort(net.weights[i][net.weights[i] > 0])[::-1][: self.K + 1]
+            straddling += bool(np.any(d[:-1] == d[1:]) and np.any(w[:-1] == w[1:]))
+        assert straddling > 10
+        roster, dm, net = sparse_city()
+        excluded = [
+            d.settings["excluded_schools"]
+            for _, d in segregation_profile(roster, dm, net,
+                                            range(1, self.K + 1), seed=0)
+        ]
+        assert excluded[0] == 0 and 0 < excluded[-1] < len(roster) - 2
+
+    def test_errors_unchanged(self):
+        roster, dm, net = sparse_city()
+        n = len(roster)
+        with pytest.raises(KOutOfRange):
+            geographic_segregation(roster, dm, 0, seed=0)
+        with pytest.raises(KOutOfRange):
+            digital_segregation(roster, net, 0, seed=0)
+        with pytest.raises(KOutOfRange):
+            segregation_profile(roster, dm, net, [1, n], seed=0)
+        with pytest.raises(KOutOfRange):
+            segregation_profile(roster, dm, net, [0, 3], seed=0)
+        with pytest.raises(TooFewSamples):
+            digital_segregation(roster, net, 13, seed=0)
+        with pytest.raises(TooFewSamples):
+            segregation_profile(roster, dm, net, [1, 13], seed=0)
+
+
 class TestProfile:
     def test_single_k_matches_individual_ops(self):
         roster, net, _ = generate_city(SynthConfig(n_schools=80, seed=4))
         dm = school_distance_matrix(roster)
-        profile = segregation_profile(roster, dm, net, [5], seed=3)
-        assert len(profile) == 1
-        geo_rep, dig_rep = profile[0]
-        assert geo_rep.value == geographic_segregation(roster, dm, 5, seed=3).value
-        assert dig_rep.value == digital_segregation(roster, net, 5, seed=3).value
+        profile = segregation_profile(roster, dm, net, range(1, 11), seed=3)
+        assert len(profile) == 10
+        for k, (geo_rep, dig_rep) in zip(range(1, 11), profile):
+            assert geo_rep.value == geographic_segregation(roster, dm, k, seed=3).value
+            assert dig_rep.value == digital_segregation(roster, net, k, seed=3).value
 
     def test_empty_k_values(self):
         roster, net, _ = generate_city(SynthConfig(n_schools=30, seed=4))
