@@ -28,7 +28,21 @@ def _write_json(path, payload) -> None:
         f.write("\n")
 
 
+def _check_counts(args) -> None:
+    """Reject counts the pipeline would refuse only after writing outputs."""
+    if args.simulations < 100:
+        raise GeosegError(f"--simulations must be >= 100, got {args.simulations}")
+    if args.permutations != 0 and args.permutations < 100:
+        raise GeosegError(
+            f"--permutations must be 0 or >= 100, got {args.permutations}"
+        )
+    for flag, value in (("--k", args.k), ("--null-k", args.null_k)):
+        if value < 1:
+            raise GeosegError(f"{flag} must be >= 1, got {value}")
+
+
 def run_analyze(args) -> None:
+    _check_counts(args)
     for path in (args.students, args.edges, args.schools, args.apartments):
         if not os.path.exists(path):
             raise GeosegError(f"input file not found: {path}")

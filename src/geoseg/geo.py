@@ -4,6 +4,7 @@ measures (neighborhood affluence and center-distance correlations)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,8 +49,16 @@ class DistanceMatrix:
             raise ValueError(f"distance matrix shape {d.shape} != ({n}, {n})")
         d.setflags(write=False)
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        # reversed so a repeated id maps to its first position, like list.index
+        return {school_id: i for i, school_id in reversed(list(enumerate(self.ids)))}
+
     def index_of(self, school_id: str) -> int:
-        return self.ids.index(school_id)
+        try:
+            return self._index[school_id]
+        except KeyError:
+            raise ValueError(f"{school_id!r} is not a school of the matrix") from None
 
 
 def _latlon_arrays(roster: list[School]):

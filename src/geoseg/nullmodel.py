@@ -2,9 +2,12 @@
 significance test for digital segregation.
 
 Each unordered school pair gets an independent Bernoulli tie with the
-decay-curve probability of its distance bin. Generated graphs are binary,
-so every neighbor is equidistant and the k digital neighbors of a school
-are a uniform random k-subset of its graph neighbors.
+decay-curve probability of its distance bin. A simulated graph is kept as
+its list of tied pairs, never as an n x n matrix. Generated graphs are
+binary, so every neighbor is equidistant and the k digital neighbors of a
+school are a uniform random k-subset of its graph neighbors: the arcs are
+sorted by school in a uniform random order within each school, and each
+school takes its first k.
 """
 
 from __future__ import annotations
@@ -80,43 +83,41 @@ def _pair_probabilities(curve: DecayCurve, dm: DistanceMatrix,
     return iu, probs, n_uncovered
 
 
-def _draw_adjacency(n: int, iu, probs: np.ndarray,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Symmetric boolean adjacency with one independent Bernoulli tie per
+def _draw_edges(iu, probs: np.ndarray, rng: np.random.Generator):
+    """Tied pairs (a, b), a < b, with one independent Bernoulli tie per
     upper-triangle pair, consuming len(probs) uniforms from rng."""
-    adj = np.zeros((n, n), dtype=bool)
-    ties = rng.random(len(probs)) < probs
-    adj[iu[0][ties], iu[1][ties]] = True
-    return adj | adj.T
+    ties = np.flatnonzero(rng.random(len(probs)) < probs)
+    return iu[0][ties], iu[1][ties]
 
 
 def generate_null_graph(curve: DecayCurve, dm: DistanceMatrix, seed: int,
                         uncovered: str = "zero") -> SchoolNetwork:
     """One binary random network with the curve's per-bin tie probability."""
     iu, probs, _ = _pair_probabilities(curve, dm, uncovered)
-    adj = _draw_adjacency(len(dm.ids), iu, probs, np.random.default_rng(seed))
-    return SchoolNetwork(list(dm.ids), adj.astype(np.int64), kind="binary")
+    a, b = _draw_edges(iu, probs, np.random.default_rng(seed))
+    n = len(dm.ids)
+    weights = np.zeros((n, n), dtype=np.int64)
+    weights[np.concatenate((a, b)), np.concatenate((b, a))] = 1
+    return SchoolNetwork(list(dm.ids), weights, kind="binary")
 
 
-def _s_d_on_binary(adj: np.ndarray, scores: np.ndarray, k: int,
-                   rng: np.random.Generator) -> float | None:
-    """S_d(k) on a binary adjacency matrix: the k-set of each school is a
-    uniform random k-subset of its neighbors. Returns None when fewer than
-    3 schools are eligible or a correlation input is constant."""
-    degrees = adj.sum(axis=1)
-    eligible = np.nonzero(degrees >= k)[0]
+def _s_d_on_edges(a: np.ndarray, b: np.ndarray, n: int, scores: np.ndarray,
+                  k: int, rng: np.random.Generator) -> float | None:
+    """S_d(k) on the binary graph with tied pairs (a, b): the k-set of each
+    school is a uniform random k-subset of its neighbors. Returns None when
+    fewer than 3 schools are eligible or a correlation input is constant."""
+    src = np.concatenate((a, b))
+    dst = np.concatenate((b, a))
+    degrees = np.bincount(src, minlength=n)
+    eligible = np.flatnonzero(degrees >= k)
     if len(eligible) < 3:
         return None
-    # random ranking per row: smallest k jitters among neighbors = uniform k-subset
-    jitter = rng.random(adj.shape)
-    jitter[~adj] = np.inf
-    rows = jitter[eligible]
-    if k == 1:
-        chosen = np.argmin(rows, axis=1)
-        neighbor_mean = scores[chosen]
-    else:
-        top = np.argpartition(rows, k - 1, axis=1)[:, :k]
-        neighbor_mean = scores[top].mean(axis=1)
+    # arcs grouped by school, uniformly shuffled within each school; with
+    # n < 2**20 each key src + u keeps more than 32 random bits of u, and
+    # np.lexsort((u, src)) gives the same order several times slower
+    order = np.argsort(src + rng.random(len(src)))
+    first = (np.cumsum(degrees) - degrees)[eligible]
+    neighbor_mean = scores[dst[order[first[:, None] + np.arange(k)]]].mean(axis=1)
     own = scores[eligible]
     if np.all(own == own[0]) or np.all(neighbor_mean == neighbor_mean[0]):
         return None
@@ -158,8 +159,8 @@ def null_distribution_s_d(
             )
         rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
         index += 1
-        adj = _draw_adjacency(len(roster), iu, probs, rng)
-        value = _s_d_on_binary(adj, scores, k, rng)
+        a, b = _draw_edges(iu, probs, rng)
+        value = _s_d_on_edges(a, b, len(roster), scores, k, rng)
         if value is None:
             discarded += 1
             continue

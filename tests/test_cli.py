@@ -113,6 +113,20 @@ class TestAnalyzeCommand:
         assert code == 2
         assert "missing.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--simulations", "50"),
+        ("--permutations", "50"),
+        ("--permutations", "-1"),
+        ("--k", "0"),
+        ("--null-k", "0"),
+    ])
+    def test_bad_count_rejected_before_output(self, city, tmp_path, capsys,
+                                              flag, value):
+        out = tmp_path / "out"
+        assert run_analyze(city, out, extra=(flag, value)) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_profile_covers_k_range(self, city, tmp_path):
         out = tmp_path / "out"
         assert run_analyze(city, out) == 0

@@ -74,6 +74,14 @@ class TestDistanceMatrix:
         assert np.array_equal(dm.distances, dm.distances.T)
         assert np.all(np.diag(dm.distances) == 0)
 
+    def test_index_of_matches_list_index(self):
+        roster = [make_school(i, 0.0, 0.1 * i) for i in (3, 0, 7, 1, 12)]
+        dm = school_distance_matrix(roster)
+        for school_id in dm.ids:
+            assert dm.index_of(school_id) == dm.ids.index(school_id)
+        with pytest.raises(ValueError):
+            dm.index_of("s99")
+
 
 class TestGeographicNeighbors:
     def setup_method(self):

@@ -1,18 +1,98 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from geoseg.decay import tie_probability_curve
 from geoseg.errors import DegenerateNull
 from geoseg.geo import school_distance_matrix
-from geoseg.model import DecayCurve
+from geoseg.model import DecayCurve, pearson
 from geoseg.network import binarize
 from geoseg.nullmodel import (
+    _pair_probabilities,
+    _s_d_on_edges,
     generate_null_graph,
     null_distribution_s_d,
     write_null_samples_csv,
 )
 from geoseg.segregation import digital_segregation
 from geoseg.synth import SynthConfig, generate_city
+
+
+# The dense kernels the edge-list null model replaced, kept as its oracle.
+
+def _draw_adjacency(n: int, iu, probs: np.ndarray,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Symmetric boolean adjacency with one independent Bernoulli tie per
+    upper-triangle pair, consuming len(probs) uniforms from rng."""
+    adj = np.zeros((n, n), dtype=bool)
+    ties = rng.random(len(probs)) < probs
+    adj[iu[0][ties], iu[1][ties]] = True
+    return adj | adj.T
+
+
+def _s_d_on_binary(adj: np.ndarray, scores: np.ndarray, k: int,
+                   rng: np.random.Generator) -> float | None:
+    """S_d(k) on a binary adjacency matrix: the k-set of each school is a
+    uniform random k-subset of its neighbors. Returns None when fewer than
+    3 schools are eligible or a correlation input is constant."""
+    degrees = adj.sum(axis=1)
+    eligible = np.nonzero(degrees >= k)[0]
+    if len(eligible) < 3:
+        return None
+    # random ranking per row: smallest k jitters among neighbors = uniform k-subset
+    jitter = rng.random(adj.shape)
+    jitter[~adj] = np.inf
+    rows = jitter[eligible]
+    if k == 1:
+        chosen = np.argmin(rows, axis=1)
+        neighbor_mean = scores[chosen]
+    else:
+        top = np.argpartition(rows, k - 1, axis=1)[:, :k]
+        neighbor_mean = scores[top].mean(axis=1)
+    own = scores[eligible]
+    if np.all(own == own[0]) or np.all(neighbor_mean == neighbor_mean[0]):
+        return None
+    return pearson(own, neighbor_mean)
+
+
+def reference_null_samples(roster, dm, curve, k, simulations, seed):
+    """The replaced Monte Carlo loop: same per-index seeds and discard rule,
+    dense adjacency and jitter ranking."""
+    iu, probs, _ = _pair_probabilities(curve, dm)
+    scores = np.array([s.score for s in roster])
+    samples = []
+    index = 0
+    while len(samples) < simulations:
+        rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+        index += 1
+        adj = _draw_adjacency(len(roster), iu, probs, rng)
+        value = _s_d_on_binary(adj, scores, k, rng)
+        if value is not None:
+            samples.append(value)
+    return np.array(samples)
+
+
+def edge_arrays(pairs):
+    ordered = sorted(tuple(sorted(p)) for p in pairs)
+    a, b = np.array(ordered, dtype=int).reshape(-1, 2).T
+    return a, b
+
+
+def dense(a, b, n):
+    adj = np.zeros((n, n), dtype=bool)
+    adj[a, b] = adj[b, a] = True
+    return adj
+
+
+def cycle(n):
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+def cliques(count, size):
+    return [(c * size + i, c * size + j) for c in range(count)
+            for i, j in itertools.combinations(range(size), 2)]
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +147,16 @@ class TestGenerate:
         se = np.sqrt((probs * (1 - probs)).sum())
         assert abs(np.mean(counts) - expected) < 3 * se / np.sqrt(300) + 1e-9
 
+    def test_bit_identical_to_dense_draw(self, small_city):
+        _, _, dm, curve = small_city
+        iu, probs, _ = _pair_probabilities(curve, dm)
+        for seed in range(20):
+            old = _draw_adjacency(len(dm.ids), iu, probs,
+                                  np.random.default_rng(seed)).astype(np.int64)
+            new = generate_null_graph(curve, dm, seed).weights
+            assert new.dtype == old.dtype
+            assert np.array_equal(new, old), seed
+
     def test_per_bin_frequency_matches_curve(self, small_city):
         _, _, dm, curve = small_city
         n = len(dm.ids)
@@ -95,6 +185,75 @@ class TestGenerate:
                 ok += 1
         assert checked > 0
         assert ok / checked >= 0.99
+
+
+class TestEdgeKernel:
+    @pytest.mark.parametrize("pairs, n, k", [
+        (cycle(10), 10, 2),
+        (cliques(4, 4), 16, 3),
+        ([(2 * i, 2 * i + 1) for i in range(5)], 10, 1),
+    ])
+    def test_matches_dense_kernel_when_picks_are_forced(self, pairs, n, k):
+        # every school of degree >= k has exactly k neighbours
+        a, b = edge_arrays(pairs)
+        scores = np.random.default_rng(n + k).normal(size=n)
+        for seed in range(5):
+            new = _s_d_on_edges(a, b, n, scores, k, np.random.default_rng(seed))
+            old = _s_d_on_binary(dense(a, b, n), scores, k,
+                                 np.random.default_rng(seed + 100))
+            assert new is not None
+            assert abs(new - old) <= 1e-12
+
+    @pytest.mark.parametrize("pairs, n, k, scores", [
+        ([], 6, 1, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]),
+        ([(0, 1), (1, 2)], 3, 2, [0.0, 1.0, 2.0]),
+        (cycle(8), 8, 2, [1.5] * 8),
+        # K_{2,3}: every neighbour mean is 1
+        ([(i, j) for i in (0, 1) for j in (2, 3, 4)], 5, 2,
+         [0.0, 2.0, 1.0, 1.0, 1.0]),
+    ])
+    def test_none_on_the_same_inputs(self, pairs, n, k, scores):
+        a, b = edge_arrays(pairs)
+        scores = np.array(scores)
+        rng = np.random.default_rng(0)
+        assert _s_d_on_binary(dense(a, b, n), scores, k, rng) is None
+        assert _s_d_on_edges(a, b, n, scores, k, rng) is None
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_every_k_subset_equally_likely(self, k):
+        # school 0 has neighbours 1..5; for k=2 each of those also gets a
+        # pendant so it has exactly k neighbours, and for k=1 two separate
+        # pairs vary the other neighbour means. Only school 0's pick is
+        # random, and each k-subset gives a distinct S_d value.
+        pairs = [(0, j) for j in range(1, 6)]
+        pairs += [(j, j + 5) for j in range(1, 6)] if k == 2 else [(6, 7), (8, 9)]
+        n = 11 if k == 2 else 10
+        a, b = edge_arrays(pairs)
+        scores = np.random.default_rng(7).normal(size=n)
+        neighbours = {i: [j for p in pairs for j in p if i in p and j != i]
+                      for i in range(n)}
+        eligible = [i for i in range(n) if len(neighbours[i]) >= k]
+        subsets = list(itertools.combinations(range(1, 6), k))
+        values = np.array([
+            pearson(scores[eligible], [
+                scores[list(subset if i == 0 else neighbours[i])].mean()
+                for i in eligible
+            ])
+            for subset in subsets
+        ])
+        assert np.diff(np.sort(values)).min() > 1e-6
+
+        draws = 4000
+        rng = np.random.default_rng(2026)
+        counts = np.zeros(len(subsets))
+        for _ in range(draws):
+            value = _s_d_on_edges(a, b, n, scores, k, rng)
+            hit = np.argmin(np.abs(values - value))
+            assert abs(values[hit] - value) <= 1e-12
+            counts[hit] += 1
+        p = 1 / math.comb(5, k)
+        se = math.sqrt(p * (1 - p) / draws)
+        assert np.all(np.abs(counts / draws - p) <= 4 * se), counts
 
 
 class TestNullDistribution:
@@ -127,6 +286,25 @@ class TestNullDistribution:
         b = null_distribution_s_d(roster, dm, curve, 1, 120, 9, observed=0.1)
         assert np.array_equal(a.samples, b.samples)
         assert a.to_dict() == b.to_dict()
+
+    def test_prefix_of_longer_run(self, small_city):
+        roster, _, dm, curve = small_city
+        short = null_distribution_s_d(roster, dm, curve, 1, 100, 4, observed=0.0)
+        long = null_distribution_s_d(roster, dm, curve, 1, 200, 4, observed=0.0)
+        assert short.discarded == long.discarded == 0
+        assert np.array_equal(long.samples[:100], short.samples)
+
+    @pytest.mark.parametrize("k, seed", [(1, 31), (3, 32)])
+    def test_matches_dense_null_distribution(self, small_city, k, seed):
+        roster, _, dm, curve = small_city
+        draws = 400
+        new = null_distribution_s_d(roster, dm, curve, k, draws, seed,
+                                    observed=0.0).samples
+        old = reference_null_samples(roster, dm, curve, k, draws, seed)
+        mean_se = math.sqrt((old.var(ddof=1) + new.var(ddof=1)) / draws)
+        assert abs(new.mean() - old.mean()) <= 4 * mean_se
+        sd_se = math.sqrt((old.var(ddof=1) + new.var(ddof=1)) / (2 * (draws - 1)))
+        assert abs(new.std(ddof=1) - old.std(ddof=1)) <= 4 * sd_se
 
     def test_degenerate_null(self, small_city):
         roster, _, dm, _ = small_city
