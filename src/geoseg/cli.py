@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -29,7 +30,7 @@ def _write_json(path, payload) -> None:
 
 
 def _check_counts(args) -> None:
-    """Reject counts the pipeline would refuse only after writing outputs."""
+    """Reject settings the pipeline would refuse only after writing outputs."""
     if args.simulations < 100:
         raise GeosegError(f"--simulations must be >= 100, got {args.simulations}")
     if args.permutations != 0 and args.permutations < 100:
@@ -39,10 +40,17 @@ def _check_counts(args) -> None:
     for flag, value in (("--k", args.k), ("--null-k", args.null_k)):
         if value < 1:
             raise GeosegError(f"{flag} must be >= 1, got {value}")
+    for flag, value in (("--bin-km", args.bin_km), ("--radius-km", args.radius_km)):
+        if not (math.isfinite(value) and value > 0):
+            raise GeosegError(f"{flag} must be finite and > 0, got {value}")
 
 
 def run_analyze(args) -> None:
     _check_counts(args)
+    try:
+        center = GeoPoint(args.center_lat, args.center_lon)
+    except GeosegError as exc:
+        raise GeosegError(f"--center-lat/--center-lon: {exc}") from None
     for path in (args.students, args.edges, args.schools, args.apartments):
         if not os.path.exists(path):
             raise GeosegError(f"input file not found: {path}")
@@ -78,35 +86,34 @@ def run_analyze(args) -> None:
     decay.write_curve_csv(curve, os.path.join(args.out_dir, "decay_curve.csv"))
     _write_json(os.path.join(args.out_dir, "decay_fit.json"), fit_payload)
 
-    center = GeoPoint(args.center_lat, args.center_lon)
-    reports = {
-        "neighborhood_affluence_segregation": geo.neighborhood_affluence_segregation(
-            roster, raw.apartments, args.radius_km, args.permutations, args.seed
-        ).to_dict(),
-        "center_distance_correlation": geo.center_distance_correlation(
-            roster, center, args.permutations, args.seed
-        ).to_dict(),
-        "geographic_segregation": segregation.geographic_segregation(
-            roster, dm, args.k, args.seed, args.permutations
-        ).to_dict(),
-        "digital_segregation": segregation.digital_segregation(
-            roster, net_a, args.k, args.seed, args.permutations
-        ).to_dict(),
-        "degree_outcome_correlation": segregation.degree_outcome_correlation(
-            roster, net_a, args.permutations, args.seed
-        ).to_dict(),
-    }
+    reports = [
+        geo.neighborhood_affluence_segregation(
+            roster, raw.apartments, args.radius_km, args.permutations, args.seed),
+        geo.center_distance_correlation(roster, center, args.permutations, args.seed),
+    ]
+    # one ranking per school and kind: the --k reports, the k=1..K profile
+    # and the observed S_d(--null-k) all read prefixes of these tables
+    geo_means = segregation.geographic_means(roster, dm, args.k, args.seed)
+    dig_means = segregation.digital_means(roster, net_a, max(args.k, args.null_k),
+                                          args.seed)
+    reports += [
+        segregation.geographic_report(roster, geo_means, args.k, args.seed,
+                                      args.permutations),
+        segregation.digital_report(roster, dig_means, args.k, args.seed,
+                                   args.permutations),
+        segregation.degree_outcome_correlation(roster, net_a, args.permutations,
+                                               args.seed),
+    ]
 
-    profile = segregation.segregation_profile(
-        roster, dm, net_a, range(1, args.k + 1), args.seed
-    )
+    profile = [(segregation.geographic_report(roster, geo_means, k, args.seed),
+                segregation.digital_report(roster, dig_means, k, args.seed))
+               for k in range(1, args.k + 1)]
     segregation.write_profile_csv(
         profile, os.path.join(args.out_dir, "segregation_profile.csv")
     )
 
-    observed = segregation.digital_segregation(
-        roster, net_a, args.null_k, args.seed
-    ).value
+    observed = segregation.digital_report(roster, dig_means, args.null_k,
+                                          args.seed).value
     null_result = nullmodel.null_distribution_s_d(
         roster, dm, curve, args.null_k, args.simulations, args.seed, observed
     )
@@ -131,7 +138,7 @@ def run_analyze(args) -> None:
         "filter_report": filter_report.to_dict(),
         "intra_school_edges": intra,
         "decay_fit": fit_payload,
-        "segregation": reports,
+        "segregation": {r.statistic_name: r.to_dict() for r in reports},
         "null_model": null_result.to_dict(),
     })
 

@@ -83,10 +83,6 @@ class DegenerateFit(GeosegError):
 
 # -- null model ------------------------------------------------------------
 
-class UncoveredDistance(GeosegError):
-    """A pair distance falls outside the decay curve's binned range."""
-
-
 class DegenerateNull(GeosegError):
     """More than half of null simulations were discarded."""
 

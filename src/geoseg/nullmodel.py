@@ -2,12 +2,13 @@
 significance test for digital segregation.
 
 Each unordered school pair gets an independent Bernoulli tie with the
-decay-curve probability of its distance bin. A simulated graph is kept as
-its list of tied pairs, never as an n x n matrix. Generated graphs are
-binary, so every neighbor is equidistant and the k digital neighbors of a
-school are a uniform random k-subset of its graph neighbors: the arcs are
-sorted by school in a uniform random order within each school, and each
-school takes its first k.
+decay-curve probability of its distance bin, and no tie outside the
+curve's defined bins. A simulated graph is kept as its list of tied
+pairs, never as an n x n matrix. Generated graphs are binary, so every
+neighbor is equidistant and the k digital neighbors of a school are a
+uniform random k-subset of its graph neighbors: the arcs are sorted by
+school in a uniform random order within each school, and each school
+takes its first k.
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateNull, UncoveredDistance
+from .errors import DegenerateNull
 from .geo import DistanceMatrix
 from .model import DecayCurve, School, SchoolNetwork, pearson
-
-UNCOVERED_POLICIES = ("zero", "clamp")
 
 
 @dataclass(frozen=True)
@@ -54,17 +53,13 @@ class NullModelResult:
         }
 
 
-def _pair_probabilities(curve: DecayCurve, dm: DistanceMatrix,
-                        uncovered: str = "zero"):
+def _pair_probabilities(curve: DecayCurve, dm: DistanceMatrix):
     """Upper-triangle tie probabilities from the binned curve.
 
-    Pairs whose distance falls beyond the last bin, or in a bin with no
-    defined probability, are resolved by policy: 'zero' (no tie) or
-    'clamp' (last defined bin's probability). Returns (iu, probs,
+    A pair whose distance falls beyond the last bin, or in a bin with no
+    defined probability, is uncovered and never tied. Returns (iu, probs,
     uncovered_count).
     """
-    if uncovered not in UNCOVERED_POLICIES:
-        raise UncoveredDistance(f"unknown uncovered-distance policy {uncovered!r}")
     n = len(dm.ids)
     iu = np.triu_indices(n, k=1)
     d = dm.distances[iu]
@@ -74,13 +69,7 @@ def _pair_probabilities(curve: DecayCurve, dm: DistanceMatrix,
     covered = in_range & defined[np.clip(idx, 0, len(curve.probabilities) - 1)]
     probs = np.zeros(len(d))
     probs[covered] = curve.probabilities[idx[covered]]
-    n_uncovered = int((~covered).sum())
-    if n_uncovered and uncovered == "clamp":
-        last_defined = np.nonzero(defined)[0]
-        if len(last_defined) == 0:
-            raise UncoveredDistance("curve has no defined probability at all")
-        probs[~covered] = curve.probabilities[last_defined[-1]]
-    return iu, probs, n_uncovered
+    return iu, probs, int((~covered).sum())
 
 
 def _draw_edges(iu, probs: np.ndarray, rng: np.random.Generator):
@@ -90,10 +79,10 @@ def _draw_edges(iu, probs: np.ndarray, rng: np.random.Generator):
     return iu[0][ties], iu[1][ties]
 
 
-def generate_null_graph(curve: DecayCurve, dm: DistanceMatrix, seed: int,
-                        uncovered: str = "zero") -> SchoolNetwork:
+def generate_null_graph(curve: DecayCurve, dm: DistanceMatrix,
+                        seed: int) -> SchoolNetwork:
     """One binary random network with the curve's per-bin tie probability."""
-    iu, probs, _ = _pair_probabilities(curve, dm, uncovered)
+    iu, probs, _ = _pair_probabilities(curve, dm)
     a, b = _draw_edges(iu, probs, np.random.default_rng(seed))
     n = len(dm.ids)
     weights = np.zeros((n, n), dtype=np.int64)
@@ -132,7 +121,6 @@ def null_distribution_s_d(
     simulations: int,
     seed: int,
     observed: float,
-    uncovered: str = "zero",
 ) -> NullModelResult:
     """Monte Carlo null distribution of S_d(k) under the geography-
     preserving random graph, compared against the observed value.
@@ -146,7 +134,7 @@ def null_distribution_s_d(
         raise ValueError(f"need >= 100 simulations, got {simulations}")
     if [s.id for s in roster] != list(dm.ids):
         raise ValueError("roster and distance matrix school lists differ")
-    iu, probs, n_uncovered = _pair_probabilities(curve, dm, uncovered)
+    iu, probs, n_uncovered = _pair_probabilities(curve, dm)
     scores = np.array([s.score for s in roster])
     samples = np.empty(simulations)
     collected = 0

@@ -56,14 +56,16 @@ def _neighbor_means(roster: list[School], neighbor_lists,
     return table / np.arange(1, k_max + 1)
 
 
-def _geographic_means(roster, dm, k_max, seed) -> np.ndarray:
+def geographic_means(roster, dm, k_max, seed) -> np.ndarray:
+    """Neighbor-mean table over each school's k_max nearest schools."""
     if len(roster) < 3:
         raise TooFewSamples(f"need >= 3 schools, got {len(roster)}")
     neighbors = [geographic_neighbors(dm, s.id, k_max, seed) for s in roster]
     return _neighbor_means(roster, neighbors, k_max)
 
 
-def _digital_means(roster, net, k_max, seed) -> np.ndarray:
+def digital_means(roster, net, k_max, seed) -> np.ndarray:
+    """Neighbor-mean table over each school's k_max heaviest ties."""
     if k_max < 1:
         raise KOutOfRange(f"k={k_max} must be >= 1")
     degrees = (net.weights > 0).sum(axis=1)
@@ -91,6 +93,18 @@ def _report(name, roster, table, k, seed, permutations,
     return SegregationReport(name, value, len(own), p, settings)
 
 
+def geographic_report(roster, table, k, seed, permutations=0) -> SegregationReport:
+    """S_g(k) from a geographic_means table at least k wide."""
+    return _report("geographic_segregation", roster, table, k, seed, permutations)
+
+
+def digital_report(roster, table, k, seed, permutations=0) -> SegregationReport:
+    """S_d(k) from a digital_means table at least k wide, recording how many
+    schools have degree < k."""
+    return _report("digital_segregation", roster, table, k, seed, permutations,
+                   excluded_schools=int(np.isnan(table[:, k - 1]).sum()))
+
+
 def geographic_segregation(
     roster: list[School],
     dm: DistanceMatrix,
@@ -100,9 +114,8 @@ def geographic_segregation(
 ) -> SegregationReport:
     """S_g(k): correlation of each school's score with the mean score of
     its k nearest schools by great-circle distance."""
-    return _report("geographic_segregation", roster,
-                   _geographic_means(roster, dm, k, seed), k, seed,
-                   permutations)
+    return geographic_report(roster, geographic_means(roster, dm, k, seed),
+                             k, seed, permutations)
 
 
 def digital_segregation(
@@ -115,9 +128,8 @@ def digital_segregation(
     """S_d(k): correlation of each school's score with the mean score of
     its k digital neighbors. Schools with degree < k are excluded and the
     exclusion count recorded in settings."""
-    table = _digital_means(roster, net, k, seed)
-    return _report("digital_segregation", roster, table, k, seed, permutations,
-                   excluded_schools=int(np.isnan(table[:, k - 1]).sum()))
+    return digital_report(roster, digital_means(roster, net, k, seed),
+                          k, seed, permutations)
 
 
 def degree_outcome_correlation(
@@ -157,16 +169,11 @@ def segregation_profile(
     if not k_values:
         return []
     k_max = max(k_values)
-    geo_means = _geographic_means(roster, dm, k_max, seed)
-    dig_means = _digital_means(roster, net, k_max, seed)
+    geo_means = geographic_means(roster, dm, k_max, seed)
+    dig_means = digital_means(roster, net, k_max, seed)
     return [
-        (
-            _report("geographic_segregation", roster, geo_means, k, seed,
-                    permutations),
-            _report("digital_segregation", roster, dig_means, k, seed,
-                    permutations,
-                    excluded_schools=int(np.isnan(dig_means[:, k - 1]).sum())),
-        )
+        (geographic_report(roster, geo_means, k, seed, permutations),
+         digital_report(roster, dig_means, k, seed, permutations))
         for k in k_values
     ]
 

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from geoseg import geo, ingest, network, segregation
 from geoseg.cli import main
 
 
@@ -119,6 +120,15 @@ class TestAnalyzeCommand:
         ("--permutations", "-1"),
         ("--k", "0"),
         ("--null-k", "0"),
+        ("--bin-km", "0"),
+        ("--bin-km", "-1"),
+        ("--bin-km", "nan"),
+        ("--bin-km", "inf"),
+        ("--radius-km", "0"),
+        ("--radius-km", "nan"),
+        ("--center-lat", "91"),
+        ("--center-lat", "nan"),
+        ("--center-lon", "-181"),
     ])
     def test_bad_count_rejected_before_output(self, city, tmp_path, capsys,
                                               flag, value):
@@ -133,3 +143,55 @@ class TestAnalyzeCommand:
         lines = (out / "segregation_profile.csv").read_text().strip().split("\n")
         assert lines[0] == "k,s_g,s_d,excluded_digital,p_g,p_d"
         assert [row.split(",")[0] for row in lines[1:]] == [str(k) for k in range(1, 6)]
+
+
+def city_inputs(city):
+    """Roster, distance matrix and count network as analyze builds them."""
+    raw = ingest.parse_inputs(city / "students.csv", city / "edges.csv",
+                              city / "schools.csv", city / "apartments.csv")
+    graph, roster, _ = ingest.apply_filters(raw, ingest.FilterConfig())
+    net, _ = network.build_count_network(graph, roster)
+    return roster, geo.school_distance_matrix(roster), net
+
+
+class TestAnalyzeRanksOnce:
+    def test_one_ranking_per_school_and_kind(self, city, tmp_path, monkeypatch):
+        calls = {"geo": 0, "digital": 0}
+
+        def counted(kind, fn):
+            def wrapper(*args, **kwargs):
+                calls[kind] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(segregation, "geographic_neighbors",
+                            counted("geo", segregation.geographic_neighbors))
+        monkeypatch.setattr(segregation, "digital_neighbors",
+                            counted("digital", segregation.digital_neighbors))
+        assert run_analyze(city, tmp_path / "out", extra=("--null-k", "2")) == 0
+        roster, _, net = city_inputs(city)
+        tied = int(((net.weights > 0).sum(axis=1) >= 1).sum())
+        assert calls == {"geo": len(roster), "digital": tied}
+
+    @pytest.mark.parametrize("null_k", [2, 5, 7])
+    def test_reports_match_single_k_functions(self, city, tmp_path, null_k):
+        out = tmp_path / "out"
+        assert run_analyze(city, out, extra=("--null-k", str(null_k))) == 0
+        report = json.loads((out / "report.json").read_text())
+        roster, dm, net = city_inputs(city)
+        k, seed, permutations = 5, 11, 199
+
+        def as_json(rep):
+            return json.loads(json.dumps(rep.to_dict()))
+
+        assert report["segregation"]["geographic_segregation"] == as_json(
+            segregation.geographic_segregation(roster, dm, k, seed, permutations))
+        assert report["segregation"]["digital_segregation"] == as_json(
+            segregation.digital_segregation(roster, net, k, seed, permutations))
+        assert report["null_model"]["observed"] == segregation.digital_segregation(
+            roster, net, null_k, seed).value
+        expected = tmp_path / "profile.csv"
+        segregation.write_profile_csv(
+            segregation.segregation_profile(roster, dm, net, range(1, k + 1), seed),
+            expected)
+        assert (out / "segregation_profile.csv").read_bytes() == expected.read_bytes()
