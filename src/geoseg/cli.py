@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import traceback
 
 from . import decay, geo, ingest, network, nullmodel, segregation, synth
 from .errors import GeosegError, TooFewBins, DegenerateFit
@@ -40,6 +41,8 @@ def _check_counts(args) -> None:
     for flag, value in (("--k", args.k), ("--null-k", args.null_k)):
         if value < 1:
             raise GeosegError(f"{flag} must be >= 1, got {value}")
+    if args.seed < 0:
+        raise GeosegError(f"--seed must be >= 0, got {args.seed}")
     for flag, value in (("--bin-km", args.bin_km), ("--radius-km", args.radius_km)):
         if not (math.isfinite(value) and value > 0):
             raise GeosegError(f"{flag} must be finite and > 0, got {value}")
@@ -219,11 +222,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (GeosegError, OSError, ValueError) as exc:
+    except (GeosegError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover
-        print(f"internal error: {exc!r}", file=sys.stderr)
+    except Exception:
+        # anything else is a geoseg bug, not bad input
+        traceback.print_exc()
+        print("internal error (exit 3): please report the traceback above",
+              file=sys.stderr)
         return 3
     return 0
 

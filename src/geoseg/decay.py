@@ -6,7 +6,7 @@ import csv
 
 import numpy as np
 
-from .errors import DegenerateFit, MismatchedIds, TooFewBins
+from .errors import DegenerateFit, InvalidValue, MismatchedIds, TooFewBins
 from .geo import DistanceMatrix
 from .model import DecayCurve, SchoolNetwork
 
@@ -22,7 +22,7 @@ def tie_probability_curve(
     if net.schools != dm.ids:
         raise MismatchedIds("network and distance matrix school lists differ")
     if bin_width_km <= 0:
-        raise ValueError(f"bin width must be positive, got {bin_width_km}")
+        raise InvalidValue(f"bin width must be positive, got {bin_width_km}")
     iu = np.triu_indices(len(net.schools), k=1)
     d = dm.distances[iu]
     tied = net.weights[iu] > 0

@@ -1,12 +1,19 @@
 """Exception hierarchy for the geoseg pipeline.
 
-All library errors derive from GeosegError so the CLI can map them to
-exit code 2 (input/validation error) in one place.
+All errors that bad input or settings can raise derive from GeosegError,
+so the CLI maps them to exit code 2 (input/validation error) in one place;
+any other exception is a geoseg bug and exits 3.
 """
 
 
 class GeosegError(Exception):
     """Base class for all geoseg errors."""
+
+
+class InvalidValue(GeosegError, ValueError):
+    """A setting or value outside its domain, such as a non-finite price or
+    a non-positive radius. Also a ValueError, for callers that catch the
+    built-in one."""
 
 
 # -- statistics ------------------------------------------------------------

@@ -1,5 +1,13 @@
 """Geodesic distances, neighbor orderings, and the geographic segregation
-measures (neighborhood affluence and center-distance correlations)."""
+measures (neighborhood affluence and center-distance correlations).
+
+S_n(R) averages the price per sqm of the apartments strictly within R of
+each school. The apartments are sorted by latitude once, and each school
+runs the haversine test only on the latitude band that can hold them (a
+great-circle distance is at least the Earth radius times the latitude
+difference), so memory grows with one band, never with schools x
+apartments.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import KOutOfRange, TooFewSamples, TooFewSchools
+from .errors import InvalidValue, KOutOfRange, TooFewSamples, TooFewSchools
 from .model import (
     EARTH_RADIUS_KM,
     Apartment,
@@ -106,13 +114,31 @@ def geographic_neighbors(dm: DistanceMatrix, school_id: str, k: int,
     return [dm.ids[j] for j in picked]
 
 
-def school_apartment_distances(roster: list[School],
-                               apartments: list[Apartment]) -> np.ndarray:
-    """(n_schools, n_apartments) great-circle distance matrix in km."""
+def _apartments_within(roster: list[School], apartments: list[Apartment],
+                       radius_km: float):
+    """Per school, the number and the summed price per sqm of apartments
+    strictly within radius_km.
+
+    Each school tests the band |apartment latitude - its latitude| <= delta.
+    delta is widened by a relative 1e-9 and 1e-12 degrees for round-off, so
+    the band never drops an apartment that the strict haversine test keeps.
+    """
     slat, slon = _latlon_arrays(roster)
     alat = np.array([a.location.latitude for a in apartments])
-    alon = np.array([a.location.longitude for a in apartments])
-    return _haversine_km(slat[:, None], slon[:, None], alat[None, :], alon[None, :])
+    order = np.argsort(alat, kind="stable")
+    alat = alat[order]
+    alon = np.array([a.location.longitude for a in apartments])[order]
+    prices = np.array([a.price_per_sqm for a in apartments])[order]
+    delta = np.degrees(radius_km / EARTH_RADIUS_KM) * (1 + 1e-9) + 1e-12
+    lo = np.searchsorted(alat, slat - delta, side="left")
+    hi = np.searchsorted(alat, slat + delta, side="right")
+    counts = np.zeros(len(roster), dtype=np.int64)
+    sums = np.zeros(len(roster))
+    for i, band in enumerate(map(slice, lo.tolist(), hi.tolist())):
+        within = _haversine_km(slat[i], slon[i], alat[band], alon[band]) < radius_km
+        counts[i] = np.count_nonzero(within)
+        sums[i] = prices[band][within].sum()
+    return counts, sums
 
 
 def neighborhood_affluence_segregation(
@@ -127,18 +153,15 @@ def neighborhood_affluence_segregation(
     radius are excluded; the exclusion count is recorded in settings.
     """
     if radius_km <= 0:
-        raise ValueError(f"radius must be positive, got {radius_km}")
-    d = school_apartment_distances(roster, apartments)
-    within = d < radius_km
-    counts = within.sum(axis=1)
+        raise InvalidValue(f"radius must be positive, got {radius_km}")
+    counts, sums = _apartments_within(roster, apartments, radius_km)
     eligible = counts > 0
     if eligible.sum() < 3:
         raise TooFewSamples(
             f"only {int(eligible.sum())} schools have an apartment within "
             f"{radius_km} km"
         )
-    prices = np.array([a.price_per_sqm for a in apartments])
-    mean_price = (within[eligible] @ prices) / counts[eligible]
+    mean_price = sums[eligible] / counts[eligible]
     scores = np.array([s.score for s in roster])[eligible]
     value = pearson(scores, mean_price)
     p = (

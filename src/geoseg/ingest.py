@@ -1,6 +1,8 @@
 """CSV parsing and the data-cleaning rules.
 
-Input schemas (all CSV, header required, UTF-8, optional BOM, dot decimals):
+Input schemas (all CSV, header required, UTF-8, optional BOM, dot decimals;
+bytes that are not UTF-8, a NUL byte or a csv error raise MalformedRow with
+the file and line):
   students:   student_id, school_id   (one row per school claim)
   edges:      student_id_a, student_id_b
   schools:    school_id, latitude, longitude, score  (empty score = missing)
@@ -17,6 +19,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (
     DuplicateSchoolId,
@@ -79,16 +83,36 @@ def _float_field(row, key, path, line_no):
     return value
 
 
+def _check_bytes(path) -> None:
+    """Reject a byte that is not UTF-8, and a NUL byte, which the csv
+    module of Python >= 3.11 would read as part of a field."""
+    with open(path, "rb") as f:
+        data = f.read()
+    nul = data.find(b"\x00")
+    if nul >= 0:
+        raise MalformedRow(path, data.count(b"\n", 0, nul) + 1, "NUL byte")
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(path, data.count(b"\n", 0, exc.start) + 1,
+                           f"not UTF-8: {exc.reason}") from None
+
+
 def _reader(path, required_columns):
+    _check_bytes(path)
     with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.DictReader(f)
-        header = reader.fieldnames or []
-        missing = [c for c in required_columns if c not in header]
-        if missing:
-            raise MalformedRow(path, 1, f"missing columns {missing}")
-        # line 1 is the header
-        for line_no, row in enumerate(reader, start=2):
-            yield line_no, row
+        try:
+            header = reader.fieldnames or []
+            missing = [c for c in required_columns if c not in header]
+            if missing:
+                raise MalformedRow(path, 1, f"missing columns {missing}")
+            # line 1 is the header
+            for line_no, row in enumerate(reader, start=2):
+                yield line_no, row
+        except csv.Error as exc:
+            # the csv reader's own count includes the line it failed on
+            raise MalformedRow(path, reader.reader.line_num, str(exc)) from None
 
 
 def parse_students(path) -> dict[str, set[str]]:
@@ -155,8 +179,9 @@ def apartment_prices(path) -> list[Apartment]:
             if area <= 0:
                 raise NonPositiveArea(f"{path}:{line_no}: area {area}")
             price_per_sqm = price / area
-        if price_per_sqm <= 0:
-            raise MalformedRow(path, line_no, f"non-positive price {price_per_sqm}")
+        if not 0 < price_per_sqm < math.inf:
+            raise MalformedRow(path, line_no, f"price per sqm {price_per_sqm} "
+                               "not positive and finite")
         apartments.append(Apartment(location=location, price_per_sqm=price_per_sqm))
     return apartments
 
@@ -207,43 +232,48 @@ def apply_filters(raw: RawInputs, config: FilterConfig | None = None):
     if not kept_schools:
         raise EmptyResult("no school survives filtering")
     roster = [School(s.id, s.location, s.score) for s in kept_schools]
-    roster_ids = {s.id for s in roster}
 
-    assignment: dict[str, str] = {}
-    for student, schools in raw.claims.items():
+    # integer codes: each student by its position in raw.claims, with its
+    # roster index as its school, or -1 once removed; each edge as a pair
+    # of student positions, -1 for an endpoint missing from the claims
+    roster_index = {s.id: i for i, s in enumerate(roster)}
+    codes = []
+    for schools in raw.claims.values():
+        code = -1
         if len(schools) > 1:
             report.students_removed_multi_school += 1
-        elif next(iter(schools)) not in roster_ids:
+        elif next(iter(schools)) not in roster_index:
             report.students_removed_school_filtered += 1
         else:
-            assignment[student] = next(iter(schools))
+            code = roster_index[next(iter(schools))]
+        codes.append(code)
+    school_of = np.array(codes, dtype=np.int64)
+    students = list(raw.claims)
 
-    listed = set(raw.claims)
-    edges = set()
-    for a, b in raw.edges:
-        if a not in listed or b not in listed:
-            report.edges_dropped_dangling += 1
-        else:
-            edges.add((a, b))
+    position = {student: i for i, student in enumerate(students)}
+    pairs = list(raw.edges)
+    ends = np.fromiter((position.get(s, -1) for pair in pairs for s in pair),
+                       dtype=np.int64, count=2 * len(pairs)).reshape(-1, 2)
+    listed = np.flatnonzero((ends >= 0).all(axis=1))
+    report.edges_dropped_dangling = len(pairs) - len(listed)
+    a, b = ends[listed, 0], ends[listed, 1]
 
     # fixed point: drop students with no friend in their own school
     while True:
         report.fixed_point_iterations += 1
-        same_school_friends = {s: 0 for s in assignment}
-        for a, b in edges:
-            if a in assignment and b in assignment and assignment[a] == assignment[b]:
-                same_school_friends[a] += 1
-                same_school_friends[b] += 1
-        friendless = {s for s, n in same_school_friends.items() if n == 0}
-        if not friendless:
+        same = (school_of[a] == school_of[b]) & (school_of[a] >= 0)
+        friends = (np.bincount(a[same], minlength=len(students))
+                   + np.bincount(b[same], minlength=len(students)))
+        friendless = (school_of >= 0) & (friends == 0)
+        if not friendless.any():
             break
-        report.students_removed_no_same_school_friend += len(friendless)
-        for s in friendless:
-            del assignment[s]
+        report.students_removed_no_same_school_friend += int(friendless.sum())
+        school_of[friendless] = -1
 
-    edges = {(a, b) for a, b in edges if a in assignment and b in assignment}
-    report.intra_school_edges = sum(
-        1 for a, b in edges if assignment[a] == assignment[b]
-    )
-    graph = StudentGraph(assignment, edges)
+    kept = (school_of[a] >= 0) & (school_of[b] >= 0)
+    report.intra_school_edges = int((kept & (school_of[a] == school_of[b])).sum())
+    alive = np.flatnonzero(school_of >= 0)
+    assignment = {students[i]: roster[c].id
+                  for i, c in zip(alive.tolist(), school_of[alive].tolist())}
+    graph = StudentGraph(assignment, [pairs[j] for j in listed[kept].tolist()])
     return graph, roster, report

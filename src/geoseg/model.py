@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     CoordinateOutOfRange,
+    InvalidValue,
     LengthMismatch,
     TooFewSamples,
     ZeroVariance,
@@ -54,7 +55,7 @@ class School:
 
     def __post_init__(self):
         if not math.isfinite(self.score) or self.score < 0:
-            raise ValueError(f"school {self.id}: invalid score {self.score}")
+            raise InvalidValue(f"school {self.id}: invalid score {self.score}")
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ class Apartment:
 
     def __post_init__(self):
         if not math.isfinite(self.price_per_sqm) or self.price_per_sqm <= 0:
-            raise ValueError(f"invalid price per sqm {self.price_per_sqm}")
+            raise InvalidValue(f"invalid price per sqm {self.price_per_sqm}")
 
 
 class StudentGraph:
@@ -207,7 +208,7 @@ def _as_checked_pair(x, y):
     if len(x) < 3:
         raise TooFewSamples(f"need >= 3 samples, got {len(x)}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("inputs must be finite")
+        raise InvalidValue("inputs must be finite")
     return x, y
 
 
@@ -237,7 +238,7 @@ def permutation_p_value(x, y, permutations: int, seed: int) -> float:
     result is never zero. Deterministic for a fixed seed.
     """
     if permutations < 100:
-        raise ValueError(f"need >= 100 permutations, got {permutations}")
+        raise InvalidValue(f"need >= 100 permutations, got {permutations}")
     r_obs = abs(pearson(x, y))
     x, y = _as_checked_pair(x, y)
     xc = x - x.mean()

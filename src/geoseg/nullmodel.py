@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateNull
+from .errors import DegenerateNull, InvalidValue
 from .geo import DistanceMatrix
 from .model import DecayCurve, School, SchoolNetwork, pearson
 
@@ -131,7 +131,7 @@ def null_distribution_s_d(
     than half are discarded.
     """
     if simulations < 100:
-        raise ValueError(f"need >= 100 simulations, got {simulations}")
+        raise InvalidValue(f"need >= 100 simulations, got {simulations}")
     if [s.id for s in roster] != list(dm.ids):
         raise ValueError("roster and distance matrix school lists differ")
     iu, probs, n_uncovered = _pair_probabilities(curve, dm)

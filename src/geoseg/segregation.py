@@ -66,8 +66,8 @@ def geographic_means(roster, dm, k_max, seed) -> np.ndarray:
 
 def digital_means(roster, net, k_max, seed) -> np.ndarray:
     """Neighbor-mean table over each school's k_max heaviest ties."""
-    if k_max < 1:
-        raise KOutOfRange(f"k={k_max} must be >= 1")
+    if not 1 <= k_max <= len(roster) - 1:
+        raise KOutOfRange(f"k={k_max} outside [1, {len(roster) - 1}]")
     degrees = (net.weights > 0).sum(axis=1)
     ks = [min(int(degrees[net.index[s.id]]), k_max) for s in roster]
     neighbors = [digital_neighbors(net, s.id, k, seed) if k else []

@@ -61,6 +61,8 @@ class SynthConfig:
             raise InvalidConfig("homophily_scale and degree_boost must be >= 0")
         if self.score_sd <= 0:
             raise InvalidConfig("score_sd must be positive")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed {self.seed} < 0")
 
 
 def _disc_points(rng: np.random.Generator, n: int, radius_km: float):

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import pytest
 
@@ -67,6 +68,10 @@ class TestSynthCommand:
         assert run_synth(tmp_path, extra=("--n-schools", "5")) == 2
         assert "n_schools" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        assert main(["synth", "--seed", "-1", "--out-dir", str(tmp_path)]) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_emits_all_files(self, city):
         for name in ("students.csv", "edges.csv", "schools.csv",
                      "apartments.csv", "ground_truth.json"):
@@ -129,6 +134,7 @@ class TestAnalyzeCommand:
         ("--center-lat", "91"),
         ("--center-lat", "nan"),
         ("--center-lon", "-181"),
+        ("--seed", "-1"),
     ])
     def test_bad_count_rejected_before_output(self, city, tmp_path, capsys,
                                               flag, value):
@@ -136,6 +142,36 @@ class TestAnalyzeCommand:
         assert run_analyze(city, out, extra=(flag, value)) == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name, line, bad", [
+        ("schools.csv", 3, b"s\xe9cole,0.0,0.0,50.0\n"),
+        ("edges.csv", 2, b"s0000_u000,s0000\x00_u001\n"),
+    ], ids=["latin1", "nul"])
+    def test_unreadable_input_exits_2(self, city, tmp_path, capsys, name, line, bad):
+        # a Latin-1 byte or a NUL byte is an input error naming the file
+        bad_city = tmp_path / "city"
+        shutil.copytree(city, bad_city)
+        text = (city / name).read_bytes().split(b"\n")
+        (bad_city / name).write_bytes(b"\n".join(text[:line - 1]) + b"\n" + bad
+                                      + b"\n".join(text[line - 1:]))
+        assert run_analyze(bad_city, tmp_path / "out") == 2
+        assert f"{bad_city / name}:{line}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("null_k", ["60", str(10**18)])
+    def test_null_k_beyond_roster_exits_2(self, city, tmp_path, capsys, null_k):
+        # the digital table is never sized from a --null-k above n - 1
+        assert run_analyze(city, tmp_path / "out", extra=("--null-k", null_k)) == 2
+        assert f"k={null_k} outside [1, 59]" in capsys.readouterr().err
+
+    def test_internal_value_error_exits_3(self, city, tmp_path, capsys,
+                                          monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("a geoseg bug")
+
+        monkeypatch.setattr(segregation, "geographic_means", broken)
+        assert run_analyze(city, tmp_path / "out") == 3
+        err = capsys.readouterr().err
+        assert "a geoseg bug" in err and "internal error" in err
 
     def test_profile_covers_k_range(self, city, tmp_path):
         out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,13 +8,16 @@ from hypothesis import strategies as st
 
 from geoseg.errors import KOutOfRange, TooFewSamples, TooFewSchools
 from geoseg.geo import (
+    _apartments_within,
+    _haversine_km,
+    _latlon_arrays,
     center_distance_correlation,
     geographic_neighbors,
     haversine,
     neighborhood_affluence_segregation,
     school_distance_matrix,
 )
-from geoseg.model import EARTH_RADIUS_KM, Apartment, GeoPoint, School
+from geoseg.model import EARTH_RADIUS_KM, Apartment, GeoPoint, School, pearson
 
 
 def make_school(i, lat, lon, score=50.0):
@@ -223,3 +227,134 @@ class TestCenterDistance:
         ]
         report = center_distance_correlation(roster, GeoPoint(0.0, 0.0))
         assert abs(report.value) < 0.1
+
+
+def school_apartment_distances(roster: list[School],
+                               apartments: list[Apartment]) -> np.ndarray:
+    """(n_schools, n_apartments) great-circle distance matrix in km."""
+    slat, slon = _latlon_arrays(roster)
+    alat = np.array([a.location.latitude for a in apartments])
+    alon = np.array([a.location.longitude for a in apartments])
+    return _haversine_km(slat[:, None], slon[:, None], alat[None, :], alon[None, :])
+
+
+def dense_affluence(roster, apartments, radius_km):
+    """The dense S_n query that the latitude band replaced: per-school
+    counts, mean prices of the eligible schools, and the correlation."""
+    within = school_apartment_distances(roster, apartments) < radius_km
+    counts = within.sum(axis=1)
+    eligible = counts > 0
+    prices = np.array([a.price_per_sqm for a in apartments])
+    mean_price = (within[eligible] @ prices) / counts[eligible]
+    scores = np.array([s.score for s in roster])[eligible]
+    return counts, mean_price, pearson(scores, mean_price)
+
+
+def _wrap_lon(lon):
+    return (lon + 180.0) % 360.0 - 180.0
+
+
+def random_city(seed, lat0, lon0, half_lat, n_schools=60, n_apartments=400):
+    """Schools and apartments uniform in a lat/lon box around (lat0, lon0),
+    about as wide in km as it is tall; one apartment in 20 shares a
+    school's latitude, half of those its exact location."""
+    rng = np.random.default_rng(seed)
+    half_lon = min(180.0, half_lat / max(math.cos(math.radians(lat0)), 1e-3))
+
+    def points(n):
+        lat = np.clip(lat0 + rng.uniform(-half_lat, half_lat, n), -90.0, 90.0)
+        return lat, _wrap_lon(lon0 + rng.uniform(-half_lon, half_lon, n))
+
+    slat, slon = points(n_schools)
+    roster = [make_school(i, float(slat[i]), float(slon[i]),
+                          score=float(rng.uniform(30, 90)))
+              for i in range(n_schools)]
+    alat, alon = points(n_apartments)
+    shared = rng.integers(0, n_schools, n_apartments // 20)
+    alat[: len(shared)] = slat[shared]
+    alon[: len(shared) // 2] = slon[shared[: len(shared) // 2]]
+    prices = rng.uniform(5e4, 2e5, n_apartments)
+    apartments = [Apartment(GeoPoint(float(alat[j]), float(alon[j])), float(prices[j]))
+                  for j in range(n_apartments)]
+    return roster, apartments
+
+
+# (latitude, longitude, box half-height in degrees, radius in km), sized
+# so that some schools have no apartment in radius
+CITIES = {
+    "equator": (0.0, 0.0, 0.1, 1.0),
+    "north_60_70": (65.0, 30.0, 5.0, 50.0),
+    "antimeridian": (-33.0, 179.98, 0.05, 0.5),
+    "near_pole": (89.99, 0.0, 0.01, 0.03),
+}
+
+
+class TestAffluenceBandOracle:
+    @pytest.mark.parametrize("region", sorted(CITIES))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_dense_query(self, region, seed):
+        lat0, lon0, half_lat, radius_km = CITIES[region]
+        roster, apartments = random_city(seed, lat0, lon0, half_lat)
+        counts, sums = _apartments_within(roster, apartments, radius_km)
+        dense_counts, dense_mean, dense_value = dense_affluence(
+            roster, apartments, radius_km)
+        assert np.array_equal(counts > 0, dense_counts > 0)
+        assert np.array_equal(counts, dense_counts)
+        eligible = counts > 0
+        assert 3 <= eligible.sum() < len(roster)
+        mean = sums[eligible] / counts[eligible]
+        assert np.all(np.abs(mean - dense_mean) <= 1e-12 * np.abs(dense_mean))
+        report = neighborhood_affluence_segregation(roster, apartments, radius_km)
+        assert abs(report.value - dense_value) <= 1e-12
+        assert report.sample_size == int(eligible.sum())
+        assert report.settings["excluded_schools"] == int((~eligible).sum())
+
+    @pytest.mark.parametrize("lat0", [0.0, 65.0, -70.0, 89.97])
+    def test_band_edge_due_north_and_south(self, lat0):
+        # along the meridian: one apartment exactly at the radius, which the
+        # strict < drops, and others 1e-6 and 1e-9 km inside and outside it
+        school = make_school(0, lat0, 179.99)
+        edge_lat = lat0 + math.degrees(3.0 / EARTH_RADIUS_KM)
+        radius_km = float(_haversine_km(lat0, 179.99, edge_lat, 179.99))
+        apartments = [Apartment(GeoPoint(edge_lat, 179.99), 5e5)]
+        for sign in (1, -1):
+            for offset, price in ((-1e-6, 1e5), (-1e-9, 1e5), (1e-9, 9e5),
+                                  (1e-6, 9e5)):
+                dlat = math.degrees((radius_km + offset) / EARTH_RADIUS_KM)
+                apartments.append(Apartment(GeoPoint(lat0 + sign * dlat, 179.99), price))
+        counts, sums = _apartments_within([school], apartments, radius_km)
+        dense_counts = (school_apartment_distances([school], apartments)
+                        < radius_km).sum(axis=1)
+        assert counts.tolist() == dense_counts.tolist() == [4]
+        assert sums.tolist() == [4e5]
+
+    def test_empty_apartment_list(self):
+        roster = [make_school(i, 0.0, 0.01 * i) for i in range(4)]
+        counts, sums = _apartments_within(roster, [], 1.0)
+        assert counts.tolist() == [0] * 4 and sums.tolist() == [0.0] * 4
+        with pytest.raises(TooFewSamples):
+            neighborhood_affluence_segregation(roster, [], 1.0)
+
+
+def test_affluence_memory_bounded():
+    # 300 schools x 40,000 apartments: the dense query peaks near 500 MB
+    rng = np.random.default_rng(23)
+    half = math.degrees(15.0 / EARTH_RADIUS_KM)
+    roster = [make_school(i, float(rng.uniform(-half, half)),
+                          float(rng.uniform(-half, half)),
+                          score=float(rng.uniform(30, 90)))
+              for i in range(300)]
+    apartments = [
+        Apartment(GeoPoint(float(lat), float(lon)), float(price))
+        for lat, lon, price in zip(rng.uniform(-half, half, 40_000),
+                                   rng.uniform(-half, half, 40_000),
+                                   rng.uniform(5e4, 2e5, 40_000))
+    ]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        neighborhood_affluence_segregation(roster, apartments, 3.0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"

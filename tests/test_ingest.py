@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,13 +13,14 @@ from geoseg.errors import (
 )
 from geoseg.ingest import (
     FilterConfig,
+    FilterReport,
     RawInputs,
     RawSchool,
     apartment_prices,
     apply_filters,
     parse_inputs,
 )
-from geoseg.model import GeoPoint
+from geoseg.model import GeoPoint, School, StudentGraph
 
 
 def write(path, text):
@@ -126,6 +129,24 @@ class TestParse:
         assert parse_inputs(*files(*texts)) == plain
 
 
+    @pytest.mark.parametrize("which, raw, line_no", [
+        (2, b"school_id,latitude,longitude,score\n1,59.93,30.31,60\n"
+            b"2,59.94,30.33,72\nSch\xf6ne,59.9,30.3,61\n", 4),
+        (1, b"student_id_a,student_id_b\na,b\na\x00,b\n", 3),
+        (0, b"student_id,school_id\na,1\nb,1\n" + b"x" * 200_000 + b",1\n", 4),
+    ], ids=["latin1", "nul", "oversized"])
+    def test_undecodable_nul_or_oversized_row(self, files, which, raw, line_no):
+        # a Latin-1 byte, a NUL byte and a field over the csv module's limit
+        texts = ["student_id,school_id\na,1\nb,1\n",
+                 "student_id_a,student_id_b\na,b\n", SCHOOLS_2, APARTMENTS_1]
+        paths = files(*texts)
+        Path(paths[which]).write_bytes(raw)
+        with pytest.raises(MalformedRow) as exc:
+            parse_inputs(*paths)
+        assert exc.value.path == paths[which]
+        assert exc.value.line_no == line_no
+
+
 class TestApartments:
     def test_price_per_sqm_division(self, tmp_path):
         path = write(tmp_path / "apts.csv", APARTMENTS_1)
@@ -139,6 +160,15 @@ class TestApartments:
         )
         with pytest.raises(NonPositiveArea):
             apartment_prices(path)
+
+    def test_overflowing_price_rejected(self, tmp_path):
+        path = write(
+            tmp_path / "apts.csv",
+            "latitude,longitude,price,area\n59.9,30.3,1e300,1e-10\n",
+        )
+        with pytest.raises(MalformedRow) as exc:
+            apartment_prices(path)
+        assert exc.value.line_no == 2
 
     def test_direct_price_per_sqm_column(self, tmp_path):
         path = write(
@@ -350,3 +380,97 @@ def test_friend_rule_stops_by_second_pass(raw):
     assert report.fixed_point_iterations == 1 + bool(
         report.students_removed_no_same_school_friend
     )
+
+
+def reference_apply_filters(raw: RawInputs, config: FilterConfig | None = None):
+    """The string-keyed filter loop that apply_filters replaced, kept as its
+    oracle. Returns (StudentGraph, roster, FilterReport).
+
+    The no-same-school-friend rule repeats until a pass removes no one. A
+    removed student had no same-school friend, so removing it lowers no
+    one's count and the second pass always stops. The report records the
+    pass count.
+    """
+    config = config or FilterConfig()
+    report = FilterReport(settings={
+        "max_cohort": config.max_cohort,
+        "excluded_school_ids": sorted(config.excluded_school_ids),
+    })
+
+    cohort: dict[str, int] = {}
+    for schools in raw.claims.values():
+        for school in schools:
+            cohort[school] = cohort.get(school, 0) + 1
+
+    excluded = set(config.excluded_school_ids)
+    kept_schools: list[RawSchool] = []
+    for school in raw.schools:
+        if school.id in excluded:
+            report.schools_removed_excluded_ids += 1
+        elif cohort.get(school.id, 0) > config.max_cohort:
+            report.schools_removed_oversize += 1
+        elif school.score is None:
+            report.schools_removed_missing_score += 1
+        else:
+            kept_schools.append(school)
+    if not kept_schools:
+        raise EmptyResult("no school survives filtering")
+    roster = [School(s.id, s.location, s.score) for s in kept_schools]
+    roster_ids = {s.id for s in roster}
+
+    assignment: dict[str, str] = {}
+    for student, schools in raw.claims.items():
+        if len(schools) > 1:
+            report.students_removed_multi_school += 1
+        elif next(iter(schools)) not in roster_ids:
+            report.students_removed_school_filtered += 1
+        else:
+            assignment[student] = next(iter(schools))
+
+    listed = set(raw.claims)
+    edges = set()
+    for a, b in raw.edges:
+        if a not in listed or b not in listed:
+            report.edges_dropped_dangling += 1
+        else:
+            edges.add((a, b))
+
+    # fixed point: drop students with no friend in their own school
+    while True:
+        report.fixed_point_iterations += 1
+        same_school_friends = {s: 0 for s in assignment}
+        for a, b in edges:
+            if a in assignment and b in assignment and assignment[a] == assignment[b]:
+                same_school_friends[a] += 1
+                same_school_friends[b] += 1
+        friendless = {s for s, n in same_school_friends.items() if n == 0}
+        if not friendless:
+            break
+        report.students_removed_no_same_school_friend += len(friendless)
+        for s in friendless:
+            del assignment[s]
+
+    edges = {(a, b) for a, b in edges if a in assignment and b in assignment}
+    report.intra_school_edges = sum(
+        1 for a, b in edges if assignment[a] == assignment[b]
+    )
+    graph = StudentGraph(assignment, edges)
+    return graph, roster, report
+
+
+@given(raw_inputs(), st.sampled_from([(), ("1",), ("0", "2")]),
+       st.sampled_from([1000, 1, 2, 3]))
+@settings(max_examples=400, deadline=None)
+def test_apply_filters_matches_reference(raw, excluded, max_cohort):
+    config = FilterConfig(max_cohort=max_cohort, excluded_school_ids=excluded)
+    try:
+        expected = reference_apply_filters(raw, config)
+    except EmptyResult:
+        with pytest.raises(EmptyResult):
+            apply_filters(raw, config)
+        return
+    graph, roster, report = apply_filters(raw, config)
+    assert graph == expected[0]
+    assert graph.students == expected[0].students
+    assert roster == expected[1]
+    assert report.to_dict() == expected[2].to_dict()
