@@ -14,14 +14,16 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 import traceback
 
 from . import decay, geo, ingest, network, nullmodel, segregation, synth
 from .errors import GeosegError, TooFewBins, DegenerateFit
 from .model import GeoPoint
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 def _write_json(path, payload) -> None:
@@ -49,6 +51,9 @@ def _check_counts(args) -> None:
 
 
 def run_analyze(args) -> None:
+    """Write every output into a temporary sibling of --out-dir and move
+    them in only once report.json is written, so a failed run leaves no
+    output in --out-dir."""
     _check_counts(args)
     try:
         center = GeoPoint(args.center_lat, args.center_lon)
@@ -57,8 +62,20 @@ def run_analyze(args) -> None:
     for path in (args.students, args.edges, args.schools, args.apartments):
         if not os.path.exists(path):
             raise GeosegError(f"input file not found: {path}")
-    os.makedirs(args.out_dir, exist_ok=True)
+    out_dir = os.path.abspath(args.out_dir)
+    parent = os.path.dirname(out_dir)
+    os.makedirs(parent, exist_ok=True)
+    work = tempfile.mkdtemp(prefix=f".{os.path.basename(out_dir)}.", dir=parent)
+    try:
+        _analyze(args, center, work)
+        os.makedirs(out_dir, exist_ok=True)
+        for name in sorted(os.listdir(work)):
+            os.replace(os.path.join(work, name), os.path.join(out_dir, name))
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
 
+
+def _analyze(args, center: GeoPoint, out_dir: str) -> None:
     raw = ingest.parse_inputs(args.students, args.edges, args.schools,
                               args.apartments)
     config = ingest.FilterConfig(
@@ -66,14 +83,14 @@ def run_analyze(args) -> None:
         excluded_school_ids=tuple(args.exclude_school),
     )
     graph, roster, filter_report = ingest.apply_filters(raw, config)
-    _write_json(os.path.join(args.out_dir, "filter_report.json"),
+    _write_json(os.path.join(out_dir, "filter_report.json"),
                 filter_report.to_dict())
 
     net_a, intra = network.build_count_network(graph, roster)
     net_ahat = network.build_min_symmetrized_network(graph, roster)
-    network.write_edge_list_csv(net_a, os.path.join(args.out_dir, "network_a.csv"))
+    network.write_edge_list_csv(net_a, os.path.join(out_dir, "network_a.csv"))
     network.write_edge_list_csv(net_ahat,
-                                os.path.join(args.out_dir, "network_ahat.csv"))
+                                os.path.join(out_dir, "network_ahat.csv"))
 
     dm = geo.school_distance_matrix(roster)
     curve = decay.tie_probability_curve(network.binarize(net_a), dm, args.bin_km)
@@ -86,8 +103,8 @@ def run_analyze(args) -> None:
     except (TooFewBins, DegenerateFit) as exc:
         # fit is optional curve metadata; the null model needs only the bins
         fit_payload.update({"exponent": None, "prefactor": None, "error": str(exc)})
-    decay.write_curve_csv(curve, os.path.join(args.out_dir, "decay_curve.csv"))
-    _write_json(os.path.join(args.out_dir, "decay_fit.json"), fit_payload)
+    decay.write_curve_csv(curve, os.path.join(out_dir, "decay_curve.csv"))
+    _write_json(os.path.join(out_dir, "decay_fit.json"), fit_payload)
 
     reports = [
         geo.neighborhood_affluence_segregation(
@@ -112,7 +129,7 @@ def run_analyze(args) -> None:
                 segregation.digital_report(roster, dig_means, k, args.seed))
                for k in range(1, args.k + 1)]
     segregation.write_profile_csv(
-        profile, os.path.join(args.out_dir, "segregation_profile.csv")
+        profile, os.path.join(out_dir, "segregation_profile.csv")
     )
 
     observed = segregation.digital_report(roster, dig_means, args.null_k,
@@ -121,10 +138,10 @@ def run_analyze(args) -> None:
         roster, dm, curve, args.null_k, args.simulations, args.seed, observed
     )
     nullmodel.write_null_samples_csv(
-        null_result, os.path.join(args.out_dir, "null_distribution.csv")
+        null_result, os.path.join(out_dir, "null_distribution.csv")
     )
 
-    _write_json(os.path.join(args.out_dir, "report.json"), {
+    _write_json(os.path.join(out_dir, "report.json"), {
         "schema_version": REPORT_SCHEMA_VERSION,
         "seed": args.seed,
         "settings": {

@@ -68,6 +68,40 @@ class DistanceMatrix:
         except KeyError:
             raise ValueError(f"{school_id!r} is not a school of the matrix") from None
 
+    @cached_property
+    def _binned_pairs(self) -> dict:
+        return {}
+
+    def pairs_by_bin(self, bin_edges):
+        """Upper-triangle pairs (a, b), a < b, sorted by distance bin, and
+        the bin offsets: bin m (bin_edges[m] <= d < bin_edges[m + 1]) is
+        a[offsets[m]:offsets[m + 1]], and the pairs beyond the last edge
+        come last, from offsets[-2]. Indices are int16 up to 32,768
+        schools. The read-only arrays are cached for the last edges asked
+        for.
+        """
+        edges = np.asarray(bin_edges, dtype=float)
+        key = edges.tobytes()
+        cache = self._binned_pairs
+        if key not in cache:
+            n = len(self.ids)
+            beyond = len(edges) - 1
+            a, b = np.triu_indices(n, k=1)
+            idx = np.searchsorted(edges, self.distances[a, b], side="right") - 1
+            idx[idx < 0] = beyond
+            # a stable sort of integers of 16 bits or less is a radix sort
+            idx = idx.astype(np.min_scalar_type(beyond))
+            order = np.argsort(idx, kind="stable")
+            small = np.int16 if n <= 2**15 else np.int32
+            counts = np.bincount(idx, minlength=beyond + 1)
+            pairs = (a[order].astype(small), b[order].astype(small),
+                     np.concatenate(([0], np.cumsum(counts))))
+            for array in pairs:
+                array.setflags(write=False)
+            cache.clear()
+            cache[key] = pairs
+        return cache[key]
+
 
 def _latlon_arrays(roster: list[School]):
     lat = np.array([s.location.latitude for s in roster])

@@ -4,15 +4,34 @@ significance test for digital segregation.
 Each unordered school pair gets an independent Bernoulli tie with the
 decay-curve probability of its distance bin, and no tie outside the
 curve's defined bins. A simulated graph is kept as its list of tied
-pairs, never as an n x n matrix. Generated graphs are binary, so every
-neighbor is equidistant and the k digital neighbors of a school are a
-uniform random k-subset of its graph neighbors: the arcs are sorted by
-school in a uniform random order within each school, and each school
-takes its first k.
+pairs, never as an n x n matrix.
+
+Pair table: the distance matrix sorts its pairs by bin once per set of
+bin edges (`DistanceMatrix.pairs_by_bin`, small-int school indices), and
+`_pair_table` adds each bin's pair count and probability and the
+uncovered count; a run builds it once.
+
+Geometric gaps (Batagelj & Brandes 2005, Phys. Rev. E 71:036113): in a
+bin of N pairs tied with probability p, the untied pairs before the next
+tie number floor(log(1 - u) / log(1 - p)), so a simulation draws about
+N p uniforms per bin, not N. All bins' uniforms come in one block, with
+a slack allotment per bin from (N, p), and one cumsum restarted at each
+bin gives the tie positions. Top-up: a bin whose allotment ends before
+its last pair draws more gaps until one passes it, so the draw stays
+exact. A p = 0 bin has no ties and a p = 1 bin ties every pair.
+
+Generated graphs are binary, so every neighbor is equidistant and the k
+digital neighbors of a school are a uniform random k-subset of its graph
+neighbors. k = 1 pick: the arcs are grouped by school with a stable sort
+of their small-int sources (a radix sort), and each school takes arc
+first + floor(u * degree). For k > 1 the arcs are sorted by school in a
+uniform random order within each school, and each school takes its first
+k.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +56,13 @@ class NullModelResult:
     extension: bool = False  # True when k > 1 (beyond the reference analysis)
     samples: np.ndarray = field(repr=False, default=None)
 
+    @property
+    def empirical_p_se(self) -> float:
+        """Monte Carlo standard error of empirical_p, sqrt(p (1 - p) / sims)
+        (Phipson & Smyth 2010)."""
+        p = self.empirical_p
+        return math.sqrt(p * (1 - p) / self.simulations)
+
     def to_dict(self) -> dict:
         return {
             "observed": self.observed,
@@ -45,6 +71,7 @@ class NullModelResult:
             "simulated_max": self.simulated_max,
             "simulations": self.simulations,
             "empirical_p": self.empirical_p,
+            "empirical_p_se": self.empirical_p_se,
             "seed": self.seed,
             "k": self.k,
             "discarded": self.discarded,
@@ -53,37 +80,108 @@ class NullModelResult:
         }
 
 
-def _pair_probabilities(curve: DecayCurve, dm: DistanceMatrix):
-    """Upper-triangle tie probabilities from the binned curve.
+@dataclass(frozen=True)
+class _PairTable:
+    """The school pairs of one (distance matrix, curve), grouped by bin.
 
-    A pair whose distance falls beyond the last bin, or in a bin with no
-    defined probability, is uncovered and never tied. Returns (iu, probs,
-    uncovered_count).
+    `a`, `b` are the distance matrix's upper-triangle pairs sorted by bin,
+    as small ints and shared with its cache. Each bin with 0 < p < 1 is
+    drawn by geometric skipping: it starts at `starts[m]` in (a, b) and has
+    `counts[m]` pairs, tie probability `probs[m]` and `slots[m]` gaps in a
+    simulation's uniform block. The pairs of bins with p = 1 are `certain`.
+    The slot_* arrays repeat each drawn bin's log(1 - p), pair count and
+    start - 1 over its slots.
     """
-    n = len(dm.ids)
-    iu = np.triu_indices(n, k=1)
-    d = dm.distances[iu]
-    idx = np.searchsorted(curve.bin_edges, d, side="right") - 1
+
+    a: np.ndarray
+    b: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+    probs: np.ndarray
+    slots: np.ndarray
+    certain: np.ndarray
+    uncovered: int
+    slot_log_q: np.ndarray
+    slot_count: np.ndarray
+    slot_offset: np.ndarray
+    last_slot: np.ndarray
+
+
+def _slack(counts, probs):
+    """Gaps to allot a bin of `counts` pairs tied with `probs`. A bin needs
+    one gap per tie plus one that passes its last pair: allot the mean tie
+    count plus four binomial SDs and two, at least 1 and at most count + 1."""
+    mean = counts * probs
+    slots = np.ceil(mean + 4 * np.sqrt(mean * (1 - probs)) + 2).astype(np.int64)
+    return np.clip(slots, 1, counts + 1)
+
+
+def _pair_table(curve: DecayCurve, dm: DistanceMatrix) -> _PairTable:
+    """The pair table of curve's bins over dm. A pair whose distance falls
+    beyond the last bin, or in a bin with no defined probability, is
+    uncovered and never tied."""
+    a, b, offsets = dm.pairs_by_bin(curve.bin_edges)
+    binned = np.diff(offsets)[:-1]
     defined = ~np.isnan(curve.probabilities)
-    in_range = (idx >= 0) & (idx < len(curve.probabilities))
-    covered = in_range & defined[np.clip(idx, 0, len(curve.probabilities) - 1)]
-    probs = np.zeros(len(d))
-    probs[covered] = curve.probabilities[idx[covered]]
-    return iu, probs, int((~covered).sum())
+    p = np.where(defined, curve.probabilities, 0.0)
+    drawn = np.flatnonzero((p > 0) & (p < 1) & (binned > 0))
+    certain = [np.arange(offsets[m], offsets[m + 1]) for m in np.flatnonzero(p >= 1)]
+    counts, probs = binned[drawn], p[drawn]
+    slots = _slack(counts, probs)
+    return _PairTable(
+        a=a, b=b, starts=offsets[drawn], counts=counts, probs=probs, slots=slots,
+        certain=np.concatenate([np.empty(0, np.int64), *certain]),
+        uncovered=int(binned[~defined].sum() + offsets[-1] - offsets[-2]),
+        slot_log_q=np.repeat(np.log1p(-probs), slots),
+        slot_count=np.repeat(counts, slots),
+        slot_offset=np.repeat(offsets[drawn] - 1, slots),
+        last_slot=np.cumsum(slots) - 1,
+    )
 
 
-def _draw_edges(iu, probs: np.ndarray, rng: np.random.Generator):
-    """Tied pairs (a, b), a < b, with one independent Bernoulli tie per
-    upper-triangle pair, consuming len(probs) uniforms from rng."""
-    ties = np.flatnonzero(rng.random(len(probs)) < probs)
-    return iu[0][ties], iu[1][ties]
+def _steps(u: np.ndarray, log_q, count) -> np.ndarray:
+    """Position increments from uniforms: one tied pair plus the
+    floor(log(1 - u) / log(1 - p)) untied pairs before it, with the gap
+    capped at the bin's pair count (a longer one passes the bin's end)."""
+    gaps = np.log1p(-u)
+    gaps /= log_q
+    np.floor(gaps, out=gaps)
+    np.minimum(gaps, count, out=gaps)
+    return gaps.astype(np.int64) + 1
+
+
+def _draw_ties(table: _PairTable, rng: np.random.Generator):
+    """Tied pairs (a, b), a < b: each pair of drawn bin m is tied
+    independently with probability p_m, and each certain pair always.
+
+    One block of uniforms gives every drawn bin its slots of gaps, and one
+    cumsum, restarted at each bin, turns them into 1-based positions in the
+    bin; those within the bin are its ties. A bin whose last position falls
+    short of its last pair draws more gaps until one passes it, so the
+    allotment never truncates a bin.
+    """
+    pos = np.cumsum(_steps(rng.random(len(table.slot_log_q)), table.slot_log_q,
+                           table.slot_count))
+    ends = pos[table.last_slot]
+    before = np.concatenate(([0], ends))[:-1]  # cumsum before each bin
+    pos -= np.repeat(before, table.slots)
+    ends -= before
+    ties = [table.certain, (pos + table.slot_offset)[pos <= table.slot_count]]
+    for m in np.flatnonzero(ends < table.counts):
+        at, count, p = int(ends[m]), int(table.counts[m]), table.probs[m]
+        while at < count:
+            more = at + np.cumsum(_steps(rng.random(int(_slack(count - at, p))),
+                                         np.log1p(-p), count))
+            ties.append(more[more <= count] + (table.starts[m] - 1))
+            at = int(more[-1])
+    tied = np.concatenate(ties)
+    return table.a[tied], table.b[tied]
 
 
 def generate_null_graph(curve: DecayCurve, dm: DistanceMatrix,
                         seed: int) -> SchoolNetwork:
     """One binary random network with the curve's per-bin tie probability."""
-    iu, probs, _ = _pair_probabilities(curve, dm)
-    a, b = _draw_edges(iu, probs, np.random.default_rng(seed))
+    a, b = _draw_ties(_pair_table(curve, dm), np.random.default_rng(seed))
     n = len(dm.ids)
     weights = np.zeros((n, n), dtype=np.int64)
     weights[np.concatenate((a, b)), np.concatenate((b, a))] = 1
@@ -101,12 +199,20 @@ def _s_d_on_edges(a: np.ndarray, b: np.ndarray, n: int, scores: np.ndarray,
     eligible = np.flatnonzero(degrees >= k)
     if len(eligible) < 3:
         return None
-    # arcs grouped by school, uniformly shuffled within each school; with
-    # n < 2**20 each key src + u keeps more than 32 random bits of u, and
-    # np.lexsort((u, src)) gives the same order several times slower
-    order = np.argsort(src + rng.random(len(src)))
     first = (np.cumsum(degrees) - degrees)[eligible]
-    neighbor_mean = scores[dst[order[first[:, None] + np.arange(k)]]].mean(axis=1)
+    if k == 1:
+        # arcs grouped by school (a stable sort of 16-bit ints is a radix
+        # sort); each school takes a uniform one of its degree arcs
+        order = np.argsort(src, kind="stable")
+        pick = first + (rng.random(len(eligible)) * degrees[eligible]).astype(np.int64)
+        neighbor_mean = scores[dst[order[pick]]]
+    else:
+        # arcs grouped by school, uniformly shuffled within each school;
+        # with n < 2**20 each key src + u keeps more than 32 random bits of
+        # u, and np.lexsort((u, src)) gives the same order several times
+        # slower
+        order = np.argsort(src + rng.random(len(src)))
+        neighbor_mean = scores[dst[order[first[:, None] + np.arange(k)]]].mean(axis=1)
     own = scores[eligible]
     if np.all(own == own[0]) or np.all(neighbor_mean == neighbor_mean[0]):
         return None
@@ -134,7 +240,7 @@ def null_distribution_s_d(
         raise InvalidValue(f"need >= 100 simulations, got {simulations}")
     if [s.id for s in roster] != list(dm.ids):
         raise ValueError("roster and distance matrix school lists differ")
-    iu, probs, n_uncovered = _pair_probabilities(curve, dm)
+    table = _pair_table(curve, dm)
     scores = np.array([s.score for s in roster])
     samples = np.empty(simulations)
     collected = 0
@@ -147,7 +253,7 @@ def null_distribution_s_d(
             )
         rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
         index += 1
-        a, b = _draw_edges(iu, probs, rng)
+        a, b = _draw_ties(table, rng)
         value = _s_d_on_edges(a, b, len(roster), scores, k, rng)
         if value is None:
             discarded += 1
@@ -164,7 +270,7 @@ def null_distribution_s_d(
         seed=seed,
         k=k,
         discarded=discarded,
-        uncovered_pairs=n_uncovered,
+        uncovered_pairs=table.uncovered,
         extension=k > 1,
         samples=samples,
     )

@@ -85,7 +85,7 @@ class TestAnalyzeCommand:
         for name in EXPECTED_OUTPUTS:
             assert (out / name).exists(), name
         report = json.loads((out / "report.json").read_text())
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["seed"] == 11
         assert report["null_model"]["simulations"] == 100
         for key in (
@@ -142,6 +142,15 @@ class TestAnalyzeCommand:
         assert run_analyze(city, out, extra=(flag, value)) == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    def test_failed_run_leaves_no_output(self, city, tmp_path, capsys):
+        # the digital S_d at --k 30 fails after the decay outputs are
+        # written; none of them may reach --out-dir, nor a work directory
+        out = tmp_path / "out"
+        assert run_analyze(city, out, extra=("--k", "30")) == 2
+        assert "degree >= 30" in capsys.readouterr().err
+        assert [name for name in EXPECTED_OUTPUTS if (out / name).exists()] == []
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("name, line, bad", [
         ("schools.csv", 3, b"s\xe9cole,0.0,0.0,50.0\n"),

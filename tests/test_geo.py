@@ -86,6 +86,26 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError):
             dm.index_of("s99")
 
+    def test_pairs_by_bin_matches_per_pair_binning(self):
+        rng = np.random.default_rng(9)
+        roster = [make_school(i, float(rng.uniform(0, 0.2)),
+                              float(rng.uniform(0, 0.2))) for i in range(40)]
+        dm = school_distance_matrix(roster)
+        edges = np.array([0.0, 2.0, 5.0, 9.0, 12.0])  # some pairs lie beyond 12 km
+        a, b, offsets = dm.pairs_by_bin(edges)
+        assert a.dtype == b.dtype == np.int16
+        assert np.all(a < b)
+        iu = np.triu_indices(40, 1)
+        assert sorted(zip(a.tolist(), b.tolist())) == sorted(zip(*map(list, iu)))
+        d = dm.distances[a, b]
+        for m in range(len(edges) - 1):
+            band = d[offsets[m]:offsets[m + 1]]
+            assert np.all((edges[m] <= band) & (band < edges[m + 1]))
+        assert offsets[-1] - offsets[-2] > 0
+        assert np.all(d[offsets[-2]:] >= edges[-1])
+        assert dm.pairs_by_bin(edges.tolist())[0] is a
+        assert not a.flags.writeable
+
 
 class TestGeographicNeighbors:
     def setup_method(self):

@@ -9,8 +9,9 @@ from geoseg.errors import DegenerateNull
 from geoseg.geo import school_distance_matrix
 from geoseg.model import DecayCurve, pearson
 from geoseg.network import binarize
+from geoseg import nullmodel
 from geoseg.nullmodel import (
-    _pair_probabilities,
+    _pair_table,
     _s_d_on_edges,
     generate_null_graph,
     null_distribution_s_d,
@@ -20,16 +21,33 @@ from geoseg.segregation import digital_segregation
 from geoseg.synth import SynthConfig, generate_city
 
 
-# The dense kernels the edge-list null model replaced, kept as its oracle.
+# The dense kernels the edge-list null model and the binned tie draw
+# replaced, kept as their oracles.
 
-def _draw_adjacency(n: int, iu, probs: np.ndarray,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Symmetric boolean adjacency with one independent Bernoulli tie per
+def _pair_probabilities(curve: DecayCurve, dm):
+    """Upper-triangle tie probabilities from the binned curve.
+
+    A pair whose distance falls beyond the last bin, or in a bin with no
+    defined probability, is uncovered and never tied. Returns (iu, probs,
+    uncovered_count).
+    """
+    n = len(dm.ids)
+    iu = np.triu_indices(n, k=1)
+    d = dm.distances[iu]
+    idx = np.searchsorted(curve.bin_edges, d, side="right") - 1
+    defined = ~np.isnan(curve.probabilities)
+    in_range = (idx >= 0) & (idx < len(curve.probabilities))
+    covered = in_range & defined[np.clip(idx, 0, len(curve.probabilities) - 1)]
+    probs = np.zeros(len(d))
+    probs[covered] = curve.probabilities[idx[covered]]
+    return iu, probs, int((~covered).sum())
+
+
+def _draw_edges(iu, probs: np.ndarray, rng: np.random.Generator):
+    """Tied pairs (a, b), a < b, with one independent Bernoulli tie per
     upper-triangle pair, consuming len(probs) uniforms from rng."""
-    adj = np.zeros((n, n), dtype=bool)
-    ties = rng.random(len(probs)) < probs
-    adj[iu[0][ties], iu[1][ties]] = True
-    return adj | adj.T
+    ties = np.flatnonzero(rng.random(len(probs)) < probs)
+    return iu[0][ties], iu[1][ties]
 
 
 def _s_d_on_binary(adj: np.ndarray, scores: np.ndarray, k: int,
@@ -67,7 +85,7 @@ def reference_null_samples(roster, dm, curve, k, simulations, seed):
     while len(samples) < simulations:
         rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
         index += 1
-        adj = _draw_adjacency(len(roster), iu, probs, rng)
+        adj = dense(*_draw_edges(iu, probs, rng), len(roster))
         value = _s_d_on_binary(adj, scores, k, rng)
         if value is not None:
             samples.append(value)
@@ -76,7 +94,8 @@ def reference_null_samples(roster, dm, curve, k, simulations, seed):
 
 def edge_arrays(pairs):
     ordered = sorted(tuple(sorted(p)) for p in pairs)
-    a, b = np.array(ordered, dtype=int).reshape(-1, 2).T
+    # int16, as the pair table stores school indices
+    a, b = np.array(ordered, dtype=np.int16).reshape(-1, 2).T
     return a, b
 
 
@@ -147,15 +166,71 @@ class TestGenerate:
         se = np.sqrt((probs * (1 - probs)).sum())
         assert abs(np.mean(counts) - expected) < 3 * se / np.sqrt(300) + 1e-9
 
-    def test_bit_identical_to_dense_draw(self, small_city):
+    def test_pair_table_matches_dense_probabilities(self, small_city):
+        # a NaN bin and a last edge short of the farthest pair leave pairs
+        # uncovered; p = 0 and p = 1 bins are kept out of the drawn bins
+        _, _, dm, curve = small_city
+        probs = curve.probabilities[:-3].copy()
+        probs[[1, 2, 4]] = [np.nan, 0.0, 1.0]
+        cut = DecayCurve(curve.bin_edges[:-3], probs,
+                         np.where(np.isnan(probs), 0, 1))
+        for c in (curve, cut):
+            iu, dense_probs, uncovered = _pair_probabilities(c, dm)
+            table = _pair_table(c, dm)
+            n = len(dm.ids)
+            expected = np.zeros((n, n))
+            expected[iu] = dense_probs
+            got = np.zeros((n, n))
+            for start, count, p in zip(table.starts, table.counts, table.probs):
+                got[table.a[start:start + count], table.b[start:start + count]] = p
+            got[table.a[table.certain], table.b[table.certain]] = 1.0
+            assert np.array_equal(got, expected)
+            assert table.uncovered == uncovered
+        assert table.uncovered > 0 and len(table.certain) > 0
+
+    def test_per_bin_counts_match_dense_draw(self, small_city):
+        # the binned draw is a different stream from the dense draw, so it
+        # is compared in distribution: each bin's tie total over the same
+        # 300 seeds within 4 SE of the difference of two binomials
         _, _, dm, curve = small_city
         iu, probs, _ = _pair_probabilities(curve, dm)
-        for seed in range(20):
-            old = _draw_adjacency(len(dm.ids), iu, probs,
-                                  np.random.default_rng(seed)).astype(np.int64)
-            new = generate_null_graph(curve, dm, seed).weights
-            assert new.dtype == old.dtype
-            assert np.array_equal(new, old), seed
+        bins = np.searchsorted(curve.bin_edges, dm.distances[iu], side="right") - 1
+        m = len(curve.probabilities)
+        new = np.zeros(m)
+        old = np.zeros(m)
+        seeds = range(300)
+        for seed in seeds:
+            a, b = _draw_edges(iu, probs, np.random.default_rng(seed))
+            old += np.bincount(bins[dense(a, b, len(dm.ids))[iu]], minlength=m)
+            g = generate_null_graph(curve, dm, seed).weights[iu] > 0
+            new += np.bincount(bins[g], minlength=m)
+        pairs = np.bincount(bins, minlength=m) * len(seeds)
+        p = np.nan_to_num(curve.probabilities)
+        se = np.sqrt(2 * pairs * p * (1 - p))
+        assert np.all(np.abs(new - old) <= 4 * se + 1e-9), (new, old)
+        assert new.sum() > 0
+
+    def test_top_up_draws_past_a_one_slot_allotment(self, small_city,
+                                                     monkeypatch):
+        # with one gap per bin every bin with a tie must draw more gaps;
+        # a top-up that stopped early would leave at most one tie per bin
+        _, _, dm, curve = small_city
+        monkeypatch.setattr(nullmodel, "_slack",
+                            lambda counts, probs: np.ones_like(counts))
+        assert np.all(_pair_table(curve, dm).slots == 1)
+        iu = np.triu_indices(len(dm.ids), 1)
+        bins = np.searchsorted(curve.bin_edges, dm.distances[iu], side="right") - 1
+        m = len(curve.probabilities)
+        n_graphs = 60
+        ties = np.zeros(m)
+        for seed in range(n_graphs):
+            g = generate_null_graph(curve, dm, seed).weights[iu] > 0
+            ties += np.bincount(bins[g], minlength=m)
+        trials = np.bincount(bins, minlength=m) * n_graphs
+        p = np.nan_to_num(curve.probabilities)
+        se = np.sqrt(p * (1 - p) / np.maximum(trials, 1))
+        assert np.all(np.abs(ties / np.maximum(trials, 1) - p) <= 4 * se + 1e-12)
+        assert ties.max() > n_graphs
 
     def test_per_bin_frequency_matches_curve(self, small_city):
         _, _, dm, curve = small_city
@@ -181,10 +256,13 @@ class TestGenerate:
             checked += 1
             trials = pair_counts[m] * n_graphs
             se = np.sqrt(max(p * (1 - p) / trials, 1e-18))
-            if abs(tie_totals[m] / trials - p) <= 3 * se + 1e-12:
+            if abs(tie_totals[m] / trials - p) <= 4 * se + 1e-12:
                 ok += 1
+        # every bin within 4 SE: below 100 bins "99% within 3 SE" means
+        # every one of these 30 bins, which an exact draw misses about 8%
+        # of the time; 4 SE puts that near 0.2%
         assert checked > 0
-        assert ok / checked >= 0.99
+        assert ok == checked
 
 
 class TestEdgeKernel:
@@ -278,6 +356,8 @@ class TestNullDistribution:
         assert result.simulated_max >= result.simulated_mean - result.simulated_sd
         expected_p = (1 + (result.samples >= 0.0).sum()) / 151
         assert result.empirical_p == expected_p
+        se = math.sqrt(expected_p * (1 - expected_p) / 150)
+        assert result.to_dict()["empirical_p_se"] == se
         assert not result.extension
 
     def test_deterministic(self, small_city):
