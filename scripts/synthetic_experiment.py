@@ -3,28 +3,31 @@
 
 Generates a homophilous city, runs the full analyze pipeline on the
 emitted CSV files, and prints recovered statistics next to the planted
-ground truth.
+ground truth. Exits with geoseg's nonzero exit code when synth or
+analyze fails.
 """
 
 import argparse
 import json
+import sys
 import tempfile
 from pathlib import Path
 
 from geoseg.cli import main as cli_main
 
 
-def run(n_schools, homophily, seed, workdir):
+def run(n_schools, homophily, seed, workdir) -> int:
+    """Returns 0, or the exit code of the first geoseg command that failed."""
     city = workdir / "city"
     out = workdir / "results"
-    assert cli_main([
+    synth = [
         "synth",
         "--n-schools", str(n_schools),
         "--homophily", str(homophily),
         "--seed", str(seed),
         "--out-dir", str(city),
-    ]) == 0
-    assert cli_main([
+    ]
+    analyze = [
         "analyze",
         "--students", str(city / "students.csv"),
         "--edges", str(city / "edges.csv"),
@@ -35,7 +38,11 @@ def run(n_schools, homophily, seed, workdir):
         "--simulations", "1000",
         "--seed", str(seed),
         "--out-dir", str(out),
-    ]) == 0
+    ]
+    for argv in (synth, analyze):
+        code = cli_main(argv)
+        if code != 0:
+            return code
 
     truth = json.loads((city / "ground_truth.json").read_text())
     report = json.loads((out / "report.json").read_text())
@@ -51,6 +58,7 @@ def run(n_schools, homophily, seed, workdir):
     print(f"null S_d(1): mean {null['simulated_mean']:.4f}, "
           f"sd {null['simulated_sd']:.4f}, max {null['simulated_max']:.4f}, "
           f"observed {null['observed']:.4f}, p {null['empirical_p']:.4g}")
+    return 0
 
 
 if __name__ == "__main__":
@@ -63,7 +71,7 @@ if __name__ == "__main__":
     args = parser.parse_args()
     if args.keep:
         args.keep.mkdir(parents=True, exist_ok=True)
-        run(args.n_schools, args.homophily, args.seed, args.keep)
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
-            run(args.n_schools, args.homophily, args.seed, Path(tmp))
+        sys.exit(run(args.n_schools, args.homophily, args.seed, args.keep))
+    with tempfile.TemporaryDirectory() as tmp:
+        code = run(args.n_schools, args.homophily, args.seed, Path(tmp))
+    sys.exit(code)

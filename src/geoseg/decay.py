@@ -18,25 +18,23 @@ def tie_probability_curve(
     net: SchoolNetwork, dm: DistanceMatrix, bin_width_km: float = DEFAULT_BIN_WIDTH_KM
 ) -> DecayCurve:
     """Per distance bin [m*w, (m+1)*w): fraction of unordered school pairs
-    with at least one tie. Trailing empty bins are trimmed."""
+    with at least one tie. The last bin holds the farthest pair."""
     if net.schools != dm.ids:
         raise MismatchedIds("network and distance matrix school lists differ")
     if bin_width_km <= 0:
         raise InvalidValue(f"bin width must be positive, got {bin_width_km}")
-    iu = np.triu_indices(len(net.schools), k=1)
-    d = dm.distances[iu]
-    tied = net.weights[iu] > 0
-    bins = np.floor(d / bin_width_km).astype(np.int64)
-    n_bins = int(bins.max()) + 1 if len(bins) else 1
-    pair_counts = np.bincount(bins, minlength=n_bins)
-    tie_counts = np.bincount(bins[tied], minlength=n_bins)
-    last = int(np.max(np.nonzero(pair_counts))) if pair_counts.any() else 0
-    pair_counts = pair_counts[: last + 1]
-    tie_counts = tie_counts[: last + 1]
+    # binned by the pair table the null model reads, up to the first edge
+    # past the farthest pair
+    farthest = dm.distances.max(initial=0.0)
+    edges = np.arange(int(farthest / bin_width_km) + 3) * bin_width_km
+    edges = edges[: np.searchsorted(edges, farthest, side="right") + 1]
+    a, b, offsets = dm.pairs_by_bin(edges)
+    pair_counts = np.diff(offsets[:-1])
+    tied = np.concatenate(([0], np.cumsum(net.weights[a, b] > 0)))
+    tie_counts = np.diff(tied[offsets[:-1]])
     probs = np.full(len(pair_counts), np.nan)
     occupied = pair_counts > 0
     probs[occupied] = tie_counts[occupied] / pair_counts[occupied]
-    edges = np.arange(len(pair_counts) + 1) * bin_width_km
     return DecayCurve(bin_edges=edges, probabilities=probs, pair_counts=pair_counts)
 
 

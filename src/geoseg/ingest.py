@@ -10,8 +10,8 @@ the file and line):
 
 Filtering order is fixed so reports are reproducible: excluded-id and
 oversize schools, then missing-score schools, then multi-school students,
-then students stranded in removed schools, then students with no
-same-school friend.
+then students stranded in removed schools, then, in one pass, students
+with no same-school friend.
 """
 
 from __future__ import annotations
@@ -202,10 +202,10 @@ def parse_inputs(students_file, edges_file, schools_file,
 def apply_filters(raw: RawInputs, config: FilterConfig | None = None):
     """Run the cleaning rules; returns (StudentGraph, roster, FilterReport).
 
-    The no-same-school-friend rule repeats until a pass removes no one. A
-    removed student had no same-school friend, so removing it lowers no
-    one's count and the second pass always stops. The report records the
-    pass count.
+    The no-same-school-friend rule runs once: a removed student had no
+    same-school friend, so removing it lowers no one's count. The report's
+    fixed_point_iterations is 2 when that pass removed someone and 1
+    otherwise, the passes a loop to a fixed point would make.
     """
     config = config or FilterConfig()
     report = FilterReport(settings={
@@ -233,47 +233,35 @@ def apply_filters(raw: RawInputs, config: FilterConfig | None = None):
         raise EmptyResult("no school survives filtering")
     roster = [School(s.id, s.location, s.score) for s in kept_schools]
 
-    # integer codes: each student by its position in raw.claims, with its
-    # roster index as its school, or -1 once removed; each edge as a pair
-    # of student positions, -1 for an endpoint missing from the claims
+    # integer codes: each student by its position in the sorted claims,
+    # with its roster index as its school, or -1 once removed; each edge as
+    # a pair of student positions, -1 for an endpoint missing from the claims
     roster_index = {s.id: i for i, s in enumerate(roster)}
-    codes = []
-    for schools in raw.claims.values():
-        code = -1
-        if len(schools) > 1:
-            report.students_removed_multi_school += 1
-        elif next(iter(schools)) not in roster_index:
-            report.students_removed_school_filtered += 1
-        else:
-            code = roster_index[next(iter(schools))]
-        codes.append(code)
-    school_of = np.array(codes, dtype=np.int64)
-    students = list(raw.claims)
+    students = sorted(raw.claims)
+    single = [next(iter(c)) if len(c) == 1 else None for c in map(raw.claims.get, students)]
+    school_of = np.array([roster_index.get(s, -1) for s in single], dtype=np.int64)
+    report.students_removed_multi_school = single.count(None)
+    report.students_removed_school_filtered = int((school_of < 0).sum()) - single.count(None)
 
     position = {student: i for i, student in enumerate(students)}
-    pairs = list(raw.edges)
-    ends = np.fromiter((position.get(s, -1) for pair in pairs for s in pair),
-                       dtype=np.int64, count=2 * len(pairs)).reshape(-1, 2)
-    listed = np.flatnonzero((ends >= 0).all(axis=1))
-    report.edges_dropped_dangling = len(pairs) - len(listed)
-    a, b = ends[listed, 0], ends[listed, 1]
+    ends = np.fromiter((position.get(s, -1) for pair in raw.edges for s in pair),
+                       dtype=np.int64, count=2 * len(raw.edges)).reshape(-1, 2)
+    a, b = ends[(ends >= 0).all(axis=1)].T
+    report.edges_dropped_dangling = len(ends) - len(a)
 
-    # fixed point: drop students with no friend in their own school
-    while True:
-        report.fixed_point_iterations += 1
-        same = (school_of[a] == school_of[b]) & (school_of[a] >= 0)
-        friends = (np.bincount(a[same], minlength=len(students))
-                   + np.bincount(b[same], minlength=len(students)))
-        friendless = (school_of >= 0) & (friends == 0)
-        if not friendless.any():
-            break
-        report.students_removed_no_same_school_friend += int(friendless.sum())
-        school_of[friendless] = -1
+    # the no-same-school-friend rule, in one pass (see the docstring)
+    same = (school_of[a] == school_of[b]) & (school_of[a] >= 0)
+    friendless = school_of >= 0
+    friendless[a[same]] = friendless[b[same]] = False
+    report.students_removed_no_same_school_friend = int(friendless.sum())
+    report.fixed_point_iterations = 1 + bool(friendless.any())
+    report.intra_school_edges = int(same.sum())
+    school_of[friendless] = -1
 
-    kept = (school_of[a] >= 0) & (school_of[b] >= 0)
-    report.intra_school_edges = int((kept & (school_of[a] == school_of[b])).sum())
-    alive = np.flatnonzero(school_of >= 0)
+    alive = school_of >= 0
+    kept = alive[a] & alive[b]
+    slot = np.cumsum(alive) - 1  # position among the kept students
     assignment = {students[i]: roster[c].id
-                  for i, c in zip(alive.tolist(), school_of[alive].tolist())}
-    graph = StudentGraph(assignment, [pairs[j] for j in listed[kept].tolist()])
+                  for i, c in enumerate(school_of.tolist()) if c >= 0}
+    graph = StudentGraph._coded(assignment, slot[a[kept]], slot[b[kept]])
     return graph, roster, report

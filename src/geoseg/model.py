@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,31 +72,54 @@ class Apartment:
 class StudentGraph:
     """Undirected binary friendship relation plus student -> school map.
 
-    Edges are stored as sorted id tuples; construction rejects self-loops
-    and edges whose endpoints are not assigned to a school.
+    Friendships are int64 arrays a < b of positions in the sorted
+    students, each pair once; construction rejects self-loops and edges
+    whose endpoints are not assigned to a school.
     """
 
     def __init__(self, assignment: dict[str, str], edges):
         self.assignment = dict(assignment)
         self.students = sorted(self.assignment)
-        normalized = set()
+        position = {s: i for i, s in enumerate(self.students)}
+        ends = []
         for a, b in edges:
             if a == b:
                 raise ValueError(f"self-loop edge on student {a!r}")
-            if a not in self.assignment or b not in self.assignment:
+            if a not in position or b not in position:
                 raise ValueError(f"edge ({a!r}, {b!r}) has unassigned endpoint")
-            normalized.add((a, b) if a < b else (b, a))
-        self.edges = frozenset(normalized)
+            ends.append((position[a], position[b]))
+        self._set_pairs(*np.array(ends, dtype=np.int64).reshape(-1, 2).T)
+
+    @classmethod
+    def _coded(cls, assignment: dict[str, str], a, b) -> StudentGraph:
+        """Skips the id checks: assignment's keys are sorted, and a, b are
+        the friendships as positions in them, none a self-loop."""
+        graph = cls.__new__(cls)
+        graph.assignment, graph.students = assignment, list(assignment)
+        graph._set_pairs(a, b)
+        return graph
+
+    def _set_pairs(self, a, b) -> None:
+        n = len(self.students)
+        self.a, self.b = np.divmod(np.unique(np.minimum(a, b) * n + np.maximum(a, b)), n)
+        self.a.flags.writeable = self.b.flags.writeable = False
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        """The friendships as sorted id tuples."""
+        s = self.students
+        return frozenset((s[i], s[j]) for i, j in zip(self.a.tolist(), self.b.tolist()))
 
     def __eq__(self, other):
         return (
             isinstance(other, StudentGraph)
             and self.assignment == other.assignment
-            and self.edges == other.edges
+            and np.array_equal(self.a, other.a)
+            and np.array_equal(self.b, other.b)
         )
 
     def __repr__(self):
-        return f"StudentGraph({len(self.students)} students, {len(self.edges)} edges)"
+        return f"StudentGraph({len(self.students)} students, {len(self.a)} edges)"
 
 
 class SchoolNetwork:

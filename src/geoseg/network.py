@@ -1,8 +1,9 @@
 """Aggregation of the student friendship graph into school-level networks.
 
 Three variants: raw tie counts, the min-symmetrized student-count
-alternative, and a binary projection. Degree centrality counts distinct
-connected schools.
+alternative, and a binary projection. The counted networks are bincounts
+of school-pair keys over the graph's integer-coded edges. Degree
+centrality counts distinct connected schools.
 """
 
 from __future__ import annotations
@@ -15,54 +16,42 @@ from .errors import UnknownSchoolId
 from .model import School, SchoolNetwork, StudentGraph
 
 
-def _school_index(g: StudentGraph, roster: list[School]) -> dict[str, int]:
+def _edge_schools(g: StudentGraph, roster: list[School]):
+    """Roster index of each student's school, and of each edge end's."""
     index = {s.id: i for i, s in enumerate(roster)}
-    for student, school in g.assignment.items():
-        if school not in index:
-            raise UnknownSchoolId(
-                f"student {student!r} assigned to unknown school {school!r}"
-            )
-    return index
+    school_of = np.fromiter((index.get(g.assignment[s], -1) for s in g.students),
+                            dtype=np.int64, count=len(g.students))
+    missing = np.flatnonzero(school_of < 0)
+    if len(missing):
+        student = g.students[missing[0]]
+        raise UnknownSchoolId(
+            f"student {student!r} assigned to unknown school {g.assignment[student]!r}"
+        )
+    return school_of, school_of[g.a], school_of[g.b]
 
 
 def build_count_network(g: StudentGraph, roster: list[School]):
     """Raw-count network A: weight[k][l] = number of student edges between
     schools k and l. Returns (network, intra_school_edge_counts)."""
-    index = _school_index(g, roster)
+    _, sa, sb = _edge_schools(g, roster)
     n = len(roster)
-    w = np.zeros((n, n), dtype=np.int64)
-    intra: dict[str, int] = {}
-    for a, b in g.edges:
-        sa, sb = g.assignment[a], g.assignment[b]
-        if sa == sb:
-            intra[sa] = intra.get(sa, 0) + 1
-            continue
-        i, j = index[sa], index[sb]
-        w[i, j] += 1
-        w[j, i] += 1
-    net = SchoolNetwork([s.id for s in roster], w, kind="raw-count")
-    return net, intra
+    cross = sa != sb
+    w = np.bincount(sa[cross] * n + sb[cross], minlength=n * n).reshape(n, n)
+    intra = np.bincount(sa[~cross], minlength=n)
+    net = SchoolNetwork([s.id for s in roster], w + w.T, kind="raw-count")
+    return net, {roster[i].id: int(intra[i]) for i in np.flatnonzero(intra)}
 
 
 def build_min_symmetrized_network(g: StudentGraph, roster: list[School]) -> SchoolNetwork:
     """Min-symmetrized network: the directed count of students in school k
     with at least one friend in school l, symmetrized by element-wise min
     with its transpose."""
-    index = _school_index(g, roster)
+    school_of, sa, sb = _edge_schools(g, roster)
     n = len(roster)
-    # friend-school sets per student, then one count per (student school, other school)
-    friend_schools: dict[str, set[str]] = {}
-    for a, b in g.edges:
-        sa, sb = g.assignment[a], g.assignment[b]
-        if sa == sb:
-            continue
-        friend_schools.setdefault(a, set()).add(sb)
-        friend_schools.setdefault(b, set()).add(sa)
-    directed = np.zeros((n, n), dtype=np.int64)
-    for student, others in friend_schools.items():
-        i = index[g.assignment[student]]
-        for school in others:
-            directed[i, index[school]] += 1
+    cross = sa != sb
+    # one key per (student, other school) with a friend there
+    keys = np.unique(np.concatenate((g.a[cross] * n + sb[cross], g.b[cross] * n + sa[cross])))
+    directed = np.bincount(school_of[keys // n] * n + keys % n, minlength=n * n).reshape(n, n)
     w = np.minimum(directed, directed.T)
     return SchoolNetwork([s.id for s in roster], w, kind="min-symmetrized")
 

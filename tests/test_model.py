@@ -143,6 +143,19 @@ class TestTypes:
         g1 = StudentGraph({"a": "1", "b": "1"}, [("a", "b")])
         g2 = StudentGraph({"a": "1", "b": "1"}, [("b", "a")])
         assert g1 == g2
+        # duplicate and reversed pairs collapse to one coded pair a < b of
+        # positions in the sorted students
+        g = StudentGraph({"c": "2", "a": "1", "b": "1"},
+                         [("c", "a"), ("a", "c"), ("b", "a"), ("a", "b"), ("c", "b")])
+        assert g.students == ["a", "b", "c"]
+        assert g.a.dtype == g.b.dtype == np.int64
+        assert g.a.tolist() == [0, 0, 1] and g.b.tolist() == [1, 2, 2]
+        assert g.edges == frozenset({("a", "b"), ("a", "c"), ("b", "c")})
+        assert g != StudentGraph({"c": "2", "a": "1", "b": "1"}, [("a", "b")])
+        empty = StudentGraph({"a": "1"}, [])
+        assert empty.a.dtype == empty.b.dtype == np.int64
+        assert len(empty.a) == len(empty.b) == 0
+        assert empty.edges == frozenset()
 
     def test_school_network_invariants(self):
         with pytest.raises(ValueError):

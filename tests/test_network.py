@@ -96,7 +96,9 @@ class TestCountNetwork:
         assert np.array_equal(net.weights, brute_force_count(fixture_graph, roster))
 
     def test_unknown_school(self, fixture_graph):
-        with pytest.raises(UnknownSchoolId):
+        # c and d attend school 2, which a one-school roster lacks
+        with pytest.raises(UnknownSchoolId,
+                           match=r"student '[cd]' assigned to unknown school '2'"):
             build_count_network(fixture_graph, make_roster(1))
 
     def test_upper_triangle_sum_is_inter_school_edges(self):

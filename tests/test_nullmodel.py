@@ -6,8 +6,8 @@ import pytest
 
 from geoseg.decay import tie_probability_curve
 from geoseg.errors import DegenerateNull
-from geoseg.geo import school_distance_matrix
-from geoseg.model import DecayCurve, pearson
+from geoseg.geo import DistanceMatrix, school_distance_matrix
+from geoseg.model import DecayCurve, SchoolNetwork, pearson
 from geoseg.network import binarize
 from geoseg import nullmodel
 from geoseg.nullmodel import (
@@ -187,6 +187,22 @@ class TestGenerate:
             assert np.array_equal(got, expected)
             assert table.uncovered == uncovered
         assert table.uncovered > 0 and len(table.certain) > 0
+
+    def test_curve_and_pair_table_bin_an_edge_pair_alike(self):
+        # a tied pair just below the edge 5 * 0.7 km: floor(d / 0.7) puts
+        # it in bin 5, the edges in bin 4
+        d = np.nextafter(3.5, 0)
+        dm = DistanceMatrix(["x", "y", "z"],
+                            np.array([[0, d, 1.0], [d, 0, 2.0], [1.0, 2.0, 0]]))
+        tied = np.zeros((3, 3), dtype=np.int64)
+        tied[0, 1] = tied[1, 0] = 1
+        curve = tie_probability_curve(SchoolNetwork(dm.ids, tied, "binary"), dm, 0.7)
+        # the curve's binning is the one the pair table reads
+        assert curve.bin_edges.tobytes() in dm._binned_pairs
+        table = _pair_table(curve, dm)
+        assert table.uncovered == 0
+        assert [(table.a[i], table.b[i]) for i in table.certain] == [(0, 1)]
+        assert generate_null_graph(curve, dm, 0).weights[0, 1] == 1
 
     def test_per_bin_counts_match_dense_draw(self, small_city):
         # the binned draw is a different stream from the dense draw, so it
