@@ -1,12 +1,19 @@
 """CSV parsing and the data-cleaning rules.
 
-Input schemas (all CSV, header required, UTF-8, optional BOM, dot decimals;
-bytes that are not UTF-8, a NUL byte or a csv error raise MalformedRow with
-the file and line):
+Input schemas (all CSV, header required, UTF-8, optional BOM, dot decimals,
+blank lines skipped; bytes that are not UTF-8, a NUL byte, an empty or
+missing required field or a csv error raise MalformedRow with the file and
+the physical line the record ends on, blank lines and newlines inside
+quoted fields counted):
   students:   student_id, school_id   (one row per school claim)
   edges:      student_id_a, student_id_b
   schools:    school_id, latitude, longitude, score  (empty score = missing)
   apartments: latitude, longitude, price, area  -- or a price_per_sqm column
+
+Each student id is coded as an int the first time the students or edges
+file names it, and the students stay coded until the school networks are
+built: the filters are counts and masks over the codes, and only the
+surviving students' ids are sorted, for the StudentGraph.
 
 Filtering order is fixed so reports are reproducible: excluded-id and
 oversize schools, then missing-score schools, then multi-school students,
@@ -19,6 +26,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -28,7 +37,7 @@ from .errors import (
     MalformedRow,
     NonPositiveArea,
 )
-from .model import Apartment, GeoPoint, School, StudentGraph
+from .model import Apartment, GeoPoint, School, StudentGraph, _unique_pairs
 
 DEFAULT_MAX_COHORT = 1000
 
@@ -40,12 +49,65 @@ class RawSchool:
     score: float | None  # None = missing, removed by the filter stage
 
 
-@dataclass
 class RawInputs:
-    claims: dict[str, set[str]]  # student -> claimed school ids
-    edges: set[tuple[str, str]]  # sorted id pairs, duplicates collapsed
-    schools: list[RawSchool]
-    apartments: list[Apartment]
+    """The four parsed files, with students coded as ints.
+
+    student_ids[i] is student code i's id, in first-seen order over the
+    students file and then the edges file (an id only in the edges file
+    dangles). claim_student and claim_school are the distinct (student,
+    school) claims, the school as an index into school_ids. edge_a < edge_b
+    are the distinct friendships as student codes, self-loops dropped.
+    The constructor takes ids; `claims` and `edges` are id views built on
+    first use.
+    """
+
+    def __init__(self, claims: dict[str, set[str]], edges, schools: list[RawSchool],
+                 apartments: list[Apartment]):
+        ids: dict[str, int] = {}
+        school_code: dict[str, int] = {}
+        pairs = [(ids.setdefault(s, len(ids)), school_code.setdefault(c, len(school_code)))
+                 for s, claimed in claims.items() for c in claimed]
+        ends = [(ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids))) for a, b in edges]
+        self._set(list(ids), list(school_code),
+                  *np.array(pairs, dtype=np.int64).reshape(-1, 2).T,
+                  *np.array(ends, dtype=np.int64).reshape(-1, 2).T, schools, apartments)
+
+    @classmethod
+    def _coded(cls, *fields) -> RawInputs:
+        """From already coded fields, in the order _set takes them."""
+        raw = cls.__new__(cls)
+        raw._set(*fields)
+        return raw
+
+    def _set(self, student_ids, school_ids, claim_student, claim_school, edge_a, edge_b,
+             schools, apartments) -> None:
+        self.student_ids, self.school_ids = student_ids, school_ids
+        self.schools, self.apartments = schools, apartments
+        self.claim_student, self.claim_school = _unique_pairs(
+            claim_student, claim_school, len(school_ids))
+        lo, hi = np.minimum(edge_a, edge_b), np.maximum(edge_a, edge_b)
+        loop = lo == hi  # a self-friendship carries no information
+        self.edge_a, self.edge_b = _unique_pairs(lo[~loop], hi[~loop], len(student_ids))
+
+    @cached_property
+    def claims(self) -> dict[str, set[str]]:
+        """Each listed student's claimed school ids."""
+        claims: dict[str, set[str]] = {}
+        for i, c in zip(self.claim_student.tolist(), self.claim_school.tolist()):
+            claims.setdefault(self.student_ids[i], set()).add(self.school_ids[c])
+        return claims
+
+    @cached_property
+    def edges(self) -> set[tuple[str, str]]:
+        """The friendships as sorted id tuples."""
+        ids = self.student_ids
+        pairs = ((ids[i], ids[j]) for i, j in zip(self.edge_a.tolist(), self.edge_b.tolist()))
+        return {(a, b) if a < b else (b, a) for a, b in pairs}
+
+    def __eq__(self, other):
+        return (isinstance(other, RawInputs) and self.claims == other.claims
+                and self.edges == other.edges and self.schools == other.schools
+                and self.apartments == other.apartments)
 
 
 @dataclass
@@ -73,14 +135,21 @@ class FilterReport:
         return d
 
 
-def _float_field(row, key, path, line_no):
+def _float_field(text, name, path, line_no):
     try:
-        value = float(row[key])
-    except (KeyError, TypeError, ValueError):
-        raise MalformedRow(path, line_no, f"bad {key}: {row.get(key)!r}")
+        value = float(text)
+    except (TypeError, ValueError):
+        raise MalformedRow(path, line_no, f"bad {name}: {text!r}")
     if not math.isfinite(value):
-        raise MalformedRow(path, line_no, f"non-finite {key}")
+        raise MalformedRow(path, line_no, f"non-finite {name}")
     return value
+
+
+def _line_of(data: bytes, offset: int) -> int:
+    """The physical line of a byte offset; a line ends at \\n, \\r\\n or
+    \\r, as for the csv reader."""
+    head = data[:offset]
+    return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
 
 
 def _check_bytes(path) -> None:
@@ -90,70 +159,88 @@ def _check_bytes(path) -> None:
         data = f.read()
     nul = data.find(b"\x00")
     if nul >= 0:
-        raise MalformedRow(path, data.count(b"\n", 0, nul) + 1, "NUL byte")
+        raise MalformedRow(path, _line_of(data, nul), "NUL byte")
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise MalformedRow(path, data.count(b"\n", 0, exc.start) + 1,
+        raise MalformedRow(path, _line_of(data, exc.start),
                            f"not UTF-8: {exc.reason}") from None
 
 
-def _reader(path, required_columns):
+def _records(path, required, optional=()):
+    """Yield (line, fields) for each non-blank record: line is the physical
+    line the record ends on, fields the values of the required and then the
+    optional columns. A column missing from the header, or a field missing
+    from a short row, is None."""
     _check_bytes(path)
     with open(path, newline="", encoding="utf-8-sig") as f:
-        reader = csv.DictReader(f)
+        reader = csv.reader(f)
         try:
-            header = reader.fieldnames or []
-            missing = [c for c in required_columns if c not in header]
+            header = next(reader, [])
+            missing = [c for c in required if c not in header]
             if missing:
                 raise MalformedRow(path, 1, f"missing columns {missing}")
-            # line 1 is the header
-            for line_no, row in enumerate(reader, start=2):
-                yield line_no, row
+            # as with csv.DictReader, a repeated column name reads its last
+            # field, a short row's missing fields are None and fields past
+            # the header are ignored
+            width = len(header)
+            index = {name: i for i, name in enumerate(header)}
+            pick = itemgetter(*(index.get(c, width) for c in (*required, *optional)))
+            for row in reader:
+                if len(row) != width:
+                    if not row:
+                        continue
+                    row = row[:width] + [None] * (width - len(row))
+                row.append(None)  # the field of a column missing from the header
+                yield reader.line_num, pick(row)
         except csv.Error as exc:
-            # the csv reader's own count includes the line it failed on
-            raise MalformedRow(path, reader.reader.line_num, str(exc)) from None
+            raise MalformedRow(path, reader.line_num, str(exc)) from None
 
 
-def parse_students(path) -> dict[str, set[str]]:
-    claims: dict[str, set[str]] = {}
-    for line_no, row in _reader(path, ["student_id", "school_id"]):
-        student, school = row["student_id"], row["school_id"]
+def parse_students(path, ids: dict[str, int]):
+    """The (student, school) claims as int64 code arrays and the school ids
+    the school codes index; student ids are interned into ids."""
+    students, schools = [], []
+    school_code: dict[str, int] = {}
+    for line_no, (student, school) in _records(path, ("student_id", "school_id")):
         if not student or not school:
             raise MalformedRow(path, line_no, "empty student_id or school_id")
-        claims.setdefault(student, set()).add(school)
-    return claims
+        students.append(ids.setdefault(student, len(ids)))
+        schools.append(school_code.setdefault(school, len(school_code)))
+    return (np.array(students, dtype=np.int64), np.array(schools, dtype=np.int64),
+            list(school_code))
 
 
-def parse_edges(path) -> set[tuple[str, str]]:
-    edges: set[tuple[str, str]] = set()
-    for line_no, row in _reader(path, ["student_id_a", "student_id_b"]):
-        a, b = row["student_id_a"], row["student_id_b"]
+def parse_edges(path, ids: dict[str, int]):
+    """The friendship rows as two int64 arrays of student codes, interned
+    into ids; self-loops and duplicates are left to RawInputs."""
+    ends = []
+    for line_no, (a, b) in _records(path, ("student_id_a", "student_id_b")):
         if not a or not b:
             raise MalformedRow(path, line_no, "empty student id")
-        if a == b:
-            continue  # self-friendship carries no information
-        edges.add((a, b) if a < b else (b, a))
-    return edges
+        ends.append(ids.setdefault(a, len(ids)))
+        ends.append(ids.setdefault(b, len(ids)))
+    ends = np.array(ends, dtype=np.int64)
+    return ends[0::2], ends[1::2]
 
 
 def parse_schools(path) -> list[RawSchool]:
     schools: list[RawSchool] = []
     seen: set[str] = set()
-    for line_no, row in _reader(path, ["school_id", "latitude", "longitude", "score"]):
-        school_id = row["school_id"]
+    columns = ("school_id", "latitude", "longitude", "score")
+    for line_no, (school_id, lat, lon, raw_score) in _records(path, columns):
         if not school_id:
             raise MalformedRow(path, line_no, "empty school_id")
         if school_id in seen:
             raise DuplicateSchoolId(f"{path}:{line_no}: duplicate id {school_id!r}")
         seen.add(school_id)
         location = GeoPoint(
-            _float_field(row, "latitude", path, line_no),
-            _float_field(row, "longitude", path, line_no),
+            _float_field(lat, "latitude", path, line_no),
+            _float_field(lon, "longitude", path, line_no),
         )
-        raw_score = (row.get("score") or "").strip()
+        raw_score = (raw_score or "").strip()
         if raw_score:
-            score = _float_field({"score": raw_score}, "score", path, line_no)
+            score = _float_field(raw_score, "score", path, line_no)
             if score < 0:
                 raise MalformedRow(path, line_no, f"negative score {score}")
         else:
@@ -166,16 +253,17 @@ def apartment_prices(path) -> list[Apartment]:
     """Apartments with price per square meter, computed from price/area
     when not given directly. Rows with area <= 0 are rejected."""
     apartments: list[Apartment] = []
-    for line_no, row in _reader(path, ["latitude", "longitude"]):
+    records = _records(path, ("latitude", "longitude"), ("price_per_sqm", "price", "area"))
+    for line_no, (lat, lon, per_sqm, price, area) in records:
         location = GeoPoint(
-            _float_field(row, "latitude", path, line_no),
-            _float_field(row, "longitude", path, line_no),
+            _float_field(lat, "latitude", path, line_no),
+            _float_field(lon, "longitude", path, line_no),
         )
-        if row.get("price_per_sqm"):
-            price_per_sqm = _float_field(row, "price_per_sqm", path, line_no)
+        if per_sqm:
+            price_per_sqm = _float_field(per_sqm, "price_per_sqm", path, line_no)
         else:
-            price = _float_field(row, "price", path, line_no)
-            area = _float_field(row, "area", path, line_no)
+            price = _float_field(price, "price", path, line_no)
+            area = _float_field(area, "area", path, line_no)
             if area <= 0:
                 raise NonPositiveArea(f"{path}:{line_no}: area {area}")
             price_per_sqm = price / area
@@ -188,21 +276,24 @@ def apartment_prices(path) -> list[Apartment]:
 
 def parse_inputs(students_file, edges_file, schools_file,
                  apartments_file) -> RawInputs:
-    """Parse all four files without filtering. Duplicate edges collapse;
-    a student listed with several school ids keeps all claims so the
-    filter stage can drop it as multi-school."""
-    return RawInputs(
-        claims=parse_students(students_file),
-        edges=parse_edges(edges_file),
-        schools=parse_schools(schools_file),
-        apartments=apartment_prices(apartments_file),
+    """Parse all four files without filtering, coding each student id once.
+    Duplicate edges collapse; a student listed with several school ids
+    keeps all claims so the filter stage can drop it as multi-school."""
+    ids: dict[str, int] = {}
+    claim_student, claim_school, school_ids = parse_students(students_file, ids)
+    edge_a, edge_b = parse_edges(edges_file, ids)
+    return RawInputs._coded(
+        list(ids), school_ids, claim_student, claim_school, edge_a, edge_b,
+        parse_schools(schools_file), apartment_prices(apartments_file),
     )
 
 
 def apply_filters(raw: RawInputs, config: FilterConfig | None = None):
     """Run the cleaning rules; returns (StudentGraph, roster, FilterReport).
 
-    The no-same-school-friend rule runs once: a removed student had no
+    The rules are counts and masks over the student codes; only the ids of
+    the surviving students are sorted, for the graph. The
+    no-same-school-friend rule runs once: a removed student had no
     same-school friend, so removing it lowers no one's count. The report's
     fixed_point_iterations is 2 when that pass removed someone and 1
     otherwise, the passes a loop to a fixed point would make.
@@ -213,11 +304,8 @@ def apply_filters(raw: RawInputs, config: FilterConfig | None = None):
         "excluded_school_ids": sorted(config.excluded_school_ids),
     })
 
-    cohort: dict[str, int] = {}
-    for schools in raw.claims.values():
-        for school in schools:
-            cohort[school] = cohort.get(school, 0) + 1
-
+    cohort = dict(zip(raw.school_ids,
+                      np.bincount(raw.claim_school, minlength=len(raw.school_ids)).tolist()))
     excluded = set(config.excluded_school_ids)
     kept_schools: list[RawSchool] = []
     for school in raw.schools:
@@ -233,21 +321,20 @@ def apply_filters(raw: RawInputs, config: FilterConfig | None = None):
         raise EmptyResult("no school survives filtering")
     roster = [School(s.id, s.location, s.score) for s in kept_schools]
 
-    # integer codes: each student by its position in the sorted claims,
-    # with its roster index as its school, or -1 once removed; each edge as
-    # a pair of student positions, -1 for an endpoint missing from the claims
+    # each student code's roster index, or -1 once removed
     roster_index = {s.id: i for i, s in enumerate(roster)}
-    students = sorted(raw.claims)
-    single = [next(iter(c)) if len(c) == 1 else None for c in map(raw.claims.get, students)]
-    school_of = np.array([roster_index.get(s, -1) for s in single], dtype=np.int64)
-    report.students_removed_multi_school = single.count(None)
-    report.students_removed_school_filtered = int((school_of < 0).sum()) - single.count(None)
+    in_roster = np.array([roster_index.get(s, -1) for s in raw.school_ids], dtype=np.int64)
+    n_claims = np.bincount(raw.claim_student, minlength=len(raw.student_ids))
+    single = n_claims[raw.claim_student] == 1
+    school_of = np.full(len(n_claims), -1, dtype=np.int64)
+    school_of[raw.claim_student[single]] = in_roster[raw.claim_school[single]]
+    report.students_removed_multi_school = int((n_claims > 1).sum())
+    report.students_removed_school_filtered = int(single.sum() - (school_of >= 0).sum())
 
-    position = {student: i for i, student in enumerate(students)}
-    ends = np.fromiter((position.get(s, -1) for pair in raw.edges for s in pair),
-                       dtype=np.int64, count=2 * len(raw.edges)).reshape(-1, 2)
-    a, b = ends[(ends >= 0).all(axis=1)].T
-    report.edges_dropped_dangling = len(ends) - len(a)
+    listed = n_claims > 0
+    listed_ends = listed[raw.edge_a] & listed[raw.edge_b]
+    a, b = raw.edge_a[listed_ends], raw.edge_b[listed_ends]
+    report.edges_dropped_dangling = len(listed_ends) - len(a)
 
     # the no-same-school-friend rule, in one pass (see the docstring)
     same = (school_of[a] == school_of[b]) & (school_of[a] >= 0)
@@ -258,10 +345,14 @@ def apply_filters(raw: RawInputs, config: FilterConfig | None = None):
     report.intra_school_edges = int(same.sum())
     school_of[friendless] = -1
 
-    alive = school_of >= 0
-    kept = alive[a] & alive[b]
-    slot = np.cumsum(alive) - 1  # position among the kept students
-    assignment = {students[i]: roster[c].id
-                  for i, c in enumerate(school_of.tolist()) if c >= 0}
-    graph = StudentGraph._coded(assignment, slot[a[kept]], slot[b[kept]])
+    # the survivors, renumbered by their position among the sorted ids
+    alive = np.flatnonzero(school_of >= 0)
+    ids = [raw.student_ids[i] for i in alive.tolist()]
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    alive = alive[order]
+    position = np.full(len(school_of), -1, dtype=np.int64)
+    position[alive] = np.arange(len(alive))
+    kept = (position[a] >= 0) & (position[b] >= 0)
+    graph = StudentGraph._coded([ids[i] for i in order], [s.id for s in roster],
+                                school_of[alive], position[a[kept]], position[b[kept]])
     return graph, roster, report

@@ -69,18 +69,36 @@ class Apartment:
             raise InvalidValue(f"invalid price per sqm {self.price_per_sqm}")
 
 
+def _unique_keys(keys) -> np.ndarray:
+    """The distinct int64 keys, sorted: np.unique's result by one sort and
+    a neighbour mask (np.unique on int64 may take a slower hash path)."""
+    keys = np.sort(np.asarray(keys, dtype=np.int64))
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
+def _unique_pairs(a, b, n: int):
+    """The distinct pairs (a, b) of codes 0 <= b < n, as two int64 arrays
+    sorted by (a, b)."""
+    return np.divmod(_unique_keys(np.asarray(a, dtype=np.int64) * n + b), n)
+
+
 class StudentGraph:
     """Undirected binary friendship relation plus student -> school map.
 
-    Friendships are int64 arrays a < b of positions in the sorted
-    students, each pair once; construction rejects self-loops and edges
-    whose endpoints are not assigned to a school.
+    Students are positions in the sorted `students`; `school` holds each
+    student's index into `school_ids`, and the friendships are int64
+    arrays a < b of student positions, each pair once. Construction
+    rejects self-loops and edges whose endpoints are not assigned to a
+    school. `assignment` and `edges` are id views built on first use.
     """
 
     def __init__(self, assignment: dict[str, str], edges):
-        self.assignment = dict(assignment)
-        self.students = sorted(self.assignment)
-        position = {s: i for i, s in enumerate(self.students)}
+        students = sorted(assignment)
+        school_ids = sorted(set(assignment.values()))
+        code = {s: i for i, s in enumerate(school_ids)}
+        position = {s: i for i, s in enumerate(students)}
         ends = []
         for a, b in edges:
             if a == b:
@@ -88,21 +106,32 @@ class StudentGraph:
             if a not in position or b not in position:
                 raise ValueError(f"edge ({a!r}, {b!r}) has unassigned endpoint")
             ends.append((position[a], position[b]))
-        self._set_pairs(*np.array(ends, dtype=np.int64).reshape(-1, 2).T)
+        school = np.array([code[assignment[s]] for s in students], dtype=np.int64)
+        self._set(students, school_ids, school,
+                  *np.array(ends, dtype=np.int64).reshape(-1, 2).T)
 
     @classmethod
-    def _coded(cls, assignment: dict[str, str], a, b) -> StudentGraph:
-        """Skips the id checks: assignment's keys are sorted, and a, b are
-        the friendships as positions in them, none a self-loop."""
+    def _coded(cls, students: list[str], school_ids: list[str], school, a, b) -> StudentGraph:
+        """Skips the id checks: students are sorted, school indexes
+        school_ids per student, and a, b are the friendships as positions
+        in students, none a self-loop."""
         graph = cls.__new__(cls)
-        graph.assignment, graph.students = assignment, list(assignment)
-        graph._set_pairs(a, b)
+        graph._set(students, school_ids, school, a, b)
         return graph
 
-    def _set_pairs(self, a, b) -> None:
-        n = len(self.students)
-        self.a, self.b = np.divmod(np.unique(np.minimum(a, b) * n + np.maximum(a, b)), n)
-        self.a.flags.writeable = self.b.flags.writeable = False
+    def _set(self, students, school_ids, school, a, b) -> None:
+        n = len(students)
+        self.students, self.school_ids = students, school_ids
+        self.school = np.asarray(school, dtype=np.int64)
+        self.a, self.b = _unique_pairs(np.minimum(a, b), np.maximum(a, b), n)
+        for array in (self.school, self.a, self.b):
+            array.flags.writeable = False
+
+    @cached_property
+    def assignment(self) -> dict[str, str]:
+        """Each student's school id, in the order of students."""
+        ids = self.school_ids
+        return {s: ids[c] for s, c in zip(self.students, self.school.tolist())}
 
     @cached_property
     def edges(self) -> frozenset[tuple[str, str]]:
@@ -161,8 +190,9 @@ class SchoolNetwork:
     def nonzero_pairs(self):
         """Upper-triangle (school_a, school_b, weight) with weight > 0."""
         rows, cols = np.nonzero(np.triu(self.weights, k=1))
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            yield self.schools[r], self.schools[c], int(self.weights[r, c])
+        s = self.schools
+        for r, c, w in zip(rows.tolist(), cols.tolist(), self.weights[rows, cols].tolist()):
+            yield s[r], s[c], w
 
 
 @dataclass

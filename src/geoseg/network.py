@@ -13,20 +13,18 @@ import csv
 import numpy as np
 
 from .errors import UnknownSchoolId
-from .model import School, SchoolNetwork, StudentGraph
+from .model import School, SchoolNetwork, StudentGraph, _unique_keys
 
 
 def _edge_schools(g: StudentGraph, roster: list[School]):
     """Roster index of each student's school, and of each edge end's."""
     index = {s.id: i for i, s in enumerate(roster)}
-    school_of = np.fromiter((index.get(g.assignment[s], -1) for s in g.students),
-                            dtype=np.int64, count=len(g.students))
+    school_of = np.array([index.get(s, -1) for s in g.school_ids], dtype=np.int64)[g.school]
     missing = np.flatnonzero(school_of < 0)
     if len(missing):
-        student = g.students[missing[0]]
-        raise UnknownSchoolId(
-            f"student {student!r} assigned to unknown school {g.assignment[student]!r}"
-        )
+        student = missing[0]
+        raise UnknownSchoolId(f"student {g.students[student]!r} assigned to unknown "
+                              f"school {g.school_ids[g.school[student]]!r}")
     return school_of, school_of[g.a], school_of[g.b]
 
 
@@ -50,7 +48,7 @@ def build_min_symmetrized_network(g: StudentGraph, roster: list[School]) -> Scho
     n = len(roster)
     cross = sa != sb
     # one key per (student, other school) with a friend there
-    keys = np.unique(np.concatenate((g.a[cross] * n + sb[cross], g.b[cross] * n + sa[cross])))
+    keys = _unique_keys(np.concatenate((g.a[cross] * n + sb[cross], g.b[cross] * n + sa[cross])))
     directed = np.bincount(school_of[keys // n] * n + keys % n, minlength=n * n).reshape(n, n)
     w = np.minimum(directed, directed.T)
     return SchoolNetwork([s.id for s in roster], w, kind="min-symmetrized")
@@ -72,5 +70,4 @@ def write_edge_list_csv(net: SchoolNetwork, path) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["school_a", "school_b", "weight"])
-        for a, b, w in net.nonzero_pairs():
-            writer.writerow([a, b, w])
+        writer.writerows(net.nonzero_pairs())

@@ -1,4 +1,5 @@
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -133,8 +134,9 @@ class TestParse:
         (2, b"school_id,latitude,longitude,score\n1,59.93,30.31,60\n"
             b"2,59.94,30.33,72\nSch\xf6ne,59.9,30.3,61\n", 4),
         (1, b"student_id_a,student_id_b\na,b\na\x00,b\n", 3),
+        (1, b"student_id_a,student_id_b\ra,b\r\n\ra\x00,b\r", 4),
         (0, b"student_id,school_id\na,1\nb,1\n" + b"x" * 200_000 + b",1\n", 4),
-    ], ids=["latin1", "nul", "oversized"])
+    ], ids=["latin1", "nul", "nul-cr-lines", "oversized"])
     def test_undecodable_nul_or_oversized_row(self, files, which, raw, line_no):
         # a Latin-1 byte, a NUL byte and a field over the csv module's limit
         texts = ["student_id,school_id\na,1\nb,1\n",
@@ -145,6 +147,32 @@ class TestParse:
             parse_inputs(*paths)
         assert exc.value.path == paths[which]
         assert exc.value.line_no == line_no
+
+    @pytest.mark.parametrize("text, line_no", [
+        ("student_id,school_id\na,1\n\n\nb,\n", 5),
+        ('student_id,school_id\na,"1\n"\nb,\n', 4),
+    ], ids=["blank-lines", "quoted-newline"])
+    def test_line_numbers_are_physical_lines(self, files, text, line_no):
+        # blank lines, and a newline inside a quoted field, are lines too
+        paths = files(text, "student_id_a,student_id_b\n", SCHOOLS_2, APARTMENTS_1)
+        with pytest.raises(MalformedRow) as exc:
+            parse_inputs(*paths)
+        assert exc.value.path == paths[0]
+        assert exc.value.line_no == line_no
+
+    @pytest.mark.parametrize("which, row", [
+        (0, "c"), (1, "c"), (2, "3,59.95"), (3, "59.9"),
+    ], ids=["students", "edges", "schools", "apartments"])
+    def test_short_row_reports_line(self, files, which, row):
+        # a row with fewer fields than the header, after a skipped blank line
+        texts = ["student_id,school_id\na,1\nb,1\n",
+                 "student_id_a,student_id_b\na,b\n", SCHOOLS_2, APARTMENTS_1]
+        texts[which] += "\n" + row + "\n"
+        paths = files(*texts)
+        with pytest.raises(MalformedRow) as exc:
+            parse_inputs(*paths)
+        assert exc.value.path == paths[which]
+        assert exc.value.line_no == texts[which].count("\n")
 
 
 class TestApartments:
@@ -176,6 +204,16 @@ class TestApartments:
             "latitude,longitude,price_per_sqm\n59.9,30.3,150000\n",
         )
         assert apartment_prices(path)[0].price_per_sqm == 150_000.0
+
+    @pytest.mark.parametrize("text", [
+        "latitude,longitude,price,area\n59.9,30.3,1000000,10,999\n",
+        "latitude,longitude,price,area,price_per_sqm\n59.9,30.3,1000000,10\n",
+    ], ids=["field-past-header", "short-row-without-optional-field"])
+    def test_price_from_area_when_no_price_per_sqm_field(self, tmp_path, text):
+        # a field past the header is no price_per_sqm column, and a row
+        # that stops before its price_per_sqm field has none
+        path = write(tmp_path / "apts.csv", text)
+        assert apartment_prices(path)[0].price_per_sqm == 100_000.0
 
     def test_three_row_fixture_sorted(self, tmp_path):
         # oracle: prices computed by hand, 8000000/40=200000 etc.
@@ -465,6 +503,72 @@ def test_apply_filters_matches_reference(raw, excluded, max_cohort):
     config = FilterConfig(max_cohort=max_cohort, excluded_school_ids=excluded)
     try:
         expected = reference_apply_filters(raw, config)
+    except EmptyResult:
+        with pytest.raises(EmptyResult):
+            apply_filters(raw, config)
+        return
+    graph, roster, report = apply_filters(raw, config)
+    assert graph == expected[0]
+    assert graph.students == expected[0].students
+    assert roster == expected[1]
+    assert report.to_dict() == expected[2].to_dict()
+
+
+@st.composite
+def csv_files(draw):
+    """Students, edges and schools files as CSV text, and the claims, edges
+    and schools they hold: repeated and multi-school claims, a claimed
+    school missing from the schools file, duplicate, reversed, self-loop and
+    dangling edges, blank lines and byte-order marks."""
+    n_students = draw(st.integers(0, 12))
+    # shuffled, so the order ids are first met in is not their sorted order;
+    # the last two are in no claim and dangle
+    ids = draw(st.permutations([f"s{i}" for i in range(n_students + 2)]))
+    # every listed student claims school 0 or 1; some claim again
+    claim_rows = [(s, draw(st.sampled_from("01"))) for s in ids[:n_students]]
+    if n_students:
+        claim_rows += draw(st.lists(st.tuples(st.sampled_from(ids[:n_students]),
+                                              st.sampled_from("0123")), max_size=6))
+    claim_rows = draw(st.permutations(claim_rows))
+    edge_rows = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                              min_size=n_students, max_size=40))
+    schools = [RawSchool(str(i), GeoPoint(0.0, 0.01 * i),
+                         50.0 if i == 0 else draw(st.sampled_from([None, 60.0])))
+               for i in range(3)]
+    school_rows = [(s.id, "0.0", repr(s.location.longitude),
+                    "" if s.score is None else repr(s.score)) for s in schools]
+
+    def text(header, rows):
+        lines = [",".join(row) + "\n" + "\n" * draw(st.integers(0, 2)) for row in rows]
+        return "\ufeff" * draw(st.booleans()) + header + "\n" + "".join(lines)
+
+    texts = (text("student_id,school_id", claim_rows),
+             text("student_id_a,student_id_b", edge_rows),
+             text("school_id,latitude,longitude,score", school_rows))
+    claims: dict[str, set[str]] = {}
+    for student, school in claim_rows:
+        claims.setdefault(student, set()).add(school)
+    edges = {(min(a, b), max(a, b)) for a, b in edge_rows if a != b}
+    return texts, SimpleNamespace(claims=claims, edges=edges, schools=schools)
+
+
+@given(csv_files(), st.sampled_from([(), ("1",), ("0", "2")]),
+       st.sampled_from([1000, 1, 2]))
+@settings(max_examples=300, deadline=None)
+def test_coded_parse_and_filters_match_reference(tmp_path_factory, case, excluded,
+                                                 max_cohort):
+    (students, edges, schools), expected_raw = case
+    tmp = tmp_path_factory.mktemp("csv")
+    raw = parse_inputs(write(tmp / "students.csv", students),
+                       write(tmp / "edges.csv", edges),
+                       write(tmp / "schools.csv", schools),
+                       write(tmp / "apartments.csv", APARTMENTS_1))
+    assert raw.claims == expected_raw.claims
+    assert raw.edges == expected_raw.edges
+    assert raw.schools == expected_raw.schools
+    config = FilterConfig(max_cohort=max_cohort, excluded_school_ids=excluded)
+    try:
+        expected = reference_apply_filters(expected_raw, config)
     except EmptyResult:
         with pytest.raises(EmptyResult):
             apply_filters(raw, config)

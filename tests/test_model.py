@@ -11,6 +11,7 @@ from geoseg.model import (
     SchoolNetwork,
     SegregationReport,
     StudentGraph,
+    _unique_keys,
     pearson,
     permutation_p_value,
 )
@@ -151,11 +152,22 @@ class TestTypes:
         assert g.a.dtype == g.b.dtype == np.int64
         assert g.a.tolist() == [0, 0, 1] and g.b.tolist() == [1, 2, 2]
         assert g.edges == frozenset({("a", "b"), ("a", "c"), ("b", "c")})
+        # each student's school is an index into school_ids
+        assert g.school_ids == ["1", "2"] and g.school.tolist() == [0, 0, 1]
+        assert g.assignment == {"a": "1", "b": "1", "c": "2"}
         assert g != StudentGraph({"c": "2", "a": "1", "b": "1"}, [("a", "b")])
+        assert g != StudentGraph({"c": "1", "a": "1", "b": "1"}, g.edges)
         empty = StudentGraph({"a": "1"}, [])
         assert empty.a.dtype == empty.b.dtype == np.int64
         assert len(empty.a) == len(empty.b) == 0
         assert empty.edges == frozenset()
+
+    @pytest.mark.parametrize("size, high", [(0, 1), (1, 5), (50, 10), (5000, 2**40)])
+    def test_unique_keys_matches_np_unique(self, size, high):
+        keys = np.random.default_rng(size).integers(-high, high, size=size)
+        unique = _unique_keys(keys)
+        assert unique.dtype == np.int64
+        assert np.array_equal(unique, np.unique(keys))
 
     def test_school_network_invariants(self):
         with pytest.raises(ValueError):

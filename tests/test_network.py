@@ -8,6 +8,7 @@ from geoseg.network import (
     build_count_network,
     build_min_symmetrized_network,
     degree_centrality,
+    write_edge_list_csv,
 )
 
 
@@ -96,9 +97,10 @@ class TestCountNetwork:
         assert np.array_equal(net.weights, brute_force_count(fixture_graph, roster))
 
     def test_unknown_school(self, fixture_graph):
-        # c and d attend school 2, which a one-school roster lacks
+        # c and d attend school 2, which a one-school roster lacks; the
+        # message names the first of them in sorted order
         with pytest.raises(UnknownSchoolId,
-                           match=r"student '[cd]' assigned to unknown school '2'"):
+                           match=r"student 'c' assigned to unknown school '2'"):
             build_count_network(fixture_graph, make_roster(1))
 
     def test_upper_triangle_sum_is_inter_school_edges(self):
@@ -169,3 +171,17 @@ class TestBinarizeAndDegree:
     def test_degree_unchanged_by_binarize(self, fixture_graph):
         net, _ = build_count_network(fixture_graph, make_roster(2))
         assert degree_centrality(net) == degree_centrality(binarize(net))
+
+
+def test_edge_list_csv_lists_upper_triangle(tmp_path):
+    g = random_graph(np.random.default_rng(4), 30, 5, 0.2)
+    roster = make_roster(5)
+    net, _ = build_count_network(g, roster)
+    path = tmp_path / "a.csv"
+    write_edge_list_csv(net, path)
+    w = brute_force_count(g, roster)
+    expected = ["school_a,school_b,weight"] + [
+        f"{roster[i].id},{roster[j].id},{w[i, j]}"
+        for i in range(5) for j in range(i + 1, 5) if w[i, j]
+    ]
+    assert path.read_text() == "\n".join(expected) + "\n"
