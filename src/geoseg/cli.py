@@ -11,6 +11,7 @@ randomness flows from --seed.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -24,6 +25,32 @@ from .errors import GeosegError, TooFewBins, DegenerateFit
 from .model import GeoPoint
 
 REPORT_SCHEMA_VERSION = 2
+
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MALLOC_THRESHOLD_BYTES = 1 << 20
+
+
+def _pin_malloc_thresholds() -> bool:
+    """Fix glibc's mmap and trim thresholds at 1 MiB; True if it did.
+
+    By default glibc raises both thresholds to the size of the first large
+    block it frees, so the n x n temporaries that follow land in the heap,
+    and whether their pages go back to the system depends on the order of
+    the frees: peak RSS then moves by several MB from one run to the next.
+    Fixed thresholds return every block of 1 MiB or more when it is freed.
+    A no-op off Linux and where the C library has no mallopt."""
+    if not sys.platform.startswith("linux"):
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return all(mallopt(param, _MALLOC_THRESHOLD_BYTES) == 1
+               for param in (_M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD))
 
 
 def _write_json(path, payload) -> None:
@@ -83,11 +110,17 @@ def _analyze(args, center: GeoPoint, out_dir: str) -> None:
         excluded_school_ids=tuple(args.exclude_school),
     )
     graph, roster, filter_report = ingest.apply_filters(raw, config)
+    # later stages read only the survivors and the apartments: drop the
+    # parsed rows, and the student graph once the networks are counted, so
+    # they do not sit under the memory peak of the statistics
+    apartments = raw.apartments
+    del raw
     _write_json(os.path.join(out_dir, "filter_report.json"),
                 filter_report.to_dict())
 
     net_a, intra = network.build_count_network(graph, roster)
     net_ahat = network.build_min_symmetrized_network(graph, roster)
+    del graph
     network.write_edge_list_csv(net_a, os.path.join(out_dir, "network_a.csv"))
     network.write_edge_list_csv(net_ahat,
                                 os.path.join(out_dir, "network_ahat.csv"))
@@ -108,9 +141,10 @@ def _analyze(args, center: GeoPoint, out_dir: str) -> None:
 
     reports = [
         geo.neighborhood_affluence_segregation(
-            roster, raw.apartments, args.radius_km, args.permutations, args.seed),
+            roster, apartments, args.radius_km, args.permutations, args.seed),
         geo.center_distance_correlation(roster, center, args.permutations, args.seed),
     ]
+    del apartments
     # one ranking per school and kind: the --k reports, the k=1..K profile
     # and the observed S_d(--null-k) all read prefixes of these tables
     geo_means = segregation.geographic_means(roster, dm, args.k, args.seed)
@@ -236,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _pin_malloc_thresholds()
     args = build_parser().parse_args(argv)
     try:
         args.func(args)

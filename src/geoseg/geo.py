@@ -1,5 +1,6 @@
-"""Geodesic distances, neighbor orderings, and the geographic segregation
-measures (neighborhood affluence and center-distance correlations).
+"""Geodesic distances, the neighbor-ranking kernel, and the geographic
+segregation measures (neighborhood affluence and center-distance
+correlations).
 
 S_n(R) averages the price per sqm of the apartments strictly within R of
 each school. The apartments are sorted by latitude once, and each school
@@ -30,12 +31,29 @@ from .model import (
 
 
 def _haversine_km(lat1, lon1, lat2, lon2):
-    """Vectorized great-circle distance in km (mean Earth radius)."""
+    """Vectorized great-circle distance in km (mean Earth radius).
+
+    Computed in place in at most two arrays of the broadcast shape, with
+    the operations of sin(dlat / 2)**2 + cos(lat1) * cos(lat2) *
+    sin(dlon / 2)**2 in the order that expression evaluates them, so the
+    result equals it bit for bit."""
     lat1, lon1, lat2, lon2 = map(np.radians, (lat1, lon1, lat2, lon2))
-    dlat = lat2 - lat1
-    dlon = lon2 - lon1
-    a = np.sin(dlat / 2) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2) ** 2
-    return EARTH_RADIUS_KM * 2 * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
+    shape = np.broadcast(lat1, lon1, lat2, lon2).shape
+    d = np.subtract(lon2, lon1, out=np.empty(shape))
+    d /= 2
+    np.sin(d, out=d)
+    np.square(d, out=d)
+    d *= np.cos(lat1) * np.cos(lat2)
+    h = np.asarray(lat2 - lat1)
+    h /= 2
+    np.sin(h, out=h)
+    np.square(h, out=h)
+    d += h
+    np.clip(d, 0.0, 1.0, out=d)
+    np.sqrt(d, out=d)
+    np.arcsin(d, out=d)
+    d *= EARTH_RADIUS_KM * 2
+    return d
 
 
 def haversine(a: GeoPoint, b: GeoPoint) -> float:
@@ -115,19 +133,72 @@ def school_distance_matrix(roster: list[School]) -> DistanceMatrix:
         raise TooFewSchools(f"need >= 2 schools, got {len(roster)}")
     lat, lon = _latlon_arrays(roster)
     d = _haversine_km(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
-    d = (d + d.T) / 2.0  # exact symmetry despite float round-off
+    d += d.T  # exact symmetry despite float round-off
+    d /= 2
     np.fill_diagonal(d, 0.0)
     return DistanceMatrix(ids=[s.id for s in roster], distances=d)
 
 
-def _ranked_prefix(keys: np.ndarray, candidates: np.ndarray, k: int,
-                   rng: np.random.Generator) -> list[int]:
-    """First k candidate indices ordered by key, exact ties broken by a
-    uniform random jitter. The full jittered order makes neighbors(k) a
-    prefix of neighbors(k+1) for the same generator state."""
-    jitter = rng.random(len(candidates))
-    order = np.lexsort((jitter, keys))
-    return candidates[order[:k]].tolist()
+# Keys per ranking block: a float64 temporary of the block is 128 KB.
+_BLOCK_CELLS = 1 << 14
+
+
+def _rank_block(keys: np.ndarray, labels, seed: int, k_max: int) -> np.ndarray:
+    """Each row's first min(#candidates, k_max) columns by ascending key, as
+    a (rows x k_max) int array padded with -1.
+
+    A row's candidates are its finite keys. Exact key ties are broken by a
+    uniform jitter from substream(seed, label), drawn over the candidates
+    in column order; a row without candidates draws nothing. Each row is
+    cut at its k_max-th key (introselect, Musser 1997), every candidate
+    with a key at most that one is kept, so boundary ties stay in, and one
+    lexsort ranks the kept cells by (row, key, jitter). The jittered order
+    is total, so the first k columns of a row do not depend on k_max.
+    """
+    width = keys.shape[1]
+    candidate = np.isfinite(keys)
+    counts = np.count_nonzero(candidate, axis=1)
+    draws = np.concatenate([np.empty(0)] + [
+        substream(seed, label).random(count)
+        for label, count in zip(labels, counts.tolist()) if count])
+    kth = min(k_max, width) - 1
+    cut = np.partition(keys, kth, axis=1)[:, kth, None]
+    kept = keys <= cut
+    kept &= candidate
+    cells = np.flatnonzero(kept)
+    # draws follow the candidates in row-major order
+    jitter = draws[np.searchsorted(np.flatnonzero(candidate), cells)]
+    rows, cols = np.divmod(cells, width)
+    order = np.lexsort((jitter, np.take(keys, cells), rows))
+    rows, cols = rows[order], cols[order]
+    per_row = np.bincount(rows, minlength=len(keys))
+    rank = np.arange(len(rows)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    top = rank < k_max
+    ranked = np.full((len(keys), k_max), -1, dtype=np.int64)
+    ranked[rows[top], rank[top]] = cols[top]
+    return ranked
+
+
+def ranked_neighbors(rows, keys_of, labels, seed: int, k_max: int,
+                     width: int) -> np.ndarray:
+    """_rank_block over the matrix rows `rows`, in blocks of about
+    _BLOCK_CELLS keys; keys_of(block rows) gives a block's float keys
+    (width columns, +inf where a column is not a candidate)."""
+    rows = np.asarray(rows, dtype=np.int64)
+    step = max(1, _BLOCK_CELLS // width)
+    ranked = np.empty((len(rows), k_max), dtype=np.int64)
+    for lo in range(0, len(rows), step):
+        block = rows[lo:lo + step]
+        ranked[lo:lo + step] = _rank_block(keys_of(block), labels[lo:lo + step],
+                                           seed, k_max)
+    return ranked
+
+
+def _distance_keys(dm: DistanceMatrix, rows: np.ndarray) -> np.ndarray:
+    """Ranking keys of the schools at rows: distances, itself excluded."""
+    keys = dm.distances[rows]
+    keys[np.arange(len(rows)), rows] = np.inf
+    return keys
 
 
 def geographic_neighbors(dm: DistanceMatrix, school_id: str, k: int,
@@ -141,11 +212,9 @@ def geographic_neighbors(dm: DistanceMatrix, school_id: str, k: int,
     n = len(dm.ids)
     if not 1 <= k <= n - 1:
         raise KOutOfRange(f"k={k} outside [1, {n - 1}]")
-    i = dm.index_of(school_id)
-    candidates = np.delete(np.arange(n), i)
-    rng = substream(seed, school_id)
-    picked = _ranked_prefix(dm.distances[i, candidates], candidates, k, rng)
-    return [dm.ids[j] for j in picked]
+    row = np.array([dm.index_of(school_id)])
+    picked = _rank_block(_distance_keys(dm, row), [school_id], seed, k)[0]
+    return [dm.ids[j] for j in picked.tolist()]
 
 
 def _apartments_within(roster: list[School], apartments: list[Apartment],

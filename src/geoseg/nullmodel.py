@@ -22,11 +22,11 @@ exact. A p = 0 bin has no ties and a p = 1 bin ties every pair.
 
 Generated graphs are binary, so every neighbor is equidistant and the k
 digital neighbors of a school are a uniform random k-subset of its graph
-neighbors. k = 1 pick: the arcs are grouped by school with a stable sort
-of their small-int sources (a radix sort), and each school takes arc
-first + floor(u * degree). For k > 1 the arcs are sorted by school in a
-uniform random order within each school, and each school takes its first
-k.
+neighbors. The arcs are grouped by school with a stable sort of their
+small-int sources (a radix sort), and each school of degree >= k takes a
+uniform k-subset of its arc range by Floyd's algorithm (Bentley & Floyd
+1987), in k vectorised rounds; no comparison sort is needed. At k = 1
+that is arc first + floor(u * degree).
 """
 
 from __future__ import annotations
@@ -188,6 +188,21 @@ def generate_null_graph(curve: DecayCurve, dm: DistanceMatrix,
     return SchoolNetwork(list(dm.ids), weights, kind="binary")
 
 
+def _k_subsets(degrees: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform random k-subsets of range(degree), one per degree >= k, by
+    Floyd's algorithm (Bentley & Floyd 1987) in k vectorised rounds: round
+    r draws t uniform in [0, degree - k + r] and takes degree - k + r
+    instead when t is already taken. Returns the rounds as a (k x schools)
+    array; k = 1 is the single round floor(u * degree), flat."""
+    if k == 1:
+        return (rng.random(len(degrees)) * degrees).astype(np.int64)
+    sizes = degrees + np.arange(1 - k, 1)[:, None]  # degree - k + 1 + r
+    picks = (rng.random(sizes.shape) * sizes).astype(np.int64)
+    for r in range(1, k):
+        np.copyto(picks[r], sizes[r] - 1, where=(picks[:r] == picks[r]).any(axis=0))
+    return picks
+
+
 def _s_d_on_edges(a: np.ndarray, b: np.ndarray, n: int, scores: np.ndarray,
                   k: int, rng: np.random.Generator) -> float | None:
     """S_d(k) on the binary graph with tied pairs (a, b): the k-set of each
@@ -200,19 +215,13 @@ def _s_d_on_edges(a: np.ndarray, b: np.ndarray, n: int, scores: np.ndarray,
     if len(eligible) < 3:
         return None
     first = (np.cumsum(degrees) - degrees)[eligible]
-    if k == 1:
-        # arcs grouped by school (a stable sort of 16-bit ints is a radix
-        # sort); each school takes a uniform one of its degree arcs
-        order = np.argsort(src, kind="stable")
-        pick = first + (rng.random(len(eligible)) * degrees[eligible]).astype(np.int64)
-        neighbor_mean = scores[dst[order[pick]]]
-    else:
-        # arcs grouped by school, uniformly shuffled within each school;
-        # with n < 2**20 each key src + u keeps more than 32 random bits of
-        # u, and np.lexsort((u, src)) gives the same order several times
-        # slower
-        order = np.argsort(src + rng.random(len(src)))
-        neighbor_mean = scores[dst[order[first[:, None] + np.arange(k)]]].mean(axis=1)
+    # arcs grouped by school: a stable sort of 16-bit ints is a radix sort
+    order = np.argsort(src, kind="stable")
+    picks = _k_subsets(degrees[eligible], k, rng)
+    picks += first
+    neighbor_mean = scores[dst[order[picks]]]
+    if k > 1:
+        neighbor_mean = neighbor_mean.mean(axis=0)
     own = scores[eligible]
     if np.all(own == own[0]) or np.all(neighbor_mean == neighbor_mean[0]):
         return None

@@ -5,6 +5,13 @@ Digital distance is the reciprocal of the tie weight, so ordering by
 descending weight is identical and avoids dividing by zero; schools with
 no tie are unreachable. A single seed drives all tie-breaks in a report,
 with per-school substreams so results do not depend on iteration order.
+
+Both neighbor-mean tables come from one ranking kernel,
+`geo.ranked_neighbors`, with distance keys (the school itself excluded)
+or minus-weight keys (untied schools excluded): rows are ranked a block
+at a time, and a table column k-1 is a row-wise cumsum of the first k
+neighbor scores over k. The one-school `geographic_neighbors` and
+`digital_neighbors` are one-row calls of the same kernel.
 """
 
 from __future__ import annotations
@@ -14,15 +21,29 @@ import csv
 import numpy as np
 
 from .errors import InsufficientNeighbors, KOutOfRange, TooFewSamples
-from .geo import DistanceMatrix, _ranked_prefix, geographic_neighbors
+from .geo import (
+    DistanceMatrix,
+    _distance_keys,
+    _rank_block,
+    geographic_neighbors,  # noqa: F401  (callers look it up here too)
+    ranked_neighbors,
+)
 from .model import (
     School,
     SchoolNetwork,
     SegregationReport,
     pearson,
     permutation_p_value,
-    substream,
 )
+
+
+def _weight_keys(net: SchoolNetwork, rows: np.ndarray) -> np.ndarray:
+    """Ranking keys of the schools at rows: minus the tie weight, and
+    +inf (not a candidate) where there is no tie."""
+    w = net.weights[rows]
+    keys = np.negative(w, dtype=float)
+    np.copyto(keys, np.inf, where=w <= 0)
+    return keys
 
 
 def digital_neighbors(net: SchoolNetwork, school_id: str, k: int,
@@ -33,46 +54,54 @@ def digital_neighbors(net: SchoolNetwork, school_id: str, k: int,
     if k < 1:
         raise KOutOfRange(f"k={k} must be >= 1")
     i = net.index[school_id]
-    row = net.weights[i]
-    candidates = np.nonzero(row > 0)[0]
-    if len(candidates) < k:
+    degree = int(np.count_nonzero(net.weights[i] > 0))
+    if degree < k:
         raise InsufficientNeighbors(
-            f"school {school_id!r} has degree {len(candidates)} < k={k}"
+            f"school {school_id!r} has degree {degree} < k={k}"
         )
-    rng = substream(seed, school_id)
-    picked = _ranked_prefix(-row[candidates], candidates, k, rng)
-    return [net.schools[j] for j in picked]
+    picked = _rank_block(_weight_keys(net, np.array([i])), [school_id], seed, k)[0]
+    return [net.schools[j] for j in picked.tolist()]
 
 
-def _neighbor_means(roster: list[School], neighbor_lists,
-                    k_max: int) -> np.ndarray:
-    """(schools x k_max) table: column k-1 is each school's mean score over
+def _neighbor_means(scores: np.ndarray, ranked: np.ndarray) -> np.ndarray:
+    """(schools x k_max) table from ranked neighbor columns (-1 past a
+    school's last neighbor): column k-1 is each school's mean score over
     its first k neighbors, NaN below k neighbors. cumsum adds left to
     right, so an entry equals sum(first k) / k bit for bit."""
+    table = np.where(ranked >= 0, scores[ranked], np.nan)
+    np.cumsum(table, axis=1, out=table)
+    table /= np.arange(1, ranked.shape[1] + 1)
+    return table
+
+
+def _column_scores(roster: list[School], ids) -> np.ndarray:
     score = {s.id: s.score for s in roster}
-    table = np.full((len(roster), k_max), np.nan)
-    for row, neighbors in zip(table, neighbor_lists):
-        row[:len(neighbors)] = np.cumsum([score[j] for j in neighbors])
-    return table / np.arange(1, k_max + 1)
+    return np.array([score[i] for i in ids])
 
 
 def geographic_means(roster, dm, k_max, seed) -> np.ndarray:
     """Neighbor-mean table over each school's k_max nearest schools."""
     if len(roster) < 3:
         raise TooFewSamples(f"need >= 3 schools, got {len(roster)}")
-    neighbors = [geographic_neighbors(dm, s.id, k_max, seed) for s in roster]
-    return _neighbor_means(roster, neighbors, k_max)
+    n = len(dm.ids)
+    if not 1 <= k_max <= n - 1:
+        raise KOutOfRange(f"k={k_max} outside [1, {n - 1}]")
+    rows = [dm.index_of(s.id) for s in roster]
+    ranked = ranked_neighbors(rows, lambda block: _distance_keys(dm, block),
+                              [s.id for s in roster], seed, k_max, n)
+    return _neighbor_means(_column_scores(roster, dm.ids), ranked)
 
 
 def digital_means(roster, net, k_max, seed) -> np.ndarray:
-    """Neighbor-mean table over each school's k_max heaviest ties."""
+    """Neighbor-mean table over each school's k_max heaviest ties (all of
+    them below k_max ties)."""
     if not 1 <= k_max <= len(roster) - 1:
         raise KOutOfRange(f"k={k_max} outside [1, {len(roster) - 1}]")
-    degrees = (net.weights > 0).sum(axis=1)
-    ks = [min(int(degrees[net.index[s.id]]), k_max) for s in roster]
-    neighbors = [digital_neighbors(net, s.id, k, seed) if k else []
-                 for s, k in zip(roster, ks)]
-    return _neighbor_means(roster, neighbors, k_max)
+    rows = [net.index[s.id] for s in roster]
+    ranked = ranked_neighbors(rows, lambda block: _weight_keys(net, block),
+                              [s.id for s in roster], seed, k_max,
+                              len(net.schools))
+    return _neighbor_means(_column_scores(roster, net.schools), ranked)
 
 
 def _report(name, roster, table, k, seed, permutations,

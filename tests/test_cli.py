@@ -1,11 +1,15 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
 
-from geoseg import geo, ingest, network, segregation
+from geoseg import cli, geo, ingest, network, segregation
 from geoseg.cli import main
+from geoseg.model import substream
 
 
 def run_synth(out_dir, extra=()):
@@ -201,22 +205,36 @@ def city_inputs(city):
 
 class TestAnalyzeRanksOnce:
     def test_one_ranking_per_school_and_kind(self, city, tmp_path, monkeypatch):
-        calls = {"geo": 0, "digital": 0}
+        # a ranked school draws its tie-break jitter from one substream, so
+        # the substreams drawn per table count the rankings: one per school
+        # for geography, one per school with a tie for the digital table
+        draws = {"geo": Counter(), "digital": Counter()}
+        table = []
 
-        def counted(kind, fn):
+        def ranking(kind, fn):
             def wrapper(*args, **kwargs):
-                calls[kind] += 1
-                return fn(*args, **kwargs)
+                table.append(kind)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    table.pop()
             return wrapper
 
-        monkeypatch.setattr(segregation, "geographic_neighbors",
-                            counted("geo", segregation.geographic_neighbors))
-        monkeypatch.setattr(segregation, "digital_neighbors",
-                            counted("digital", segregation.digital_neighbors))
+        def counted(seed, label):
+            draws[table[-1]][label] += 1  # IndexError outside the two tables
+            return substream(seed, label)
+
+        monkeypatch.setattr(geo, "substream", counted)
+        monkeypatch.setattr(segregation, "geographic_means",
+                            ranking("geo", segregation.geographic_means))
+        monkeypatch.setattr(segregation, "digital_means",
+                            ranking("digital", segregation.digital_means))
         assert run_analyze(city, tmp_path / "out", extra=("--null-k", "2")) == 0
         roster, _, net = city_inputs(city)
-        tied = int(((net.weights > 0).sum(axis=1) >= 1).sum())
-        assert calls == {"geo": len(roster), "digital": tied}
+        degrees = (net.weights > 0).sum(axis=1)
+        assert draws["geo"] == Counter(s.id for s in roster)
+        assert draws["digital"] == Counter(
+            s.id for s in roster if degrees[net.index[s.id]] >= 1)
 
     @pytest.mark.parametrize("null_k", [2, 5, 7])
     def test_reports_match_single_k_functions(self, city, tmp_path, null_k):
@@ -240,3 +258,41 @@ class TestAnalyzeRanksOnce:
             segregation.segregation_profile(roster, dm, net, range(1, k + 1), seed),
             expected)
         assert (out / "segregation_profile.csv").read_bytes() == expected.read_bytes()
+
+
+# run in a fresh interpreter: a long-lived heap may already hold a free
+# chunk that serves the block without touching new pages
+MALLOC_PROBE = """
+import os, sys
+import numpy as np
+from geoseg import cli
+
+def resident():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+if not cli._pin_malloc_thresholds():
+    print(0, 0, 0)
+    sys.exit()
+# a large free first: glibc's default would now slide its mmap threshold
+# above the next block's size and keep that block in the heap
+np.ones(1 << 21).sum()
+before = resident()
+block = np.ones(1 << 20)  # 8 MiB, every page touched
+grown = resident() - before
+del block
+print(1, grown, resident() - before)
+"""
+
+
+class TestMallocThresholds:
+    def test_freed_large_array_leaves_no_resident_memory(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run([sys.executable, "-c", MALLOC_PROBE],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True)
+        pinned, grown, kept = map(int, done.stdout.split())
+        if not pinned:
+            pytest.skip("no glibc mallopt")
+        assert grown > 7 << 20
+        assert kept < 1 << 20

@@ -54,6 +54,53 @@ class TestHaversine:
         assert haversine(pa, pc) <= haversine(pa, pb) + haversine(pb, pc) + 1e-6
 
 
+def reference_haversine_km(lat1, lon1, lat2, lon2):
+    """The out-of-place formula _haversine_km replaced, kept as its oracle."""
+    lat1, lon1, lat2, lon2 = map(np.radians, (lat1, lon1, lat2, lon2))
+    dlat = lat2 - lat1
+    dlon = lon2 - lon1
+    a = np.sin(dlat / 2) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2) ** 2
+    return EARTH_RADIUS_KM * 2 * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
+
+
+def reference_distances(roster):
+    lat, lon = _latlon_arrays(roster)
+    d = reference_haversine_km(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
+    d = (d + d.T) / 2.0
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+class TestInPlaceHaversine:
+    def roster(self):
+        # random points, duplicated locations, both sides of the
+        # antimeridian, the poles and an antipodal pair
+        rng = np.random.default_rng(21)
+        points = [(float(rng.uniform(-89, 89)), float(rng.uniform(-180, 180)))
+                  for _ in range(60)]
+        points += points[:5] + [(10.0, 10.0)] * 3
+        points += [(0.0, 180.0), (0.0, -180.0), (0.5, 179.9999), (-0.5, -179.9999),
+                   (90.0, 0.0), (-90.0, 45.0), (30.0, 40.0), (-30.0, -140.0)]
+        return [make_school(i, lat, lon) for i, (lat, lon) in enumerate(points)]
+
+    def test_matrix_bit_identical(self):
+        roster = self.roster()
+        assert np.array_equal(school_distance_matrix(roster).distances,
+                              reference_distances(roster))
+
+    def test_vector_and_scalar_bit_identical(self):
+        lat, lon = _latlon_arrays(self.roster())
+        for args in [(lat, lon, 0.0, 0.0), (lat[3], lon[3], lat, lon),
+                     (lat[:-1], lon[:-1], lat[1:], lon[1:]),
+                     (lat[:, None], 179.99, lat[None, :], -179.99)]:
+            assert np.array_equal(_haversine_km(*args), reference_haversine_km(*args))
+        for i in range(len(lat) - 1):
+            args = (float(lat[i]), float(lon[i]), float(lat[i + 1]), float(lon[i + 1]))
+            assert float(_haversine_km(*args)) == float(reference_haversine_km(*args))
+            assert haversine(GeoPoint(*args[:2]), GeoPoint(*args[2:])) == float(
+                reference_haversine_km(*args)) or args[:2] == args[2:]
+
+
 class TestDistanceMatrix:
     def test_too_few_schools(self):
         with pytest.raises(TooFewSchools):

@@ -395,13 +395,15 @@ def raw_inputs(draw):
     ]
     school_ids = st.sampled_from([str(i) for i in range(n_schools + 1)])
     n_students = draw(st.integers(0, 14))
+    # names from a shuffled pool, so claim order is not sorted-id order
+    names = draw(st.permutations([f"u{i}" for i in range(n_students + 2)]))
     claims = {
-        f"u{i}": draw(st.sets(school_ids, min_size=1, max_size=2))
+        names[i]: draw(st.sets(school_ids, min_size=1, max_size=2))
         for i in range(n_students)
     }
     ends = st.integers(0, n_students + 1)  # the last two ids dangle
     edges = {
-        (f"u{min(a, b)}", f"u{max(a, b)}")
+        (names[min(a, b)], names[max(a, b)])
         for a, b in draw(st.sets(st.tuples(ends, ends), max_size=40))
         if a != b
     }

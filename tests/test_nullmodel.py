@@ -11,6 +11,7 @@ from geoseg.model import DecayCurve, SchoolNetwork, pearson
 from geoseg.network import binarize
 from geoseg import nullmodel
 from geoseg.nullmodel import (
+    _draw_ties,
     _pair_table,
     _s_d_on_edges,
     generate_null_graph,
@@ -69,6 +70,31 @@ def _s_d_on_binary(adj: np.ndarray, scores: np.ndarray, k: int,
     else:
         top = np.argpartition(rows, k - 1, axis=1)[:, :k]
         neighbor_mean = scores[top].mean(axis=1)
+    own = scores[eligible]
+    if np.all(own == own[0]) or np.all(neighbor_mean == neighbor_mean[0]):
+        return None
+    return pearson(own, neighbor_mean)
+
+
+def reference_s_d_on_edges(a, b, n, scores, k, rng):
+    """The edge-list pick that Floyd's k-subsets replaced: at k = 1 a stable
+    sort of the arcs by school and arc first + floor(u * degree); at k > 1
+    one argsort of the float keys src + u, whose first k arcs per school
+    are its pick."""
+    src = np.concatenate((a, b))
+    dst = np.concatenate((b, a))
+    degrees = np.bincount(src, minlength=n)
+    eligible = np.flatnonzero(degrees >= k)
+    if len(eligible) < 3:
+        return None
+    first = (np.cumsum(degrees) - degrees)[eligible]
+    if k == 1:
+        order = np.argsort(src, kind="stable")
+        pick = first + (rng.random(len(eligible)) * degrees[eligible]).astype(np.int64)
+        neighbor_mean = scores[dst[order[pick]]]
+    else:
+        order = np.argsort(src + rng.random(len(src)))
+        neighbor_mean = scores[dst[order[first[:, None] + np.arange(k)]]].mean(axis=1)
     own = scores[eligible]
     if np.all(own == own[0]) or np.all(neighbor_mean == neighbor_mean[0]):
         return None
@@ -313,21 +339,28 @@ class TestEdgeKernel:
         assert _s_d_on_binary(dense(a, b, n), scores, k, rng) is None
         assert _s_d_on_edges(a, b, n, scores, k, rng) is None
 
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_every_k_subset_equally_likely(self, k):
-        # school 0 has neighbours 1..5; for k=2 each of those also gets a
-        # pendant so it has exactly k neighbours, and for k=1 two separate
-        # pairs vary the other neighbour means. Only school 0's pick is
-        # random, and each k-subset gives a distinct S_d value.
-        pairs = [(0, j) for j in range(1, 6)]
-        pairs += [(j, j + 5) for j in range(1, 6)] if k == 2 else [(6, 7), (8, 9)]
-        n = 11 if k == 2 else 10
+    @pytest.mark.parametrize("k, degree", [(1, 5), (2, 5), (3, 5), (4, 5), (3, 3)],
+                             ids=["1", "2", "3", "4", "3-degree-3"])
+    def test_every_k_subset_equally_likely(self, k, degree):
+        # school 0 has neighbours 1..degree; for k > 1 each of those also
+        # gets k - 1 pendants so it has exactly k neighbours, and for k=1 two
+        # separate pairs vary the other neighbour means. Only school 0's
+        # pick is random, and each k-subset gives a distinct S_d value.
+        pairs = [(0, j) for j in range(1, degree + 1)]
+        n = degree + 1
+        if k == 1:
+            pairs += [(n, n + 1), (n + 2, n + 3)]
+            n += 4
+        for j in range(1, degree + 1):
+            for _ in range(k - 1):
+                pairs.append((j, n))
+                n += 1
         a, b = edge_arrays(pairs)
         scores = np.random.default_rng(7).normal(size=n)
         neighbours = {i: [j for p in pairs for j in p if i in p and j != i]
                       for i in range(n)}
         eligible = [i for i in range(n) if len(neighbours[i]) >= k]
-        subsets = list(itertools.combinations(range(1, 6), k))
+        subsets = list(itertools.combinations(range(1, degree + 1), k))
         values = np.array([
             pearson(scores[eligible], [
                 scores[list(subset if i == 0 else neighbours[i])].mean()
@@ -335,7 +368,7 @@ class TestEdgeKernel:
             ])
             for subset in subsets
         ])
-        assert np.diff(np.sort(values)).min() > 1e-6
+        assert len(values) == 1 or np.diff(np.sort(values)).min() > 1e-6
 
         draws = 4000
         rng = np.random.default_rng(2026)
@@ -345,9 +378,41 @@ class TestEdgeKernel:
             hit = np.argmin(np.abs(values - value))
             assert abs(values[hit] - value) <= 1e-12
             counts[hit] += 1
-        p = 1 / math.comb(5, k)
+        p = 1 / math.comb(degree, k)
         se = math.sqrt(p * (1 - p) / draws)
         assert np.all(np.abs(counts / draws - p) <= 4 * se), counts
+
+    def test_k1_pick_bit_identical_to_old_kernel(self, small_city):
+        # k = 1 takes the same uniforms and the same flat gather as before
+        _, _, dm, curve = small_city
+        table = _pair_table(curve, dm)
+        scores = np.random.default_rng(3).normal(size=len(dm.ids))
+        for seed in range(40):
+            a, b = _draw_ties(table, np.random.default_rng(seed))
+            new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            new = _s_d_on_edges(a, b, len(dm.ids), scores, 1, new_rng)
+            assert new is not None
+            assert new == reference_s_d_on_edges(a, b, len(dm.ids), scores, 1, old_rng)
+            assert new_rng.random() == old_rng.random()
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_k_subsets_match_old_pick_in_distribution(self, small_city, k):
+        # the per-simulation values move at k > 1; their distribution over
+        # one fixed graph does not
+        _, _, dm, curve = small_city
+        a, b = _draw_ties(_pair_table(curve, dm), np.random.default_rng(k))
+        scores = np.random.default_rng(4).normal(size=len(dm.ids))
+        draws = 400
+        new = np.array([_s_d_on_edges(a, b, len(dm.ids), scores, k,
+                                      np.random.default_rng(seed))
+                        for seed in range(draws)])
+        old = np.array([reference_s_d_on_edges(a, b, len(dm.ids), scores, k,
+                                               np.random.default_rng(seed))
+                        for seed in range(draws, 2 * draws)])
+        mean_se = math.sqrt((old.var(ddof=1) + new.var(ddof=1)) / draws)
+        assert abs(new.mean() - old.mean()) <= 4 * mean_se
+        sd_se = math.sqrt((old.var(ddof=1) + new.var(ddof=1)) / (2 * (draws - 1)))
+        assert abs(new.std(ddof=1) - old.std(ddof=1)) <= 4 * sd_se
 
 
 class TestNullDistribution:

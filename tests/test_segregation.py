@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from geoseg import geo
 from geoseg.errors import (
     InsufficientNeighbors,
     KOutOfRange,
@@ -17,11 +18,14 @@ from geoseg.model import (
     SegregationReport,
     pearson,
     permutation_p_value,
+    substream,
 )
 from geoseg.segregation import (
     degree_outcome_correlation,
+    digital_means,
     digital_neighbors,
     digital_segregation,
+    geographic_means,
     geographic_segregation,
     segregation_profile,
 )
@@ -175,6 +179,65 @@ class TestDegreeOutcome:
         assert all(v > 0.2 for v in values)
 
 
+# The per-school ranking that the blocked kernel replaced, kept as its
+# oracle: one substream, one jitter draw and one full lexsort per school.
+
+def _ranked_prefix(keys: np.ndarray, candidates: np.ndarray, k: int,
+                   rng: np.random.Generator) -> list[int]:
+    """First k candidate indices ordered by key, exact ties broken by a
+    uniform random jitter."""
+    jitter = rng.random(len(candidates))
+    order = np.lexsort((jitter, keys))
+    return candidates[order[:k]].tolist()
+
+
+def reference_geographic_neighbors(dm, school_id, k, seed):
+    n = len(dm.ids)
+    if not 1 <= k <= n - 1:
+        raise KOutOfRange(f"k={k} outside [1, {n - 1}]")
+    i = dm.index_of(school_id)
+    candidates = np.delete(np.arange(n), i)
+    rng = substream(seed, school_id)
+    picked = _ranked_prefix(dm.distances[i, candidates], candidates, k, rng)
+    return [dm.ids[j] for j in picked]
+
+
+def reference_digital_neighbors(net, school_id, k, seed):
+    if k < 1:
+        raise KOutOfRange(f"k={k} must be >= 1")
+    row = net.weights[net.index[school_id]]
+    candidates = np.nonzero(row > 0)[0]
+    if len(candidates) < k:
+        raise InsufficientNeighbors(
+            f"school {school_id!r} has degree {len(candidates)} < k={k}")
+    rng = substream(seed, school_id)
+    picked = _ranked_prefix(-row[candidates], candidates, k, rng)
+    return [net.schools[j] for j in picked]
+
+
+def reference_means(roster, neighbor_lists, k_max):
+    score = {s.id: s.score for s in roster}
+    table = np.full((len(roster), k_max), np.nan)
+    for row, neighbors in zip(table, neighbor_lists):
+        row[:len(neighbors)] = np.cumsum([score[j] for j in neighbors])
+    return table / np.arange(1, k_max + 1)
+
+
+def reference_geographic_means(roster, dm, k_max, seed):
+    return reference_means(roster, [
+        reference_geographic_neighbors(dm, s.id, k_max, seed) for s in roster
+    ], k_max)
+
+
+def reference_digital_means(roster, net, k_max, seed):
+    degrees = (net.weights > 0).sum(axis=1)
+    ks = [min(int(degrees[net.index[s.id]]), k_max) for s in roster]
+    return reference_means(roster, [
+        reference_digital_neighbors(net, s.id, k, seed) if k else []
+        for s, k in zip(roster, ks)
+    ], k_max)
+
+
 def reference_profile(roster, dm, net, k_values, seed, permutations=0):
     """The per-school, per-k loops the prefix-sum table replaced: every
     school is ranked from scratch at every k and its neighbor scores are
@@ -196,12 +259,14 @@ def reference_profile(roster, dm, net, k_values, seed, permutations=0):
     profile = []
     for k in k_values:
         geo_mean = [
-            sum(scores[j] for j in geographic_neighbors(dm, s.id, k, seed)) / k
+            sum(scores[j] for j in reference_geographic_neighbors(dm, s.id, k, seed))
+            / k
             for s in roster
         ]
         linked = [s for s in roster if degrees[net.index[s.id]] >= k]
         dig_mean = [
-            sum(scores[j] for j in digital_neighbors(net, s.id, k, seed)) / k
+            sum(scores[j] for j in reference_digital_neighbors(net, s.id, k, seed))
+            / k
             for s in linked
         ]
         profile.append((
@@ -288,6 +353,99 @@ class TestProfileOracle:
             digital_segregation(roster, net, 13, seed=0)
         with pytest.raises(TooFewSamples):
             segregation_profile(roster, dm, net, [1, 13], seed=0)
+
+
+def lattice_city(n, seed):
+    """n schools on a 5-wide lattice, 1/64 degree apart (many exactly
+    equal distances), with tie weights in {0, 1, 2}."""
+    rng = np.random.default_rng(seed)
+    h = 1 / 64
+    roster = [School(f"l{i:03d}", GeoPoint((i // 5) * h, (i % 5) * h),
+                     float(rng.integers(30, 90))) for i in range(n)]
+    w = np.triu(rng.choice([0, 1, 2], size=(n, n), p=[0.3, 0.4, 0.3]), k=1)
+    net = SchoolNetwork([s.id for s in roster], w + w.T, "raw-count")
+    return roster, school_distance_matrix(roster), net
+
+
+def shared_location_city(seed=3):
+    """12 schools on 4 sites, so 0 km apart within a site, with tie
+    weights in {0, 1, 3}; c11 has no tie."""
+    rng = np.random.default_rng(seed)
+    roster = [School(f"c{i:02d}", GeoPoint(0.004 * (i % 4), 0.003 * (i % 2)),
+                     float(rng.integers(30, 90))) for i in range(12)]
+    w = np.triu(rng.choice([0, 1, 3], size=(12, 12), p=[0.4, 0.4, 0.2]), k=1)
+    w[:, 11] = 0
+    net = SchoolNetwork([s.id for s in roster], w + w.T, "raw-count")
+    return roster, school_distance_matrix(roster), net
+
+
+def assert_tables_match(roster, dm, net, k_max, seeds=range(4)):
+    for seed in seeds:
+        assert np.array_equal(
+            geographic_means(roster, dm, k_max, seed),
+            reference_geographic_means(roster, dm, k_max, seed), equal_nan=True)
+        assert np.array_equal(
+            digital_means(roster, net, k_max, seed),
+            reference_digital_means(roster, net, k_max, seed), equal_nan=True)
+
+
+class TestRankingKernel:
+    @pytest.mark.parametrize("city, k_max", [
+        (lambda: tied_grid_city(5), 6),  # distance ties straddle the cut
+        (lambda: tied_grid_city(5), 24),  # k_max = n - 1: no cut
+        (shared_location_city, 4),
+        (shared_location_city, 11),
+        (sparse_city, 10),  # degree < k_max
+        (lambda: lattice_city(3, 0), 1),
+        (lambda: lattice_city(3, 0), 2),
+    ])
+    def test_tables_match_per_school_ranking(self, city, k_max):
+        assert_tables_match(*city(), k_max)
+
+    def test_cities_tie_at_the_cut(self):
+        roster, dm, net = tied_grid_city(5)
+        d = np.sort(dm.distances + np.diag(np.full(len(roster), np.inf)), axis=1)
+        assert np.any(d[:, 5] == d[:, 6])  # the 6th and 7th nearest tie
+        roster, dm, net = shared_location_city()
+        assert np.sum(dm.distances == 0) > len(roster)
+        w = np.sort(net.weights, axis=1)[:, ::-1]
+        assert np.any((w[:, 3] == w[:, 4]) & (w[:, 4] > 0))
+        assert np.any((w > 0).sum(axis=1) < 4) and not net.weights[11].any()
+
+    @pytest.mark.parametrize("n, rows", [(3, 1), (3, 2), (8, 8), (9, 8), (23, 8)])
+    def test_block_boundaries(self, monkeypatch, n, rows):
+        # n = 3 is the smallest city; then one full block, a block and one
+        # row, and a size that is not a multiple of the block
+        monkeypatch.setattr(geo, "_BLOCK_CELLS", rows * n)
+        blocks = []
+
+        def counted(keys, *args):
+            blocks.append(len(keys))
+            return rank_block(keys, *args)
+
+        rank_block = geo._rank_block
+        monkeypatch.setattr(geo, "_rank_block", counted)
+        roster, dm, net = lattice_city(n, seed=n)
+        assert_tables_match(roster, dm, net, min(5, n - 1), seeds=[1])
+        full, rest = divmod(n, rows)
+        assert blocks == 2 * ([rows] * full + [rest] * bool(rest))
+
+    def test_default_blocks(self):
+        roster, net, _ = generate_city(SynthConfig(n_schools=600, seed=8))
+        assert 600 % (geo._BLOCK_CELLS // 600) != 0  # a short last block
+        assert_tables_match(roster, school_distance_matrix(roster), net, 20,
+                            seeds=[8])
+
+    def test_one_row_calls_match(self):
+        roster, dm, net = shared_location_city()
+        degrees = (net.weights > 0).sum(axis=1)
+        for s in roster:
+            for k in range(1, len(roster)):
+                assert (geographic_neighbors(dm, s.id, k, 5)
+                        == reference_geographic_neighbors(dm, s.id, k, 5))
+            for k in range(1, degrees[net.index[s.id]] + 1):
+                assert (digital_neighbors(net, s.id, k, 5)
+                        == reference_digital_neighbors(net, s.id, k, 5))
 
 
 class TestProfile:
