@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import json
 import math
 import os
 import shutil
@@ -22,7 +21,7 @@ import traceback
 
 from . import decay, geo, ingest, network, nullmodel, segregation, synth
 from .errors import GeosegError, TooFewBins, DegenerateFit
-from .model import GeoPoint
+from .model import GeoPoint, write_json
 
 REPORT_SCHEMA_VERSION = 2
 
@@ -53,14 +52,15 @@ def _pin_malloc_thresholds() -> bool:
                for param in (_M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD))
 
 
-def _write_json(path, payload) -> None:
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def _check_counts(args) -> None:
-    """Reject settings the pipeline would refuse only after writing outputs."""
+    """Reject bad settings before any input is parsed.
+
+    Outputs are written atomically, so a setting that fails late leaves no
+    output behind; this check makes it fail before the parse. It also
+    turns into exit 2 the settings that the library would reject with an
+    error other than GeosegError, which exits 3: a negative --seed
+    (ValueError from SeedSequence) or a NaN --bin-km (int(nan) when
+    binning)."""
     if args.simulations < 100:
         raise GeosegError(f"--simulations must be >= 100, got {args.simulations}")
     if args.permutations != 0 and args.permutations < 100:
@@ -115,8 +115,7 @@ def _analyze(args, center: GeoPoint, out_dir: str) -> None:
     # they do not sit under the memory peak of the statistics
     apartments = raw.apartments
     del raw
-    _write_json(os.path.join(out_dir, "filter_report.json"),
-                filter_report.to_dict())
+    write_json(os.path.join(out_dir, "filter_report.json"), filter_report.to_dict())
 
     net_a, intra = network.build_count_network(graph, roster)
     net_ahat = network.build_min_symmetrized_network(graph, roster)
@@ -137,7 +136,7 @@ def _analyze(args, center: GeoPoint, out_dir: str) -> None:
         # fit is optional curve metadata; the null model needs only the bins
         fit_payload.update({"exponent": None, "prefactor": None, "error": str(exc)})
     decay.write_curve_csv(curve, os.path.join(out_dir, "decay_curve.csv"))
-    _write_json(os.path.join(out_dir, "decay_fit.json"), fit_payload)
+    write_json(os.path.join(out_dir, "decay_fit.json"), fit_payload)
 
     reports = [
         geo.neighborhood_affluence_segregation(
@@ -175,7 +174,7 @@ def _analyze(args, center: GeoPoint, out_dir: str) -> None:
         null_result, os.path.join(out_dir, "null_distribution.csv")
     )
 
-    _write_json(os.path.join(out_dir, "report.json"), {
+    write_json(os.path.join(out_dir, "report.json"), {
         "schema_version": REPORT_SCHEMA_VERSION,
         "seed": args.seed,
         "settings": {
@@ -236,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--apartments", required=True)
     p.add_argument("--center-lat", type=float, required=True)
     p.add_argument("--center-lon", type=float, required=True)
-    p.add_argument("--bin-km", type=float, default=1.0)
+    p.add_argument("--bin-km", type=float, default=decay.DEFAULT_BIN_WIDTH_KM)
     p.add_argument("--k", type=int, default=20)
     p.add_argument("--null-k", type=int, default=1,
                    help="neighbor count for the null model (k > 1 is an extension)")

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .errors import DegenerateFit, InvalidValue, MismatchedIds, TooFewBins
 from .geo import DistanceMatrix
-from .model import DecayCurve, SchoolNetwork
+from .model import DecayCurve, SchoolNetwork, write_csv
 
 DEFAULT_BIN_WIDTH_KM = 1.0
 DEFAULT_MIN_PAIRS_PER_BIN = 30
@@ -77,8 +75,6 @@ def fit_power_law(
 
 def write_curve_csv(curve: DecayCurve, path) -> None:
     """Plot-ready bin_mid_km, probability, pair_count rows."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["bin_mid_km", "probability", "pair_count"])
-        for mid, p, c in zip(curve.midpoints, curve.probabilities, curve.pair_counts):
-            writer.writerow([repr(float(mid)), "" if np.isnan(p) else repr(float(p)), int(c)])
+    write_csv(path, ["bin_mid_km", "probability", "pair_count"], (
+        [repr(float(mid)), "" if np.isnan(p) else repr(float(p)), int(c)]
+        for mid, p, c in zip(curve.midpoints, curve.probabilities, curve.pair_counts)))

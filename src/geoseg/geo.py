@@ -24,8 +24,8 @@ from .model import (
     GeoPoint,
     School,
     SegregationReport,
-    pearson,
-    permutation_p_value,
+    correlation_report,
+    permutation_p_value,  # noqa: F401  (bench/spans.py traces it at this site)
     substream,
 )
 
@@ -58,8 +58,6 @@ def _haversine_km(lat1, lon1, lat2, lon2):
 
 def haversine(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance between two points in km."""
-    if (a.latitude, a.longitude) == (b.latitude, b.longitude):
-        return 0.0
     return float(_haversine_km(a.latitude, a.longitude, b.latitude, b.longitude))
 
 
@@ -264,26 +262,10 @@ def neighborhood_affluence_segregation(
             f"only {int(eligible.sum())} schools have an apartment within "
             f"{radius_km} km"
         )
-    mean_price = sums[eligible] / counts[eligible]
     scores = np.array([s.score for s in roster])[eligible]
-    value = pearson(scores, mean_price)
-    p = (
-        permutation_p_value(scores, mean_price, permutations, seed)
-        if permutations
-        else None
-    )
-    return SegregationReport(
-        statistic_name="neighborhood_affluence_segregation",
-        value=value,
-        sample_size=int(eligible.sum()),
-        p_value=p,
-        settings={
-            "radius_km": radius_km,
-            "excluded_schools": int((~eligible).sum()),
-            "permutations": permutations,
-            "seed": seed,
-        },
-    )
+    return correlation_report(
+        "neighborhood_affluence_segregation", scores, sums[eligible] / counts[eligible],
+        permutations, seed, radius_km=radius_km, excluded_schools=int((~eligible).sum()))
 
 
 def center_distance_correlation(
@@ -293,22 +275,8 @@ def center_distance_correlation(
     seed: int = 0,
 ) -> SegregationReport:
     """Correlation between school scores and their distance from center."""
-    if len(roster) < 3:
-        raise TooFewSamples(f"need >= 3 schools, got {len(roster)}")
     lat, lon = _latlon_arrays(roster)
-    d = _haversine_km(lat, lon, center.latitude, center.longitude)
-    scores = np.array([s.score for s in roster])
-    value = pearson(scores, d)
-    p = permutation_p_value(scores, d, permutations, seed) if permutations else None
-    return SegregationReport(
-        statistic_name="center_distance_correlation",
-        value=value,
-        sample_size=len(roster),
-        p_value=p,
-        settings={
-            "center_lat": center.latitude,
-            "center_lon": center.longitude,
-            "permutations": permutations,
-            "seed": seed,
-        },
-    )
+    return correlation_report(
+        "center_distance_correlation", np.array([s.score for s in roster]),
+        _haversine_km(lat, lon, center.latitude, center.longitude), permutations, seed,
+        center_lat=center.latitude, center_lon=center.longitude)

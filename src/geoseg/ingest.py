@@ -2,9 +2,10 @@
 
 Input schemas (all CSV, header required, UTF-8, optional BOM, dot decimals,
 blank lines skipped; bytes that are not UTF-8, a NUL byte, an empty or
-missing required field or a csv error raise MalformedRow with the file and
-the physical line the record ends on, blank lines and newlines inside
-quoted fields counted):
+missing required field or a csv error raise MalformedRow, and a latitude
+outside [-90, 90] or a longitude outside [-180, 180] CoordinateOutOfRange,
+with the file and the physical line the record ends on, blank lines and
+newlines inside quoted fields counted):
   students:   student_id, school_id   (one row per school claim)
   edges:      student_id_a, student_id_b
   schools:    school_id, latitude, longitude, score  (empty score = missing)
@@ -25,13 +26,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from operator import itemgetter
 
 import numpy as np
 
 from .errors import (
+    CoordinateOutOfRange,
     DuplicateSchoolId,
     EmptyResult,
     MalformedRow,
@@ -130,9 +132,7 @@ class FilterReport:
     settings: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        d = {k: v for k, v in self.__dict__.items() if k != "settings"}
-        d["settings"] = dict(self.settings)
-        return d
+        return asdict(self)
 
 
 def _float_field(text, name, path, line_no):
@@ -143,6 +143,17 @@ def _float_field(text, name, path, line_no):
     if not math.isfinite(value):
         raise MalformedRow(path, line_no, f"non-finite {name}")
     return value
+
+
+def _location(lat, lon, path, line_no) -> GeoPoint:
+    """The GeoPoint of a row's latitude and longitude fields; a coordinate
+    out of range raises CoordinateOutOfRange naming the file and line."""
+    lat = _float_field(lat, "latitude", path, line_no)
+    lon = _float_field(lon, "longitude", path, line_no)
+    try:
+        return GeoPoint(lat, lon)
+    except CoordinateOutOfRange as exc:
+        raise CoordinateOutOfRange(f"{path}:{line_no}: {exc}") from None
 
 
 def _line_of(data: bytes, offset: int) -> int:
@@ -234,10 +245,7 @@ def parse_schools(path) -> list[RawSchool]:
         if school_id in seen:
             raise DuplicateSchoolId(f"{path}:{line_no}: duplicate id {school_id!r}")
         seen.add(school_id)
-        location = GeoPoint(
-            _float_field(lat, "latitude", path, line_no),
-            _float_field(lon, "longitude", path, line_no),
-        )
+        location = _location(lat, lon, path, line_no)
         raw_score = (raw_score or "").strip()
         if raw_score:
             score = _float_field(raw_score, "score", path, line_no)
@@ -255,10 +263,7 @@ def apartment_prices(path) -> list[Apartment]:
     apartments: list[Apartment] = []
     records = _records(path, ("latitude", "longitude"), ("price_per_sqm", "price", "area"))
     for line_no, (lat, lon, per_sqm, price, area) in records:
-        location = GeoPoint(
-            _float_field(lat, "latitude", path, line_no),
-            _float_field(lon, "longitude", path, line_no),
-        )
+        location = _location(lat, lon, path, line_no)
         if per_sqm:
             price_per_sqm = _float_field(per_sqm, "price_per_sqm", path, line_no)
         else:

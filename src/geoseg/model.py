@@ -1,14 +1,21 @@
-"""Shared domain types and the correlation primitives.
+"""Shared domain types, the correlation primitives and the output formats.
 
 Everything here is immutable after construction and safe to share across
-threads; the two statistics functions are pure.
+threads; the two statistics functions are pure. `correlation_report` is
+the one place a statistic becomes a SegregationReport: pearson(x, y), the
+permutation p-value when asked for, and the permutations and seed in its
+settings. `write_csv` and `write_json` are the one CSV dialect (a header
+row, "\n" line ends) and the one JSON layout (indent 2, sorted keys,
+trailing newline) of every output file.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -245,13 +252,7 @@ class SegregationReport:
             raise ValueError(f"p-value {self.p_value} outside (0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "statistic_name": self.statistic_name,
-            "value": self.value,
-            "sample_size": self.sample_size,
-            "p_value": self.p_value,
-            "settings": dict(self.settings),
-        }
+        return asdict(self)
 
 
 def _as_checked_pair(x, y):
@@ -308,3 +309,29 @@ def permutation_p_value(x, y, permutations: int, seed: int) -> float:
         if abs(r) >= threshold:
             hits += 1
     return (1 + hits) / (permutations + 1)
+
+
+def correlation_report(name: str, x, y, permutations: int, seed: int,
+                       **settings) -> SegregationReport:
+    """pearson(x, y) as the report `name`, over len(x) samples, with
+    permutation_p_value(x, y, permutations, seed) unless permutations is
+    0; the settings record permutations and seed after the given ones."""
+    value = pearson(x, y)
+    p = permutation_p_value(x, y, permutations, seed) if permutations else None
+    return SegregationReport(name, value, len(x), p,
+                             {**settings, "permutations": permutations, "seed": seed})
+
+
+def write_csv(path, header, rows) -> None:
+    """The header row and then rows, comma-separated with "\n" line ends."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, payload) -> None:
+    """payload indented by 2 with sorted keys, and a final newline."""
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")

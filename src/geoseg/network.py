@@ -8,12 +8,10 @@ centrality counts distinct connected schools.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .errors import UnknownSchoolId
-from .model import School, SchoolNetwork, StudentGraph, _unique_keys
+from .model import School, SchoolNetwork, StudentGraph, _unique_keys, write_csv
 
 
 def _edge_schools(g: StudentGraph, roster: list[School]):
@@ -67,7 +65,4 @@ def degree_centrality(net: SchoolNetwork) -> dict[str, int]:
 
 def write_edge_list_csv(net: SchoolNetwork, path) -> None:
     """Upper-triangle nonzero weights as school_a, school_b, weight."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["school_a", "school_b", "weight"])
-        writer.writerows(net.nonzero_pairs())
+    write_csv(path, ["school_a", "school_b", "weight"], net.nonzero_pairs())

@@ -32,13 +32,13 @@ that is arc first + floor(u * degree).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import DegenerateNull, InvalidValue
 from .geo import DistanceMatrix
-from .model import DecayCurve, School, SchoolNetwork, pearson
+from .model import DecayCurve, School, SchoolNetwork, pearson, write_csv
 
 
 @dataclass(frozen=True)
@@ -64,20 +64,10 @@ class NullModelResult:
         return math.sqrt(p * (1 - p) / self.simulations)
 
     def to_dict(self) -> dict:
-        return {
-            "observed": self.observed,
-            "simulated_mean": self.simulated_mean,
-            "simulated_sd": self.simulated_sd,
-            "simulated_max": self.simulated_max,
-            "simulations": self.simulations,
-            "empirical_p": self.empirical_p,
-            "empirical_p_se": self.empirical_p_se,
-            "seed": self.seed,
-            "k": self.k,
-            "discarded": self.discarded,
-            "uncovered_pairs": self.uncovered_pairs,
-            "extension": self.extension,
-        }
+        """Every field but the samples, and empirical_p_se."""
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "samples"}
+        d["empirical_p_se"] = self.empirical_p_se
+        return d
 
 
 @dataclass(frozen=True)
@@ -193,9 +183,7 @@ def _k_subsets(degrees: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
     Floyd's algorithm (Bentley & Floyd 1987) in k vectorised rounds: round
     r draws t uniform in [0, degree - k + r] and takes degree - k + r
     instead when t is already taken. Returns the rounds as a (k x schools)
-    array; k = 1 is the single round floor(u * degree), flat."""
-    if k == 1:
-        return (rng.random(len(degrees)) * degrees).astype(np.int64)
+    array; k = 1 is the single round floor(u * degree)."""
     sizes = degrees + np.arange(1 - k, 1)[:, None]  # degree - k + 1 + r
     picks = (rng.random(sizes.shape) * sizes).astype(np.int64)
     for r in range(1, k):
@@ -219,9 +207,7 @@ def _s_d_on_edges(a: np.ndarray, b: np.ndarray, n: int, scores: np.ndarray,
     order = np.argsort(src, kind="stable")
     picks = _k_subsets(degrees[eligible], k, rng)
     picks += first
-    neighbor_mean = scores[dst[order[picks]]]
-    if k > 1:
-        neighbor_mean = neighbor_mean.mean(axis=0)
+    neighbor_mean = scores[dst[order[picks]]].mean(axis=0)
     own = scores[eligible]
     if np.all(own == own[0]) or np.all(neighbor_mean == neighbor_mean[0]):
         return None
@@ -287,7 +273,4 @@ def null_distribution_s_d(
 
 def write_null_samples_csv(result: NullModelResult, path) -> None:
     """One simulated S value per row, for external plotting."""
-    with open(path, "w", newline="") as f:
-        f.write("s_d_null\n")
-        for v in result.samples:
-            f.write(f"{float(v)!r}\n")
+    write_csv(path, ["s_d_null"], ([repr(float(v))] for v in result.samples))

@@ -16,8 +16,6 @@ neighbor scores over k. The one-school `geographic_neighbors` and
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .errors import InsufficientNeighbors, KOutOfRange, TooFewSamples
@@ -32,8 +30,9 @@ from .model import (
     School,
     SchoolNetwork,
     SegregationReport,
-    pearson,
-    permutation_p_value,
+    correlation_report,
+    permutation_p_value,  # noqa: F401  (bench/spans.py traces it at this site)
+    write_csv,
 )
 
 
@@ -81,8 +80,6 @@ def _column_scores(roster: list[School], ids) -> np.ndarray:
 
 def geographic_means(roster, dm, k_max, seed) -> np.ndarray:
     """Neighbor-mean table over each school's k_max nearest schools."""
-    if len(roster) < 3:
-        raise TooFewSamples(f"need >= 3 schools, got {len(roster)}")
     n = len(dm.ids)
     if not 1 <= k_max <= n - 1:
         raise KOutOfRange(f"k={k_max} outside [1, {n - 1}]")
@@ -112,14 +109,8 @@ def _report(name, roster, table, k, seed, permutations,
     if k < 1:
         raise KOutOfRange(f"k={k} must be >= 1")
     kept = ~np.isnan(table[:, k - 1])
-    own = np.array([s.score for s in roster])[kept]
-    means = table[kept, k - 1]
-    if len(own) < 3:
-        raise TooFewSamples(f"only {len(own)} schools have degree >= {k}")
-    value = pearson(own, means)
-    p = permutation_p_value(own, means, permutations, seed) if permutations else None
-    settings = {"k": k, "seed": seed, "permutations": permutations, **settings}
-    return SegregationReport(name, value, len(own), p, settings)
+    return correlation_report(name, np.array([s.score for s in roster])[kept],
+                              table[kept, k - 1], permutations, seed, k=k, **settings)
 
 
 def geographic_report(roster, table, k, seed, permutations=0) -> SegregationReport:
@@ -130,8 +121,11 @@ def geographic_report(roster, table, k, seed, permutations=0) -> SegregationRepo
 def digital_report(roster, table, k, seed, permutations=0) -> SegregationReport:
     """S_d(k) from a digital_means table at least k wide, recording how many
     schools have degree < k."""
+    excluded = int(np.isnan(table[:, k - 1]).sum())
+    if len(roster) - excluded < 3:
+        raise TooFewSamples(f"only {len(roster) - excluded} schools have degree >= {k}")
     return _report("digital_segregation", roster, table, k, seed, permutations,
-                   excluded_schools=int(np.isnan(table[:, k - 1]).sum()))
+                   excluded_schools=excluded)
 
 
 def geographic_segregation(
@@ -168,20 +162,10 @@ def degree_outcome_correlation(
     seed: int = 0,
 ) -> SegregationReport:
     """Correlation between school scores and degree centrality."""
-    if len(roster) < 3:
-        raise TooFewSamples(f"need >= 3 schools, got {len(roster)}")
     degrees = (net.weights > 0).sum(axis=1)
-    own = [s.score for s in roster]
-    deg = [int(degrees[net.index[s.id]]) for s in roster]
-    value = pearson(own, deg)
-    p = permutation_p_value(own, deg, permutations, seed) if permutations else None
-    return SegregationReport(
-        statistic_name="degree_outcome_correlation",
-        value=value,
-        sample_size=len(roster),
-        p_value=p,
-        settings={"permutations": permutations, "seed": seed},
-    )
+    return correlation_report(
+        "degree_outcome_correlation", [s.score for s in roster],
+        [int(degrees[net.index[s.id]]) for s in roster], permutations, seed)
 
 
 def segregation_profile(
@@ -209,15 +193,9 @@ def segregation_profile(
 
 def write_profile_csv(profile, path) -> None:
     """k, s_g, s_d, excluded_digital, p_g, p_d rows."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["k", "s_g", "s_d", "excluded_digital", "p_g", "p_d"])
-        for geo_rep, dig_rep in profile:
-            writer.writerow([
-                geo_rep.settings["k"],
-                repr(geo_rep.value),
-                repr(dig_rep.value),
-                dig_rep.settings["excluded_schools"],
-                "" if geo_rep.p_value is None else repr(geo_rep.p_value),
-                "" if dig_rep.p_value is None else repr(dig_rep.p_value),
-            ])
+    write_csv(path, ["k", "s_g", "s_d", "excluded_digital", "p_g", "p_d"], (
+        [geo_rep.settings["k"], repr(geo_rep.value), repr(dig_rep.value),
+         dig_rep.settings["excluded_schools"],
+         "" if geo_rep.p_value is None else repr(geo_rep.p_value),
+         "" if dig_rep.p_value is None else repr(dig_rep.p_value)]
+        for geo_rep, dig_rep in profile))

@@ -15,8 +15,6 @@ loop synth -> files -> ingest -> pipeline.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import os
 from dataclasses import asdict, dataclass
@@ -25,11 +23,21 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .geo import school_distance_matrix
-from .model import EARTH_RADIUS_KM, Apartment, GeoPoint, School, SchoolNetwork
+from .model import (
+    EARTH_RADIUS_KM,
+    Apartment,
+    GeoPoint,
+    School,
+    SchoolNetwork,
+    write_csv,
+    write_json,
+)
 
 _DEG_PER_KM = 180.0 / (math.pi * EARTH_RADIUS_KM)
 # disc center; near the equator so the km -> degrees conversion is uniform
 CENTER = GeoPoint(0.0, 0.0)
+# apartment price per sqm at the roster's mean local score
+BASE_PRICE_PER_SQM = 100_000.0
 
 
 @dataclass(frozen=True)
@@ -131,7 +139,6 @@ def generate_apartments(
     price_coupling: float,
     seed: int,
     noise_sd: float = 0.05,
-    base_price: float = 100_000.0,
     local_radius_km: float = 3.0,
 ) -> list[Apartment]:
     """Apartments uniform in the disc; price couples to the mean score of
@@ -159,8 +166,8 @@ def generate_apartments(
     within[none_close, np.argmin(d2[none_close], axis=1)] = True
     local_mean = (within @ scores) / within.sum(axis=1)
     z = (local_mean - mean) / sd
-    price = base_price * (1.0 + price_coupling * z)
-    price = price + base_price * noise_sd * rng.standard_normal(n_apartments)
+    price = BASE_PRICE_PER_SQM * (1.0 + price_coupling * z)
+    price = price + BASE_PRICE_PER_SQM * noise_sd * rng.standard_normal(n_apartments)
     price = np.maximum(price, 1.0)
     return [
         Apartment(GeoPoint(float(lat[i]), float(lon[i])), float(price[i]))
@@ -204,32 +211,15 @@ def emit_city(
             edges.append((students[a][pid // m], students[b][pid % m]))
 
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "students.csv"), "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["student_id", "school_id"])
-        for school in net.schools:
-            for student in students[school]:
-                writer.writerow([student, school])
-    with open(os.path.join(out_dir, "edges.csv"), "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["student_id_a", "student_id_b"])
-        writer.writerows(edges)
-    with open(os.path.join(out_dir, "schools.csv"), "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["school_id", "latitude", "longitude", "score"])
-        for s in roster:
-            writer.writerow(
-                [s.id, repr(s.location.latitude), repr(s.location.longitude),
-                 repr(s.score)]
-            )
-    with open(os.path.join(out_dir, "apartments.csv"), "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["latitude", "longitude", "price_per_sqm"])
-        for a in apartments:
-            writer.writerow(
-                [repr(a.location.latitude), repr(a.location.longitude),
-                 repr(a.price_per_sqm)]
-            )
-    with open(os.path.join(out_dir, "ground_truth.json"), "w") as f:
-        json.dump(truth, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_csv(os.path.join(out_dir, "students.csv"), ["student_id", "school_id"],
+              ([student, school] for school in net.schools for student in students[school]))
+    write_csv(os.path.join(out_dir, "edges.csv"), ["student_id_a", "student_id_b"], edges)
+    write_csv(os.path.join(out_dir, "schools.csv"),
+              ["school_id", "latitude", "longitude", "score"],
+              ([s.id, repr(s.location.latitude), repr(s.location.longitude), repr(s.score)]
+               for s in roster))
+    write_csv(os.path.join(out_dir, "apartments.csv"),
+              ["latitude", "longitude", "price_per_sqm"],
+              ([repr(a.location.latitude), repr(a.location.longitude), repr(a.price_per_sqm)]
+               for a in apartments))
+    write_json(os.path.join(out_dir, "ground_truth.json"), truth)

@@ -5,11 +5,18 @@ import subprocess
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from geoseg import cli, geo, ingest, network, segregation
 from geoseg.cli import main
-from geoseg.model import substream
+from geoseg.model import (
+    GeoPoint,
+    SegregationReport,
+    pearson,
+    permutation_p_value,
+    substream,
+)
 
 
 def run_synth(out_dir, extra=()):
@@ -170,6 +177,16 @@ class TestAnalyzeCommand:
         assert run_analyze(bad_city, tmp_path / "out") == 2
         assert f"{bad_city / name}:{line}:" in capsys.readouterr().err
 
+    def test_coordinate_out_of_range_exits_2(self, city, tmp_path, capsys):
+        bad_city = tmp_path / "city"
+        shutil.copytree(city, bad_city)
+        apartments = bad_city / "apartments.csv"
+        line = len(apartments.read_text().splitlines()) + 1
+        with open(apartments, "a") as f:
+            f.write("95.0,0.0,100000.0\n")
+        assert run_analyze(bad_city, tmp_path / "out") == 2
+        assert f"{apartments}:{line}: latitude 95.0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("null_k", ["60", str(10**18)])
     def test_null_k_beyond_roster_exits_2(self, city, tmp_path, capsys, null_k):
         # the digital table is never sized from a --null-k above n - 1
@@ -259,6 +276,57 @@ class TestAnalyzeRanksOnce:
             expected)
         assert (out / "segregation_profile.csv").read_bytes() == expected.read_bytes()
 
+
+
+def correlation_inputs(city):
+    """(name, x, y, settings) of the three report blocks that are one
+    correlation over the roster, as analyze builds them at --radius-km 3
+    and centre (0, 0)."""
+    raw = ingest.parse_inputs(city / "students.csv", city / "edges.csv",
+                              city / "schools.csv", city / "apartments.csv")
+    graph, roster, _ = ingest.apply_filters(raw, ingest.FilterConfig())
+    net, _ = network.build_count_network(graph, roster)
+    scores = np.array([s.score for s in roster])
+    counts, sums = geo._apartments_within(roster, raw.apartments, 3.0)
+    near = counts > 0
+    lat = np.array([s.location.latitude for s in roster])
+    lon = np.array([s.location.longitude for s in roster])
+    degrees = (net.weights > 0).sum(axis=1)
+    return roster, raw.apartments, net, [
+        ("neighborhood_affluence_segregation", scores[near], sums[near] / counts[near],
+         {"radius_km": 3.0, "excluded_schools": int((~near).sum())}),
+        ("center_distance_correlation", scores, geo._haversine_km(lat, lon, 0.0, 0.0),
+         {"center_lat": 0.0, "center_lon": 0.0}),
+        ("degree_outcome_correlation", scores,
+         [int(degrees[net.index[s.id]]) for s in roster], {}),
+    ]
+
+
+class TestCorrelationBlocks:
+    def test_blocks_match_hand_built_reports(self, city, tmp_path):
+        out = tmp_path / "out"
+        assert run_analyze(city, out) == 0
+        report = json.loads((out / "report.json").read_text())
+        seed, permutations = 11, 199
+        for name, x, y, settings in correlation_inputs(city)[3]:
+            expected = SegregationReport(
+                name, pearson(x, y), len(x), permutation_p_value(x, y, permutations, seed),
+                {**settings, "permutations": permutations, "seed": seed})
+            assert report["segregation"][name] == json.loads(
+                json.dumps(expected.to_dict())), name
+
+    def test_no_permutations_gives_no_p_value(self, city):
+        roster, apartments, net, blocks = correlation_inputs(city)
+        reports = [
+            geo.neighborhood_affluence_segregation(roster, apartments, 3.0, 0, 11),
+            geo.center_distance_correlation(roster, GeoPoint(0.0, 0.0), 0, 11),
+            segregation.degree_outcome_correlation(roster, net, 0, 11),
+        ]
+        for rep, (name, x, y, settings) in zip(reports, blocks):
+            assert rep.statistic_name == name
+            assert rep.value == pearson(x, y)
+            assert rep.p_value is None
+            assert rep.settings == {**settings, "permutations": 0, "seed": 11}
 
 # run in a fresh interpreter: a long-lived heap may already hold a free
 # chunk that serves the block without touching new pages

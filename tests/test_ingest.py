@@ -72,6 +72,27 @@ class TestParse:
         with pytest.raises(CoordinateOutOfRange):
             parse_inputs(*paths)
 
+    @pytest.mark.parametrize("which", ["schools", "apartments"])
+    @pytest.mark.parametrize("column, lat, lon", [
+        ("latitude", "95.0", "30.30"),
+        ("longitude", "59.93", "-181.5"),
+    ])
+    def test_coordinate_out_of_range_names_file_and_line(self, files, which,
+                                                         column, lat, lon):
+        schools, apartments = SCHOOLS_2, APARTMENTS_1
+        if which == "schools":
+            schools += f"3,{lat},{lon},50.0\n"
+            line = 4
+        else:
+            apartments += f"{lat},{lon},10000000,50\n"
+            line = 3
+        paths = files("student_id,school_id\na,1\n", "student_id_a,student_id_b\n",
+                      schools, apartments)
+        with pytest.raises(CoordinateOutOfRange) as exc:
+            parse_inputs(*paths)
+        path = paths[2] if which == "schools" else paths[3]
+        assert str(exc.value).startswith(f"{path}:{line}: {column} ")
+
     def test_duplicate_school_id(self, files):
         paths = files(
             "student_id,school_id\na,1\n",
