@@ -56,22 +56,23 @@ def _check_counts(args) -> None:
     """Reject bad settings before any input is parsed.
 
     Outputs are written atomically, so a setting that fails late leaves no
-    output behind; this check makes it fail before the parse. It also
-    turns into exit 2 the settings that the library would reject with an
-    error other than GeosegError, which exits 3: a negative --seed
-    (ValueError from SeedSequence) or a NaN --bin-km (int(nan) when
-    binning)."""
+    output behind; this check makes it fail before the parse. A negative
+    --seed would exit 3 (ValueError from SeedSequence), a NaN or infinite
+    --bin-km fail after the parse (InvalidValue from the decay curve), a
+    --max-cohort < 1 filter out every school, and a negative
+    --min-pairs-per-bin pass unremarked."""
     if args.simulations < 100:
         raise GeosegError(f"--simulations must be >= 100, got {args.simulations}")
     if args.permutations != 0 and args.permutations < 100:
         raise GeosegError(
             f"--permutations must be 0 or >= 100, got {args.permutations}"
         )
-    for flag, value in (("--k", args.k), ("--null-k", args.null_k)):
-        if value < 1:
-            raise GeosegError(f"{flag} must be >= 1, got {value}")
-    if args.seed < 0:
-        raise GeosegError(f"--seed must be >= 0, got {args.seed}")
+    for flag, value, least in (("--k", args.k, 1), ("--null-k", args.null_k, 1),
+                               ("--seed", args.seed, 0),
+                               ("--max-cohort", args.max_cohort, 1),
+                               ("--min-pairs-per-bin", args.min_pairs_per_bin, 0)):
+        if value < least:
+            raise GeosegError(f"{flag} must be >= {least}, got {value}")
     for flag, value in (("--bin-km", args.bin_km), ("--radius-km", args.radius_km)):
         if not (math.isfinite(value) and value > 0):
             raise GeosegError(f"{flag} must be finite and > 0, got {value}")
@@ -125,7 +126,7 @@ def _analyze(args, center: GeoPoint, out_dir: str) -> None:
                                 os.path.join(out_dir, "network_ahat.csv"))
 
     dm = geo.school_distance_matrix(roster)
-    curve = decay.tie_probability_curve(network.binarize(net_a), dm, args.bin_km)
+    curve = decay.tie_probability_curve(net_a, dm, args.bin_km)
     fit_payload = {"bin_km": args.bin_km, "min_pairs_per_bin": args.min_pairs_per_bin}
     try:
         exponent, prefactor = decay.fit_power_law(

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateFit, InvalidValue, MismatchedIds, TooFewBins
-from .geo import DistanceMatrix
+from .geo import DistanceMatrix, distance_bins
 from .model import DecayCurve, SchoolNetwork, write_csv
 
 DEFAULT_BIN_WIDTH_KM = 1.0
@@ -19,20 +21,19 @@ def tie_probability_curve(
     with at least one tie. The last bin holds the farthest pair."""
     if net.schools != dm.ids:
         raise MismatchedIds("network and distance matrix school lists differ")
-    if bin_width_km <= 0:
-        raise InvalidValue(f"bin width must be positive, got {bin_width_km}")
+    # int() of a NaN width fails, and an infinite width gives NaN edges
+    if not (math.isfinite(bin_width_km) and bin_width_km > 0):
+        raise InvalidValue(f"bin width must be finite and positive, got {bin_width_km}")
     # binned by the pair table the null model reads, up to the first edge
     # past the farthest pair
     farthest = dm.distances.max(initial=0.0)
     edges = np.arange(int(farthest / bin_width_km) + 3) * bin_width_km
     edges = edges[: np.searchsorted(edges, farthest, side="right") + 1]
-    a, b, offsets = dm.pairs_by_bin(edges)
-    pair_counts = np.diff(offsets[:-1])
-    tied = np.concatenate(([0], np.cumsum(net.weights[a, b] > 0)))
-    tie_counts = np.diff(tied[offsets[:-1]])
-    probs = np.full(len(pair_counts), np.nan)
-    occupied = pair_counts > 0
-    probs[occupied] = tie_counts[occupied] / pair_counts[occupied]
+    pair_counts = np.diff(dm.pairs_by_bin(edges)[2][:-1])
+    tie_counts = np.bincount(distance_bins(edges, dm.distances[net.a, net.b]),
+                             minlength=len(edges))[:-1]
+    probs = np.divide(tie_counts, pair_counts, out=np.full(len(pair_counts), np.nan),
+                      where=pair_counts > 0)
     return DecayCurve(bin_edges=edges, probabilities=probs, pair_counts=pair_counts)
 
 

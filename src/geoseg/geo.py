@@ -103,8 +103,7 @@ class DistanceMatrix:
             n = len(self.ids)
             beyond = len(edges) - 1
             a, b = np.triu_indices(n, k=1)
-            idx = np.searchsorted(edges, self.distances[a, b], side="right") - 1
-            idx[idx < 0] = beyond
+            idx = distance_bins(edges, self.distances[a, b])
             # a stable sort of integers of 16 bits or less is a radix sort
             idx = idx.astype(np.min_scalar_type(beyond))
             order = np.argsort(idx, kind="stable")
@@ -117,6 +116,14 @@ class DistanceMatrix:
             cache.clear()
             cache[key] = pairs
         return cache[key]
+
+
+def distance_bins(bin_edges: np.ndarray, distances) -> np.ndarray:
+    """The bin m of each distance, bin_edges[m] <= d < bin_edges[m + 1],
+    and len(bin_edges) - 1 for a distance outside the edges."""
+    idx = np.searchsorted(bin_edges, distances, side="right") - 1
+    idx[idx < 0] = len(bin_edges) - 1
+    return idx
 
 
 def _latlon_arrays(roster: list[School]):

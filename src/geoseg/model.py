@@ -76,13 +76,20 @@ class Apartment:
             raise InvalidValue(f"invalid price per sqm {self.price_per_sqm}")
 
 
-def _unique_keys(keys) -> np.ndarray:
-    """The distinct int64 keys, sorted: np.unique's result by one sort and
-    a neighbour mask (np.unique on int64 may take a slower hash path)."""
+def _key_counts(keys):
+    """The distinct int64 keys, sorted, and how often each occurs:
+    np.unique's result by one sort and a neighbour mask (np.unique on int64
+    may take a slower hash path)."""
     keys = np.sort(np.asarray(keys, dtype=np.int64))
     first = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return keys[first]
+    starts = np.flatnonzero(first)
+    return keys[starts], np.diff(starts, append=len(keys))
+
+
+def _unique_keys(keys) -> np.ndarray:
+    """The distinct int64 keys, sorted."""
+    return _key_counts(keys)[0]
 
 
 def _unique_pairs(a, b, n: int):
@@ -158,48 +165,78 @@ class StudentGraph:
         return f"StudentGraph({len(self.students)} students, {len(self.a)} edges)"
 
 
-class SchoolNetwork:
-    """Symmetric weighted school x school tie-count matrix.
+def group_arcs(src, n: int):
+    """Arcs grouped by source school: (order, indptr), the stable argsort
+    of the sources src (a radix sort for 16-bit ints) and their cumulative
+    bincount over n schools, so school i's arcs are
+    order[indptr[i]:indptr[i + 1]], in their given order."""
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    return np.argsort(src, kind="stable"), indptr
 
-    kind is one of 'raw-count', 'min-symmetrized', 'binary'. The diagonal
-    is always zero: intra-school ties are excluded from the inter-school
-    network and reported separately by the ingest summary.
+
+class SchoolNetwork:
+    """Weighted undirected school network, held as its tied pairs.
+
+    Schools are positions in `schools`. The ties are int64 arrays a < b,
+    sorted by (a, b) with each pair once, and a positive integer `weight`
+    per pair; so the network is symmetric and intra-school ties, reported
+    by the ingest summary instead, cannot occur. kind is one of
+    'raw-count', 'min-symmetrized', 'binary'. `degrees` counts each
+    school's tied schools; `arcs` is the per-school view of the ties.
     """
 
     KINDS = ("raw-count", "min-symmetrized", "binary")
 
-    def __init__(self, schools: list[str], weights, kind: str):
+    def __init__(self, schools: list[str], a, b, weight, kind: str):
         if kind not in self.KINDS:
             raise ValueError(f"unknown network kind {kind!r}")
-        w = np.asarray(weights)
         n = len(schools)
-        if w.shape != (n, n):
-            raise ValueError(f"weight matrix shape {w.shape} != ({n}, {n})")
-        if not np.issubdtype(w.dtype, np.integer):
-            if not np.all(w == np.floor(w)):
-                raise ValueError("weights must be integers")
-            w = w.astype(np.int64)
-        if np.any(w < 0):
-            raise ValueError("weights must be non-negative")
-        if np.any(w != w.T):
-            raise ValueError("weight matrix must be symmetric")
-        if np.any(np.diag(w) != 0):
-            raise ValueError("diagonal must be zero")
+        a, b, weight = (np.asarray(x) for x in (a, b, weight))
+        if a.ndim != 1 or not a.shape == b.shape == weight.shape:
+            raise ValueError(f"pair arrays of shapes {a.shape}, {b.shape}, {weight.shape}")
+        if len(a) and not all(np.issubdtype(x.dtype, np.integer) for x in (a, b, weight)):
+            raise ValueError("school positions and weights must be integers")
+        a, b, weight = (x.astype(np.int64) for x in (a, b, weight))
+        if np.any((a < 0) | (a >= b) | (b >= n)):
+            raise ValueError(f"each pair must have 0 <= a < b < {n}")
+        if np.any(np.diff(a * n + b) <= 0):
+            raise ValueError("pairs must be sorted by (a, b) and distinct")
+        if np.any(weight <= 0):
+            raise ValueError("weights must be positive")
+        for array in (a, b, weight):
+            array.flags.writeable = False
         self.schools = list(schools)
-        self.weights = w
-        self.weights.setflags(write=False)
+        self.a, self.b, self.weight = a, b, weight
         self.kind = kind
         self.index = {s: i for i, s in enumerate(self.schools)}
 
     def __len__(self):
         return len(self.schools)
 
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """Number of tied schools per school."""
+        degrees = np.bincount(np.concatenate((self.a, self.b)), minlength=len(self.schools))
+        degrees.flags.writeable = False
+        return degrees
+
+    @cached_property
+    def arcs(self):
+        """Each tie in both directions, grouped by school: (indptr,
+        neighbors, weights), school i's tied schools being
+        neighbors[indptr[i]:indptr[i + 1]] in ascending order."""
+        order, indptr = group_arcs(np.concatenate((self.b, self.a)), len(self.schools))
+        view = (indptr, np.concatenate((self.a, self.b))[order],
+                np.concatenate((self.weight, self.weight))[order])
+        for array in view:
+            array.flags.writeable = False
+        return view
+
     def nonzero_pairs(self):
-        """Upper-triangle (school_a, school_b, weight) with weight > 0."""
-        rows, cols = np.nonzero(np.triu(self.weights, k=1))
+        """(school_a, school_b, weight) per tie, in (a, b) order."""
         s = self.schools
-        for r, c, w in zip(rows.tolist(), cols.tolist(), self.weights[rows, cols].tolist()):
-            yield s[r], s[c], w
+        for i, j, w in zip(self.a.tolist(), self.b.tolist(), self.weight.tolist()):
+            yield s[i], s[j], w
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Aggregation of the student friendship graph into school-level networks.
 
 Three variants: raw tie counts, the min-symmetrized student-count
-alternative, and a binary projection. The counted networks are bincounts
-of school-pair keys over the graph's integer-coded edges. Degree
-centrality counts distinct connected schools.
+alternative, and a binary projection. Each is built as its tied school
+pairs (`SchoolNetwork`): the counted networks count sorted school-pair
+keys over the graph's integer-coded edges, and no n x n matrix is
+formed. Degree centrality counts distinct connected schools.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UnknownSchoolId
-from .model import School, SchoolNetwork, StudentGraph, _unique_keys, write_csv
+from .model import School, SchoolNetwork, StudentGraph, _key_counts, _unique_keys, write_csv
 
 
 def _edge_schools(g: StudentGraph, roster: list[School]):
@@ -27,42 +28,47 @@ def _edge_schools(g: StudentGraph, roster: list[School]):
 
 
 def build_count_network(g: StudentGraph, roster: list[School]):
-    """Raw-count network A: weight[k][l] = number of student edges between
-    schools k and l. Returns (network, intra_school_edge_counts)."""
+    """Raw-count network A: the weight of schools k and l is the number of
+    student edges between them. Returns (network, intra_school_edge_counts)."""
     _, sa, sb = _edge_schools(g, roster)
     n = len(roster)
     cross = sa != sb
-    w = np.bincount(sa[cross] * n + sb[cross], minlength=n * n).reshape(n, n)
+    keys, counts = _key_counts(np.minimum(sa, sb)[cross] * n + np.maximum(sa, sb)[cross])
+    net = SchoolNetwork([s.id for s in roster], *np.divmod(keys, n), counts, kind="raw-count")
     intra = np.bincount(sa[~cross], minlength=n)
-    net = SchoolNetwork([s.id for s in roster], w + w.T, kind="raw-count")
     return net, {roster[i].id: int(intra[i]) for i in np.flatnonzero(intra)}
 
 
 def build_min_symmetrized_network(g: StudentGraph, roster: list[School]) -> SchoolNetwork:
     """Min-symmetrized network: the directed count of students in school k
-    with at least one friend in school l, symmetrized by element-wise min
-    with its transpose."""
+    with at least one friend in school l, symmetrized by the min of the
+    (k, l) and (l, k) counts."""
     school_of, sa, sb = _edge_schools(g, roster)
     n = len(roster)
     cross = sa != sb
     # one key per (student, other school) with a friend there
     keys = _unique_keys(np.concatenate((g.a[cross] * n + sb[cross], g.b[cross] * n + sa[cross])))
-    directed = np.bincount(school_of[keys // n] * n + keys % n, minlength=n * n).reshape(n, n)
-    w = np.minimum(directed, directed.T)
-    return SchoolNetwork([s.id for s in roster], w, kind="min-symmetrized")
+    directed, counts = _key_counts(school_of[keys // n] * n + keys % n)
+    # the (k, l) and (l, k) counts of a pair are adjacent once sorted by pair
+    k, l = np.divmod(directed, n)
+    pair = np.minimum(k, l) * n + np.maximum(k, l)
+    order = np.argsort(pair, kind="stable")
+    pair, counts = pair[order], counts[order]
+    both = pair[1:] == pair[:-1]
+    return SchoolNetwork([s.id for s in roster], *np.divmod(pair[1:][both], n),
+                         np.minimum(counts[1:], counts[:-1])[both], kind="min-symmetrized")
 
 
 def binarize(net: SchoolNetwork) -> SchoolNetwork:
-    """Map every positive weight to 1."""
-    return SchoolNetwork(net.schools, (net.weights > 0).astype(np.int64), kind="binary")
+    """The same ties, each of weight 1."""
+    return SchoolNetwork(net.schools, net.a, net.b, np.ones_like(net.weight), kind="binary")
 
 
 def degree_centrality(net: SchoolNetwork) -> dict[str, int]:
-    """Number of distinct other schools with a positive tie weight."""
-    degrees = (net.weights > 0).sum(axis=1)
-    return {s: int(d) for s, d in zip(net.schools, degrees)}
+    """Number of distinct other schools with a tie."""
+    return {s: int(d) for s, d in zip(net.schools, net.degrees)}
 
 
 def write_edge_list_csv(net: SchoolNetwork, path) -> None:
-    """Upper-triangle nonzero weights as school_a, school_b, weight."""
+    """The ties as school_a, school_b, weight, in (a, b) order."""
     write_csv(path, ["school_a", "school_b", "weight"], net.nonzero_pairs())

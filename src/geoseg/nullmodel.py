@@ -4,7 +4,8 @@ significance test for digital segregation.
 Each unordered school pair gets an independent Bernoulli tie with the
 decay-curve probability of its distance bin, and no tie outside the
 curve's defined bins. A simulated graph is kept as its list of tied
-pairs, never as an n x n matrix.
+pairs, never as an n x n matrix; `generate_null_graph` returns them
+sorted, as the `SchoolNetwork` the observed networks also are.
 
 Pair table: the distance matrix sorts its pairs by bin once per set of
 bin edges (`DistanceMatrix.pairs_by_bin`, small-int school indices), and
@@ -22,11 +23,13 @@ exact. A p = 0 bin has no ties and a p = 1 bin ties every pair.
 
 Generated graphs are binary, so every neighbor is equidistant and the k
 digital neighbors of a school are a uniform random k-subset of its graph
-neighbors. The arcs are grouped by school with a stable sort of their
-small-int sources (a radix sort), and each school of degree >= k takes a
-uniform k-subset of its arc range by Floyd's algorithm (Bentley & Floyd
-1987), in k vectorised rounds; no comparison sort is needed. At k = 1
-that is arc first + floor(u * degree).
+neighbors. The arcs are grouped by school by `model.group_arcs`, the
+function behind `SchoolNetwork.arcs`: a stable sort of their small-int
+sources (a radix sort), in draw order. Each school of degree >= k takes
+a uniform k-subset of its arc range by Floyd's algorithm (Bentley &
+Floyd 1987), in k vectorised rounds; no comparison sort is needed, and
+only the picked arcs are gathered. At k = 1 that is arc first +
+floor(u * degree).
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 
 from .errors import DegenerateNull, InvalidValue
 from .geo import DistanceMatrix
-from .model import DecayCurve, School, SchoolNetwork, pearson, write_csv
+from .model import DecayCurve, School, SchoolNetwork, group_arcs, pearson, write_csv
 
 
 @dataclass(frozen=True)
@@ -173,9 +176,8 @@ def generate_null_graph(curve: DecayCurve, dm: DistanceMatrix,
     """One binary random network with the curve's per-bin tie probability."""
     a, b = _draw_ties(_pair_table(curve, dm), np.random.default_rng(seed))
     n = len(dm.ids)
-    weights = np.zeros((n, n), dtype=np.int64)
-    weights[np.concatenate((a, b)), np.concatenate((b, a))] = 1
-    return SchoolNetwork(list(dm.ids), weights, kind="binary")
+    a, b = np.divmod(np.sort(a.astype(np.int64) * n + b), n)
+    return SchoolNetwork(list(dm.ids), a, b, np.ones(len(a), dtype=np.int64), kind="binary")
 
 
 def _k_subsets(degrees: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -198,15 +200,13 @@ def _s_d_on_edges(a: np.ndarray, b: np.ndarray, n: int, scores: np.ndarray,
     fewer than 3 schools are eligible or a correlation input is constant."""
     src = np.concatenate((a, b))
     dst = np.concatenate((b, a))
-    degrees = np.bincount(src, minlength=n)
+    order, indptr = group_arcs(src, n)
+    degrees = np.diff(indptr)
     eligible = np.flatnonzero(degrees >= k)
     if len(eligible) < 3:
         return None
-    first = (np.cumsum(degrees) - degrees)[eligible]
-    # arcs grouped by school: a stable sort of 16-bit ints is a radix sort
-    order = np.argsort(src, kind="stable")
     picks = _k_subsets(degrees[eligible], k, rng)
-    picks += first
+    picks += indptr[eligible]
     neighbor_mean = scores[dst[order[picks]]].mean(axis=0)
     own = scores[eligible]
     if np.all(own == own[0]) or np.all(neighbor_mean == neighbor_mean[0]):

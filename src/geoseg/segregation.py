@@ -39,9 +39,11 @@ from .model import (
 def _weight_keys(net: SchoolNetwork, rows: np.ndarray) -> np.ndarray:
     """Ranking keys of the schools at rows: minus the tie weight, and
     +inf (not a candidate) where there is no tie."""
-    w = net.weights[rows]
-    keys = np.negative(w, dtype=float)
-    np.copyto(keys, np.inf, where=w <= 0)
+    indptr, neighbors, weights = net.arcs
+    keys = np.full((len(rows), len(net)), np.inf)
+    for row, i in zip(keys, rows.tolist()):
+        arcs = slice(indptr[i], indptr[i + 1])
+        row[neighbors[arcs]] = -weights[arcs]
     return keys
 
 
@@ -53,7 +55,7 @@ def digital_neighbors(net: SchoolNetwork, school_id: str, k: int,
     if k < 1:
         raise KOutOfRange(f"k={k} must be >= 1")
     i = net.index[school_id]
-    degree = int(np.count_nonzero(net.weights[i] > 0))
+    degree = int(net.degrees[i])
     if degree < k:
         raise InsufficientNeighbors(
             f"school {school_id!r} has degree {degree} < k={k}"
@@ -162,10 +164,9 @@ def degree_outcome_correlation(
     seed: int = 0,
 ) -> SegregationReport:
     """Correlation between school scores and degree centrality."""
-    degrees = (net.weights > 0).sum(axis=1)
     return correlation_report(
         "degree_outcome_correlation", [s.score for s in roster],
-        [int(degrees[net.index[s.id]]) for s in roster], permutations, seed)
+        [int(net.degrees[net.index[s.id]]) for s in roster], permutations, seed)
 
 
 def segregation_profile(

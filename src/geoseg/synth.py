@@ -116,11 +116,9 @@ def generate_city(cfg: SynthConfig):
     p = np.clip(p, 0.0, 1.0)
     ties = rng.random(len(p)) < p
     n_ties = int(ties.sum())
-    weights = np.zeros((cfg.n_schools, cfg.n_schools), dtype=np.int64)
-    # tie weight = 1 + small geometric count, mimicking multi-tie school pairs
-    weights[iu[0][ties], iu[1][ties]] = 1 + (rng.geometric(0.6, n_ties) - 1)
-    weights += weights.T
-    net = SchoolNetwork([s.id for s in roster], weights, kind="raw-count")
+    # tie weight >= 1, geometric, mimicking multi-tie school pairs
+    net = SchoolNetwork([s.id for s in roster], iu[0][ties], iu[1][ties],
+                        rng.geometric(0.6, n_ties), kind="raw-count")
     truth = {
         "config": asdict(cfg),
         "center_lat": CENTER.latitude,
@@ -192,7 +190,7 @@ def emit_city(
     """
     rng = np.random.default_rng(seed)
     m = students_per_school
-    max_w = int(net.weights.max()) if len(net.schools) else 0
+    max_w = int(net.weight.max(initial=0))
     if max_w > m * m:
         raise InvalidConfig(
             f"max weight {max_w} exceeds {m}x{m} cross pairs; "

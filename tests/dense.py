@@ -1,0 +1,65 @@
+"""Dense n x n forms of school networks, for tests.
+
+geoseg keeps a school network as its tied pairs (`SchoolNetwork`). These
+helpers convert between that form and a symmetric zero-diagonal weight
+matrix, and keep the dense constructions that the pair builders replaced
+as their oracles.
+"""
+
+import numpy as np
+
+from geoseg.model import SchoolNetwork
+
+
+def dense_weights(net: SchoolNetwork) -> np.ndarray:
+    """The symmetric n x n int64 weight matrix of net, 0 where untied."""
+    n = len(net)
+    w = np.zeros((n, n), dtype=np.int64)
+    w[net.a, net.b] = net.weight
+    w[net.b, net.a] = net.weight
+    return w
+
+
+def network_from_dense(schools, w, kind: str) -> SchoolNetwork:
+    """The network whose weight matrix is w: its positive upper-triangle
+    entries in row-major order. Rejects an asymmetric matrix or a nonzero
+    diagonal, as the dense SchoolNetwork did."""
+    w = np.asarray(w)
+    if np.any(w != w.T) or np.any(np.diag(w) != 0):
+        raise ValueError("weight matrix must be symmetric with a zero diagonal")
+    a, b = np.nonzero(np.triu(w, k=1))
+    return SchoolNetwork(list(schools), a, b, w[a, b], kind)
+
+
+def _edge_schools(g, roster):
+    index = {s.id: i for i, s in enumerate(roster)}
+    school_of = np.array([index[s] for s in g.school_ids], dtype=np.int64)[g.school]
+    return school_of, school_of[g.a], school_of[g.b]
+
+
+def dense_count_network(g, roster) -> np.ndarray:
+    """A as one n^2-key bincount plus its transpose."""
+    _, sa, sb = _edge_schools(g, roster)
+    n = len(roster)
+    cross = sa != sb
+    w = np.bincount(sa[cross] * n + sb[cross], minlength=n * n).reshape(n, n)
+    return w + w.T
+
+
+def dense_min_symmetrized_network(g, roster) -> np.ndarray:
+    """A-hat as the element-wise min of the directed n x n student counts
+    and their transpose."""
+    school_of, sa, sb = _edge_schools(g, roster)
+    n = len(roster)
+    cross = sa != sb
+    keys = np.unique(np.concatenate((g.a[cross] * n + sb[cross], g.b[cross] * n + sa[cross])))
+    directed = np.bincount(school_of[keys // n] * n + keys % n, minlength=n * n).reshape(n, n)
+    return np.minimum(directed, directed.T)
+
+
+def dense_tie_counts(net: SchoolNetwork, dm, bin_edges) -> np.ndarray:
+    """Tied pairs per bin, read from the weight matrix over the distance
+    matrix's binned pair table."""
+    a, b, offsets = dm.pairs_by_bin(bin_edges)
+    tied = np.concatenate(([0], np.cumsum(dense_weights(net)[a, b] > 0)))
+    return np.diff(tied[offsets[:-1]])

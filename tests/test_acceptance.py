@@ -19,7 +19,7 @@ from geoseg.cli import main as cli_main
 from geoseg.decay import fit_power_law, tie_probability_curve
 from geoseg.geo import school_distance_matrix
 from geoseg.ingest import FilterConfig, apply_filters, parse_inputs
-from geoseg.model import GeoPoint, School, SchoolNetwork, StudentGraph, pearson
+from geoseg.model import GeoPoint, School, StudentGraph, pearson
 from geoseg.network import (
     binarize,
     build_count_network,
@@ -28,6 +28,8 @@ from geoseg.network import (
 from geoseg.nullmodel import generate_null_graph, null_distribution_s_d
 from geoseg.segregation import digital_segregation
 from geoseg.synth import SynthConfig, emit_city, generate_apartments, generate_city
+
+from dense import dense_weights, network_from_dense
 
 N_SEEDS = 20
 
@@ -91,7 +93,7 @@ def test_criterion_2_null_model_calibration():
     for seed in range(n_graphs):
         g = generate_null_graph(curve, dm, seed)
         tie_totals += np.bincount(
-            bins[g.weights[iu] > 0], minlength=len(curve.probabilities)
+            bins[dense_weights(g)[iu] > 0], minlength=len(curve.probabilities)
         )
     pair_counts = np.bincount(bins, minlength=len(curve.probabilities))
     ok_bins = checked = 0
@@ -205,7 +207,7 @@ def s_d_oracle_check(roster, net, k, seed):
     own, means = [], []
     for school in roster:
         i = net.index[school.id]
-        row = net.weights[i]
+        row = dense_weights(net)[i]
         if int((row > 0).sum()) < k:
             continue
         chosen = geoseg.digital_neighbors(net, school.id, k, seed)
@@ -232,8 +234,8 @@ def test_criterion_4_oracle_equivalence():
         a_oracle, ahat_oracle = brute_force_networks(g, roster)
         net_a, _ = build_count_network(g, roster)
         net_hat = build_min_symmetrized_network(g, roster)
-        assert np.array_equal(net_a.weights, a_oracle)
-        assert np.array_equal(net_hat.weights, ahat_oracle)
+        assert np.array_equal(dense_weights(net_a), a_oracle)
+        assert np.array_equal(dense_weights(net_hat), ahat_oracle)
 
     for _ in range(200):
         n = int(rng.integers(3, 30))
@@ -246,7 +248,7 @@ def test_criterion_4_oracle_equivalence():
         n = int(rng.integers(4, 11))
         w = np.triu(rng.integers(0, 4, (n, n)), 1)
         w = w + w.T
-        net = SchoolNetwork([f"s{i}" for i in range(n)], w, "raw-count")
+        net = network_from_dense([f"s{i}" for i in range(n)], w, "raw-count")
         roster = [
             School(f"s{i}", GeoPoint(0.0, i * 0.01), float(rng.uniform(30, 90)))
             for i in range(n)
@@ -285,7 +287,7 @@ def test_criterion_5_metric_and_invariance():
     dg_aff = digital_segregation(affine, net, 5, seed=1).value
     gg_base = geoseg.geographic_segregation(roster, dm, 5, seed=1).value
     gg_aff = geoseg.geographic_segregation(affine, dm, 5, seed=1).value
-    scaled_net = SchoolNetwork(net.schools, net.weights * 13, net.kind)
+    scaled_net = network_from_dense(net.schools, dense_weights(net) * 13, net.kind)
     dg_scaled = digital_segregation(roster, scaled_net, 5, seed=1).value
 
     ok = (

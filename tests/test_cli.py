@@ -18,6 +18,8 @@ from geoseg.model import (
     substream,
 )
 
+from dense import dense_weights
+
 
 def run_synth(out_dir, extra=()):
     return main([
@@ -146,6 +148,9 @@ class TestAnalyzeCommand:
         ("--center-lat", "nan"),
         ("--center-lon", "-181"),
         ("--seed", "-1"),
+        ("--max-cohort", "0"),
+        ("--max-cohort", "-1"),
+        ("--min-pairs-per-bin", "-5"),
     ])
     def test_bad_count_rejected_before_output(self, city, tmp_path, capsys,
                                               flag, value):
@@ -248,7 +253,7 @@ class TestAnalyzeRanksOnce:
                             ranking("digital", segregation.digital_means))
         assert run_analyze(city, tmp_path / "out", extra=("--null-k", "2")) == 0
         roster, _, net = city_inputs(city)
-        degrees = (net.weights > 0).sum(axis=1)
+        degrees = (dense_weights(net) > 0).sum(axis=1)
         assert draws["geo"] == Counter(s.id for s in roster)
         assert draws["digital"] == Counter(
             s.id for s in roster if degrees[net.index[s.id]] >= 1)
@@ -291,7 +296,7 @@ def correlation_inputs(city):
     near = counts > 0
     lat = np.array([s.location.latitude for s in roster])
     lon = np.array([s.location.longitude for s in roster])
-    degrees = (net.weights > 0).sum(axis=1)
+    degrees = (dense_weights(net) > 0).sum(axis=1)
     return roster, raw.apartments, net, [
         ("neighborhood_affluence_segregation", scores[near], sums[near] / counts[near],
          {"radius_km": 3.0, "excluded_schools": int((~near).sum())}),

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from geoseg.decay import fit_power_law, tie_probability_curve, write_curve_csv
-from geoseg.errors import MismatchedIds, TooFewBins
+from geoseg.errors import InvalidValue, MismatchedIds, TooFewBins
 from geoseg.geo import school_distance_matrix
-from geoseg.model import DecayCurve, GeoPoint, School, SchoolNetwork
+from geoseg.model import DecayCurve, GeoPoint, School
+
+from dense import dense_tie_counts, network_from_dense
 
 
 def equatorial_roster(n, spacing_km=1.3):
@@ -20,12 +22,12 @@ def complete_net(ids):
     n = len(ids)
     w = np.ones((n, n), dtype=np.int64)
     np.fill_diagonal(w, 0)
-    return SchoolNetwork(ids, w, "binary")
+    return network_from_dense(ids, w, "binary")
 
 
 def empty_net(ids):
     n = len(ids)
-    return SchoolNetwork(ids, np.zeros((n, n), dtype=np.int64), "binary")
+    return network_from_dense(ids, np.zeros((n, n), dtype=np.int64), "binary")
 
 
 class TestCurve:
@@ -56,7 +58,7 @@ class TestCurve:
         rng = np.random.default_rng(1)
         n = len(roster)
         w = np.triu((rng.random((n, n)) < 0.4).astype(np.int64), 1)
-        net = SchoolNetwork(dm.ids, w + w.T, "binary")
+        net = network_from_dense(dm.ids, w + w.T, "binary")
         curve = tie_probability_curve(net, dm, 1.0)
         occupied = curve.pair_counts > 0
         products = curve.probabilities[occupied] * curve.pair_counts[occupied]
@@ -77,6 +79,29 @@ class TestCurve:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "bin_mid_km,probability,pair_count"
         assert len(lines) == 1 + len(curve.pair_counts)
+
+    @pytest.mark.parametrize("width", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_bin_width(self, width):
+        dm = school_distance_matrix(equatorial_roster(6))
+        with pytest.raises(InvalidValue, match="bin width"):
+            tie_probability_curve(complete_net(dm.ids), dm, width)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tie_counts_match_weight_matrix(self, seed):
+        # the tied pairs' bins against the weight matrix read over the
+        # binned pair table, which the curve used before
+        rng = np.random.default_rng(seed)
+        roster = [School(f"s{i}", GeoPoint(*rng.uniform(0, 0.1, 2)), 50.0)
+                  for i in range(30)]
+        dm = school_distance_matrix(roster)
+        w = np.triu(rng.integers(0, 3, (30, 30)) * (rng.random((30, 30)) < 0.3), 1)
+        net = network_from_dense(dm.ids, w + w.T, "raw-count")
+        curve = tie_probability_curve(net, dm, 0.8)
+        ties = dense_tie_counts(net, dm, curve.bin_edges)
+        occupied = curve.pair_counts > 0
+        assert np.array_equal(curve.probabilities[occupied],
+                              ties[occupied] / curve.pair_counts[occupied])
+        assert ties[~occupied].sum() == 0
 
 
 def synthetic_curve(exponent, prefactor, n_bins=12, width=1.0):

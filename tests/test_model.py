@@ -170,12 +170,38 @@ class TestTypes:
         assert np.array_equal(unique, np.unique(keys))
 
     def test_school_network_invariants(self):
+        for a, b, weight in [
+            ([1], [0], [1]),  # a > b
+            ([1], [1], [1]),  # a == b: a self-tie
+            ([0, 0], [2, 1], [1, 1]),  # not sorted by (a, b)
+            ([0, 1], [2, 0], [1, 1]),
+            ([0, 0], [1, 1], [1, 1]),  # a repeated pair
+            ([-1], [1], [1]),  # positions outside [0, n)
+            ([0], [3], [1]),
+            ([0], [1], [0]),  # a zero, negative or non-integer weight
+            ([0], [1], [-2]),
+            ([0], [1], [1.5]),
+            ([0], [1], [1.0]),
+            ([0, 1], [1], [1]),  # unequal lengths
+            ([0], [1], [1, 1]),
+            ([[0]], [[1]], [[1]]),  # not one-dimensional
+        ]:
+            with pytest.raises(ValueError):
+                SchoolNetwork(["1", "2", "3"], a, b, weight, "raw-count")
+
+    def test_school_network_pairs_and_arcs(self):
         with pytest.raises(ValueError):
-            SchoolNetwork(["1", "2"], np.array([[0, 1], [2, 0]]), "raw-count")
-        with pytest.raises(ValueError):
-            SchoolNetwork(["1", "2"], np.array([[1, 1], [1, 0]]), "raw-count")
-        with pytest.raises(ValueError):
-            SchoolNetwork(["1", "2"], np.array([[0, -1], [-1, 0]]), "raw-count")
+            SchoolNetwork(["1", "2"], [0], [1], [1], "weighted")
+        net = SchoolNetwork(["1", "2", "3", "4"], [0, 0, 1], [1, 3, 3], [2, 1, 5], "raw-count")
+        assert list(net.nonzero_pairs()) == [("1", "2", 2), ("1", "4", 1), ("2", "4", 5)]
+        assert net.degrees.tolist() == [2, 2, 0, 2]
+        indptr, neighbors, weights = net.arcs
+        assert indptr.tolist() == [0, 2, 4, 4, 6]
+        assert neighbors.tolist() == [1, 3, 0, 3, 0, 1]
+        assert weights.tolist() == [2, 1, 2, 5, 1, 5]
+        empty = SchoolNetwork(["1", "2"], [], [], [], "binary")
+        assert empty.degrees.tolist() == [0, 0] and list(empty.nonzero_pairs()) == []
+        assert not net.weight.flags.writeable
 
     def test_segregation_report_bounds(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from geoseg.network import (
     degree_centrality,
     write_edge_list_csv,
 )
+
+from dense import dense_count_network, dense_min_symmetrized_network, dense_weights
 
 
 def make_roster(n):
@@ -82,19 +86,19 @@ class TestCountNetwork:
     def test_empty(self):
         g = StudentGraph({"a": "1", "b": "2"}, [])
         net, intra = build_count_network(g, make_roster(2))
-        assert np.all(net.weights == 0)
+        assert np.all(dense_weights(net) == 0)
         assert intra == {}
 
     def test_fixture(self, fixture_graph):
         net, intra = build_count_network(fixture_graph, make_roster(2))
-        assert net.weights[0, 1] == 2
-        assert np.all(np.diag(net.weights) == 0)
+        assert dense_weights(net)[0, 1] == 2
+        assert np.all(np.diag(dense_weights(net)) == 0)
         assert intra == {"1": 1}
 
     def test_matches_brute_force(self, fixture_graph):
         roster = make_roster(2)
         net, _ = build_count_network(fixture_graph, roster)
-        assert np.array_equal(net.weights, brute_force_count(fixture_graph, roster))
+        assert np.array_equal(dense_weights(net), brute_force_count(fixture_graph, roster))
 
     def test_unknown_school(self, fixture_graph):
         # c and d attend school 2, which a one-school roster lacks; the
@@ -112,7 +116,7 @@ class TestCountNetwork:
             inter = sum(
                 1 for a, b in g.edges if g.assignment[a] != g.assignment[b]
             )
-            assert np.triu(net.weights, 1).sum() == inter
+            assert np.triu(dense_weights(net), 1).sum() == inter
 
 
 class TestMinSymmetrized:
@@ -122,15 +126,15 @@ class TestMinSymmetrized:
         assert directed[0, 1] == 2  # a and b both have friend c
         assert directed[1, 0] == 1  # only c
         net = build_min_symmetrized_network(fixture_graph, roster)
-        assert net.weights[0, 1] == 1
+        assert dense_weights(net)[0, 1] == 1
 
     def test_single_cross_edge(self):
         g = StudentGraph({"a": "1", "c": "2"}, [("a", "c")])
         roster = make_roster(2)
         net_a, _ = build_count_network(g, roster)
         net_hat = build_min_symmetrized_network(g, roster)
-        assert net_a.weights[0, 1] == 1
-        assert net_hat.weights[0, 1] == 1
+        assert dense_weights(net_a)[0, 1] == 1
+        assert dense_weights(net_hat)[0, 1] == 1
 
     def test_ordering_invariant_random_graphs(self):
         # A_hat <= min(directed, directed.T) <= A, element-wise
@@ -142,9 +146,9 @@ class TestMinSymmetrized:
             net_hat = build_min_symmetrized_network(g, roster)
             directed = brute_force_directed(g, roster)
             assert np.array_equal(
-                net_hat.weights, np.minimum(directed, directed.T)
+                dense_weights(net_hat), np.minimum(directed, directed.T)
             )
-            assert np.all(net_hat.weights <= net_a.weights)
+            assert np.all(dense_weights(net_hat) <= dense_weights(net_a))
 
 
 class TestBinarizeAndDegree:
@@ -152,8 +156,8 @@ class TestBinarizeAndDegree:
         net, _ = build_count_network(fixture_graph, make_roster(2))
         b1 = binarize(net)
         b2 = binarize(b1)
-        assert np.array_equal(b1.weights, b2.weights)
-        assert b1.weights[0, 1] == 1
+        assert np.array_equal(dense_weights(b1), dense_weights(b2))
+        assert dense_weights(b1)[0, 1] == 1
 
     def test_degree_fixture(self, fixture_graph):
         net, _ = build_count_network(fixture_graph, make_roster(2))
@@ -185,3 +189,49 @@ def test_edge_list_csv_lists_upper_triangle(tmp_path):
         for i in range(5) for j in range(i + 1, 5) if w[i, j]
     ]
     assert path.read_text() == "\n".join(expected) + "\n"
+
+
+def test_pair_builders_match_dense_construction():
+    # the n x n bincount constructions the pair builders replaced
+    rng = np.random.default_rng(11)
+    for n_schools, p in [(2, 0.3), (5, 0.15), (12, 0.05), (12, 0.0)]:
+        roster = make_roster(n_schools)
+        for _ in range(10):
+            g = random_graph(rng, 40, n_schools, p)
+            net_a, _ = build_count_network(g, roster)
+            net_hat = build_min_symmetrized_network(g, roster)
+            assert np.array_equal(dense_weights(net_a), dense_count_network(g, roster))
+            assert np.array_equal(dense_weights(net_hat),
+                                  dense_min_symmetrized_network(g, roster))
+            assert np.array_equal(dense_weights(binarize(net_a)),
+                                  (dense_weights(net_a) > 0).astype(np.int64))
+            degrees = degree_centrality(net_a)
+            assert ([degrees[s.id] for s in roster]
+                    == (dense_weights(net_a) > 0).sum(axis=1).tolist())
+
+
+def test_network_stage_memory_below_one_dense_matrix():
+    # 2,000 schools of 12 students, each cohort a cycle, plus 60,000
+    # random cross-school friendships: the three networks together must
+    # allocate less than one n x n int64 matrix
+    n, m = 2000, 12
+    rng = np.random.default_rng(5)
+    students = [f"u{i:05d}" for i in range(n * m)]
+    school = np.repeat(np.arange(n), m)
+    cycle = np.arange(n * m)
+    a = np.concatenate((cycle, rng.integers(0, n * m, 60_000)))
+    b = np.concatenate((cycle - cycle % m + (cycle + 1) % m, rng.integers(0, n * m, 60_000)))
+    keep = school[a] != school[b]
+    keep[:n * m] = True
+    g = StudentGraph._coded(students, [f"{i:04d}" for i in range(n)], school, a[keep], b[keep])
+    roster = [School(f"{i:04d}", GeoPoint(0.0, 0.0), 50.0) for i in range(n)]
+    tracemalloc.start()
+    try:
+        net, _ = build_count_network(g, roster)
+        hat = build_min_symmetrized_network(g, roster)
+        binary = binarize(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+    assert len(net.a) > 50_000 and len(hat.a) > 50_000 and len(binary.a) == len(net.a)

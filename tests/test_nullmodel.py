@@ -7,7 +7,7 @@ import pytest
 from geoseg.decay import tie_probability_curve
 from geoseg.errors import DegenerateNull
 from geoseg.geo import DistanceMatrix, school_distance_matrix
-from geoseg.model import DecayCurve, SchoolNetwork, pearson
+from geoseg.model import DecayCurve, group_arcs, pearson
 from geoseg.network import binarize
 from geoseg import nullmodel
 from geoseg.nullmodel import (
@@ -20,6 +20,8 @@ from geoseg.nullmodel import (
 )
 from geoseg.segregation import digital_segregation
 from geoseg.synth import SynthConfig, generate_city
+
+from dense import dense_weights, network_from_dense
 
 
 # The dense kernels the edge-list null model and the binned tie draw
@@ -160,22 +162,41 @@ class TestGenerate:
         curve = flat_curve(dm, 0.0)
         for seed in range(3):
             net = generate_null_graph(curve, dm, seed)
-            assert net.weights.sum() == 0
+            assert dense_weights(net).sum() == 0
 
     def test_one_curve_complete_network(self, small_city):
         _, _, dm, _ = small_city
         curve = flat_curve(dm, 1.0)
         net = generate_null_graph(curve, dm, 0)
         n = len(dm.ids)
-        assert net.weights.sum() == n * (n - 1)
+        assert dense_weights(net).sum() == n * (n - 1)
 
     def test_deterministic_per_seed(self, small_city):
         _, _, dm, curve = small_city
         a = generate_null_graph(curve, dm, 42)
         b = generate_null_graph(curve, dm, 42)
-        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(dense_weights(a), dense_weights(b))
         c = generate_null_graph(curve, dm, 43)
-        assert not np.array_equal(a.weights, c.weights)
+        assert not np.array_equal(dense_weights(a), dense_weights(c))
+
+    def test_pairs_are_the_sorted_draw(self, small_city):
+        # the draw's pairs, sorted by (a, b), grouped by school as the
+        # null model's own pick groups them
+        roster, _, dm, curve = small_city
+        n = len(dm.ids)
+        for seed in range(5):
+            net = generate_null_graph(curve, dm, seed)
+            a, b = _draw_ties(_pair_table(curve, dm), np.random.default_rng(seed))
+            key = np.sort(a.astype(np.int64) * n + b)
+            assert np.array_equal(net.a * n + net.b, key)
+            assert net.kind == "binary" and np.all(net.weight == 1)
+            order, indptr = group_arcs(np.concatenate((a, b)), n)
+            dst = np.concatenate((b, a))[order]
+            indptr_net, neighbors, _ = net.arcs
+            assert np.array_equal(indptr, indptr_net)
+            for i in range(n):
+                assert np.array_equal(np.sort(dst[indptr[i]:indptr[i + 1]]),
+                                      neighbors[indptr[i]:indptr[i + 1]])
 
     def test_expected_edge_count(self, small_city):
         _, _, dm, curve = small_city
@@ -186,7 +207,7 @@ class TestGenerate:
         probs = np.nan_to_num(curve.probabilities)[idx]
         expected = probs.sum()
         counts = [
-            np.triu(generate_null_graph(curve, dm, seed).weights, 1).sum()
+            np.triu(dense_weights(generate_null_graph(curve, dm, seed)), 1).sum()
             for seed in range(300)
         ]
         se = np.sqrt((probs * (1 - probs)).sum())
@@ -222,13 +243,13 @@ class TestGenerate:
                             np.array([[0, d, 1.0], [d, 0, 2.0], [1.0, 2.0, 0]]))
         tied = np.zeros((3, 3), dtype=np.int64)
         tied[0, 1] = tied[1, 0] = 1
-        curve = tie_probability_curve(SchoolNetwork(dm.ids, tied, "binary"), dm, 0.7)
+        curve = tie_probability_curve(network_from_dense(dm.ids, tied, "binary"), dm, 0.7)
         # the curve's binning is the one the pair table reads
         assert curve.bin_edges.tobytes() in dm._binned_pairs
         table = _pair_table(curve, dm)
         assert table.uncovered == 0
         assert [(table.a[i], table.b[i]) for i in table.certain] == [(0, 1)]
-        assert generate_null_graph(curve, dm, 0).weights[0, 1] == 1
+        assert dense_weights(generate_null_graph(curve, dm, 0))[0, 1] == 1
 
     def test_per_bin_counts_match_dense_draw(self, small_city):
         # the binned draw is a different stream from the dense draw, so it
@@ -244,7 +265,7 @@ class TestGenerate:
         for seed in seeds:
             a, b = _draw_edges(iu, probs, np.random.default_rng(seed))
             old += np.bincount(bins[dense(a, b, len(dm.ids))[iu]], minlength=m)
-            g = generate_null_graph(curve, dm, seed).weights[iu] > 0
+            g = dense_weights(generate_null_graph(curve, dm, seed))[iu] > 0
             new += np.bincount(bins[g], minlength=m)
         pairs = np.bincount(bins, minlength=m) * len(seeds)
         p = np.nan_to_num(curve.probabilities)
@@ -266,7 +287,7 @@ class TestGenerate:
         n_graphs = 60
         ties = np.zeros(m)
         for seed in range(n_graphs):
-            g = generate_null_graph(curve, dm, seed).weights[iu] > 0
+            g = dense_weights(generate_null_graph(curve, dm, seed))[iu] > 0
             ties += np.bincount(bins[g], minlength=m)
         trials = np.bincount(bins, minlength=m) * n_graphs
         p = np.nan_to_num(curve.probabilities)
@@ -284,7 +305,7 @@ class TestGenerate:
         tie_totals = np.zeros(len(curve.probabilities))
         for seed in range(n_graphs):
             net = generate_null_graph(curve, dm, seed)
-            tied = net.weights[iu] > 0
+            tied = dense_weights(net)[iu] > 0
             tie_totals += np.bincount(
                 bins[tied], minlength=len(curve.probabilities)
             )

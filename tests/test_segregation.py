@@ -14,7 +14,6 @@ from geoseg.geo import geographic_neighbors, school_distance_matrix
 from geoseg.model import (
     GeoPoint,
     School,
-    SchoolNetwork,
     SegregationReport,
     pearson,
     permutation_p_value,
@@ -31,6 +30,8 @@ from geoseg.segregation import (
 )
 from geoseg.synth import SynthConfig, generate_city
 
+from dense import dense_weights, network_from_dense
+
 DEG_PER_KM = 180.0 / (math.pi * 6371.0)
 
 
@@ -41,7 +42,7 @@ def weighted_net(ids, entries):
     for (a, b), weight in entries.items():
         w[idx[a], idx[b]] = weight
         w[idx[b], idx[a]] = weight
-    return SchoolNetwork(ids, w, "raw-count")
+    return network_from_dense(ids, w, "raw-count")
 
 
 class TestDigitalNeighbors:
@@ -154,7 +155,7 @@ class TestDigitalSegregation:
     def test_weight_scaling_invariance(self):
         roster, net, _ = generate_city(SynthConfig(n_schools=60, seed=3))
         base = digital_segregation(roster, net, 3, seed=5).value
-        scaled = SchoolNetwork(net.schools, net.weights * 7, net.kind)
+        scaled = network_from_dense(net.schools, dense_weights(net) * 7, net.kind)
         assert digital_segregation(roster, scaled, 3, seed=5).value == base
 
 
@@ -205,7 +206,7 @@ def reference_geographic_neighbors(dm, school_id, k, seed):
 def reference_digital_neighbors(net, school_id, k, seed):
     if k < 1:
         raise KOutOfRange(f"k={k} must be >= 1")
-    row = net.weights[net.index[school_id]]
+    row = dense_weights(net)[net.index[school_id]]
     candidates = np.nonzero(row > 0)[0]
     if len(candidates) < k:
         raise InsufficientNeighbors(
@@ -230,7 +231,7 @@ def reference_geographic_means(roster, dm, k_max, seed):
 
 
 def reference_digital_means(roster, net, k_max, seed):
-    degrees = (net.weights > 0).sum(axis=1)
+    degrees = (dense_weights(net) > 0).sum(axis=1)
     ks = [min(int(degrees[net.index[s.id]]), k_max) for s in roster]
     return reference_means(roster, [
         reference_digital_neighbors(net, s.id, k, seed) if k else []
@@ -243,7 +244,7 @@ def reference_profile(roster, dm, net, k_values, seed, permutations=0):
     school is ranked from scratch at every k and its neighbor scores are
     summed in Python. Kept as the oracle for segregation_profile."""
     scores = {s.id: s.score for s in roster}
-    degrees = (net.weights > 0).sum(axis=1)
+    degrees = (dense_weights(net) > 0).sum(axis=1)
 
     def report(name, own, neighbor_mean, k, **settings):
         p = (
@@ -290,7 +291,7 @@ def tied_grid_city(seed):
     ]
     n = len(roster)
     w = np.triu(rng.choice([0, 1, 2], size=(n, n), p=[0.3, 0.4, 0.3]), k=1)
-    net = SchoolNetwork([s.id for s in roster], w + w.T, "raw-count")
+    net = network_from_dense([s.id for s in roster], w + w.T, "raw-count")
     return roster, school_distance_matrix(roster), net
 
 
@@ -327,7 +328,8 @@ class TestProfileOracle:
         straddling = 0
         for i in range(len(roster)):
             d = np.sort(np.delete(dm.distances[i], i))[: self.K + 1]
-            w = np.sort(net.weights[i][net.weights[i] > 0])[::-1][: self.K + 1]
+            row = dense_weights(net)[i]
+            w = np.sort(row[row > 0])[::-1][: self.K + 1]
             straddling += bool(np.any(d[:-1] == d[1:]) and np.any(w[:-1] == w[1:]))
         assert straddling > 10
         roster, dm, net = sparse_city()
@@ -363,7 +365,7 @@ def lattice_city(n, seed):
     roster = [School(f"l{i:03d}", GeoPoint((i // 5) * h, (i % 5) * h),
                      float(rng.integers(30, 90))) for i in range(n)]
     w = np.triu(rng.choice([0, 1, 2], size=(n, n), p=[0.3, 0.4, 0.3]), k=1)
-    net = SchoolNetwork([s.id for s in roster], w + w.T, "raw-count")
+    net = network_from_dense([s.id for s in roster], w + w.T, "raw-count")
     return roster, school_distance_matrix(roster), net
 
 
@@ -375,7 +377,7 @@ def shared_location_city(seed=3):
                      float(rng.integers(30, 90))) for i in range(12)]
     w = np.triu(rng.choice([0, 1, 3], size=(12, 12), p=[0.4, 0.4, 0.2]), k=1)
     w[:, 11] = 0
-    net = SchoolNetwork([s.id for s in roster], w + w.T, "raw-count")
+    net = network_from_dense([s.id for s in roster], w + w.T, "raw-count")
     return roster, school_distance_matrix(roster), net
 
 
@@ -408,9 +410,9 @@ class TestRankingKernel:
         assert np.any(d[:, 5] == d[:, 6])  # the 6th and 7th nearest tie
         roster, dm, net = shared_location_city()
         assert np.sum(dm.distances == 0) > len(roster)
-        w = np.sort(net.weights, axis=1)[:, ::-1]
+        w = np.sort(dense_weights(net), axis=1)[:, ::-1]
         assert np.any((w[:, 3] == w[:, 4]) & (w[:, 4] > 0))
-        assert np.any((w > 0).sum(axis=1) < 4) and not net.weights[11].any()
+        assert np.any((w > 0).sum(axis=1) < 4) and not dense_weights(net)[11].any()
 
     @pytest.mark.parametrize("n, rows", [(3, 1), (3, 2), (8, 8), (9, 8), (23, 8)])
     def test_block_boundaries(self, monkeypatch, n, rows):
@@ -438,7 +440,7 @@ class TestRankingKernel:
 
     def test_one_row_calls_match(self):
         roster, dm, net = shared_location_city()
-        degrees = (net.weights > 0).sum(axis=1)
+        degrees = (dense_weights(net) > 0).sum(axis=1)
         for s in roster:
             for k in range(1, len(roster)):
                 assert (geographic_neighbors(dm, s.id, k, 5)

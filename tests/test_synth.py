@@ -10,6 +10,8 @@ from geoseg.ingest import apply_filters, parse_inputs
 from geoseg.network import binarize, build_count_network
 from geoseg.synth import SynthConfig, emit_city, generate_apartments, generate_city
 
+from dense import dense_weights
+
 
 class TestConfig:
     def test_defaults_valid(self):
@@ -40,13 +42,15 @@ class TestGenerateCity:
         b = generate_city(SynthConfig(n_schools=50, seed=5))
         assert [s.id for s in a[0]] == [s.id for s in b[0]]
         assert [s.score for s in a[0]] == [s.score for s in b[0]]
-        assert np.array_equal(a[1].weights, b[1].weights)
+        assert np.array_equal(dense_weights(a[1]), dense_weights(b[1]))
 
     def test_network_invariants(self):
         _, net, _ = generate_city(SynthConfig(n_schools=50, seed=1))
-        assert np.array_equal(net.weights, net.weights.T)
-        assert np.all(np.diag(net.weights) == 0)
-        assert np.all(net.weights >= 0)
+        assert len(net.a) > 0 and np.all(net.a < net.b)
+        assert np.all(np.diff(net.a * len(net) + net.b) > 0)
+        assert np.all(net.weight >= 1)
+        w = dense_weights(net)
+        assert np.array_equal(w, w.T) and np.all(np.diag(w) == 0)
 
     def test_schools_inside_disc(self):
         cfg = SynthConfig(n_schools=200, city_radius_km=15.0, seed=2)
@@ -67,7 +71,7 @@ class TestGenerateCity:
         cfg = SynthConfig(n_schools=60, seed=9, homophily_scale=4.0)
         _, net, truth = generate_city(cfg)
         assert truth["config"]["homophily_scale"] == 4.0
-        assert truth["n_ties"] == int((net.weights > 0).sum() // 2)
+        assert truth["n_ties"] == int((dense_weights(net) > 0).sum() // 2)
 
 
 class TestGenerateApartments:
@@ -120,7 +124,7 @@ class TestEmitCity:
         assert report.students_removed_multi_school == 0
         assert len(roster2) == len(roster)
         net2, _ = build_count_network(graph, roster2)
-        assert np.array_equal(net2.weights, net.weights)
+        assert np.array_equal(dense_weights(net2), dense_weights(net))
 
         truth2 = json.loads((tmp_path / "ground_truth.json").read_text())
         assert truth2["config"]["n_schools"] == 40
