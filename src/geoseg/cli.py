@@ -91,6 +91,9 @@ def run_analyze(args) -> None:
         if not os.path.exists(path):
             raise GeosegError(f"input file not found: {path}")
     out_dir = os.path.abspath(args.out_dir)
+    # the move into --out-dir would fail only after the whole pipeline ran
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise GeosegError(f"--out-dir {args.out_dir} exists and is not a directory")
     parent = os.path.dirname(out_dir)
     os.makedirs(parent, exist_ok=True)
     work = tempfile.mkdtemp(prefix=f".{os.path.basename(out_dir)}.", dir=parent)

@@ -24,10 +24,18 @@ def tie_probability_curve(
     # int() of a NaN width fails, and an infinite width gives NaN edges
     if not (math.isfinite(bin_width_km) and bin_width_km > 0):
         raise InvalidValue(f"bin width must be finite and positive, got {bin_width_km}")
+    farthest = float(dm.distances.max(initial=0.0))
+    # a curve and pair table of more bins than the distance matrix has
+    # entries would outgrow it, almost every bin empty: refuse that before
+    # the edges are allocated (span is inf for a subnormal width)
+    span = farthest / bin_width_km
+    if span >= dm.distances.size:
+        bins = math.floor(span) + 1 if math.isfinite(span) else span
+        raise InvalidValue(f"bin width {bin_width_km} km gives {bins} bins, more "
+                           f"than the {dm.distances.size} distance matrix entries")
     # binned by the pair table the null model reads, up to the first edge
     # past the farthest pair
-    farthest = dm.distances.max(initial=0.0)
-    edges = np.arange(int(farthest / bin_width_km) + 3) * bin_width_km
+    edges = np.arange(int(span) + 3) * bin_width_km
     edges = edges[: np.searchsorted(edges, farthest, side="right") + 1]
     pair_counts = np.diff(dm.pairs_by_bin(edges)[2][:-1])
     tie_counts = np.bincount(distance_bins(edges, dm.distances[net.a, net.b]),

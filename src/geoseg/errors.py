@@ -71,7 +71,7 @@ class UnknownSchoolId(GeosegError):
 
 
 class MismatchedIds(GeosegError):
-    """Network and distance matrix cover different school lists."""
+    """Roster, network or distance matrix list other schools, or in another order."""
 
 
 class InsufficientNeighbors(GeosegError):

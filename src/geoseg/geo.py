@@ -8,6 +8,9 @@ runs the haversine test only on the latitude band that can hold them (a
 great-circle distance is at least the Earth radius times the latitude
 difference), so memory grows with one band, never with schools x
 apartments.
+
+The ranking kernel ranks a block of schools' candidate cells, fed by
+`_distance_cells` or by `segregation._arc_cells` over a network's arcs.
 """
 
 from __future__ import annotations
@@ -74,17 +77,6 @@ class DistanceMatrix:
         d.setflags(write=False)
 
     @cached_property
-    def _index(self) -> dict[str, int]:
-        # reversed so a repeated id maps to its first position, like list.index
-        return {school_id: i for i, school_id in reversed(list(enumerate(self.ids)))}
-
-    def index_of(self, school_id: str) -> int:
-        try:
-            return self._index[school_id]
-        except KeyError:
-            raise ValueError(f"{school_id!r} is not a school of the matrix") from None
-
-    @cached_property
     def _binned_pairs(self) -> dict:
         return {}
 
@@ -144,66 +136,67 @@ def school_distance_matrix(roster: list[School]) -> DistanceMatrix:
     return DistanceMatrix(ids=[s.id for s in roster], distances=d)
 
 
-# Keys per ranking block: a float64 temporary of the block is 128 KB.
+# Distance-matrix cells per ranking block: a float64 copy of a block is 128 KB.
 _BLOCK_CELLS = 1 << 14
 
 
-def _rank_block(keys: np.ndarray, labels, seed: int, k_max: int) -> np.ndarray:
-    """Each row's first min(#candidates, k_max) columns by ascending key, as
-    a (rows x k_max) int array padded with -1.
+def _rank_cells(cells, labels, seed: int, k_max: int) -> np.ndarray:
+    """Each block row's first min(#candidates, k_max) cells by ascending
+    key, as their columns in a (rows x k_max) int array padded with -1.
 
-    A row's candidates are its finite keys. Exact key ties are broken by a
-    uniform jitter from substream(seed, label), drawn over the candidates
-    in column order; a row without candidates draws nothing. Each row is
-    cut at its k_max-th key (introselect, Musser 1997), every candidate
-    with a key at most that one is kept, so boundary ties stay in, and one
-    lexsort ranks the kept cells by (row, key, jitter). The jittered order
-    is total, so the first k columns of a row do not depend on k_max.
+    cells = (rows, cols, keys, ordinals, counts): candidate cells of the
+    block's rows, each one's place among the block's candidates in
+    row-major order, and each row's candidate count. Exact key ties are
+    broken by a uniform jitter from substream(seed, label), drawn over a
+    row's candidates in column order; a row without candidates draws
+    nothing. One lexsort ranks the cells by (row, key, jitter). The
+    jittered order is total, so the first k columns of a row depend
+    neither on k_max nor on candidates left out beyond them.
     """
-    width = keys.shape[1]
-    candidate = np.isfinite(keys)
-    counts = np.count_nonzero(candidate, axis=1)
+    rows, cols, keys, ordinals, counts = cells
     draws = np.concatenate([np.empty(0)] + [
         substream(seed, label).random(count)
         for label, count in zip(labels, counts.tolist()) if count])
-    kth = min(k_max, width) - 1
-    cut = np.partition(keys, kth, axis=1)[:, kth, None]
-    kept = keys <= cut
-    kept &= candidate
-    cells = np.flatnonzero(kept)
-    # draws follow the candidates in row-major order
-    jitter = draws[np.searchsorted(np.flatnonzero(candidate), cells)]
-    rows, cols = np.divmod(cells, width)
-    order = np.lexsort((jitter, np.take(keys, cells), rows))
+    order = np.lexsort((draws[ordinals], keys, rows))
     rows, cols = rows[order], cols[order]
-    per_row = np.bincount(rows, minlength=len(keys))
+    per_row = np.bincount(rows, minlength=len(counts))
     rank = np.arange(len(rows)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
     top = rank < k_max
-    ranked = np.full((len(keys), k_max), -1, dtype=np.int64)
+    ranked = np.full((len(counts), k_max), -1, dtype=np.int64)
     ranked[rows[top], rank[top]] = cols[top]
     return ranked
 
 
-def ranked_neighbors(rows, keys_of, labels, seed: int, k_max: int,
-                     width: int) -> np.ndarray:
-    """_rank_block over the matrix rows `rows`, in blocks of about
-    _BLOCK_CELLS keys; keys_of(block rows) gives a block's float keys
-    (width columns, +inf where a column is not a candidate)."""
-    rows = np.asarray(rows, dtype=np.int64)
-    step = max(1, _BLOCK_CELLS // width)
-    ranked = np.empty((len(rows), k_max), dtype=np.int64)
-    for lo in range(0, len(rows), step):
-        block = rows[lo:lo + step]
-        ranked[lo:lo + step] = _rank_block(keys_of(block), labels[lo:lo + step],
-                                           seed, k_max)
+def ranked_neighbors(cells, labels, seed: int, k_max: int) -> np.ndarray:
+    """_rank_cells over the schools at positions 0..len(labels) - 1, in
+    blocks of _BLOCK_CELLS // len(labels) schools; cells(block) gives the
+    candidate cells of the schools in the position slice block."""
+    n = len(labels)
+    step = max(1, _BLOCK_CELLS // n)
+    ranked = np.empty((n, k_max), dtype=np.int64)
+    for lo in range(0, n, step):
+        block = slice(lo, min(lo + step, n))
+        ranked[block] = _rank_cells(cells(block), labels[block], seed, k_max)
     return ranked
 
 
-def _distance_keys(dm: DistanceMatrix, rows: np.ndarray) -> np.ndarray:
-    """Ranking keys of the schools at rows: distances, itself excluded."""
-    keys = dm.distances[rows]
-    keys[np.arange(len(rows)), rows] = np.inf
-    return keys
+def _distance_cells(dm: DistanceMatrix, block: slice, k_max: int):
+    """Candidate cells of the schools in block, keyed by distance, the
+    school itself excluded. Each row is cut at its k_max-th key
+    (introselect, Musser 1997) and every candidate with a key at most that
+    one is kept, so boundary ties stay in."""
+    keys = dm.distances[block].copy()
+    np.fill_diagonal(keys[:, block.start:], np.inf)
+    width = keys.shape[1]
+    candidate = np.isfinite(keys)
+    kth = min(k_max, width) - 1
+    kept = keys <= np.partition(keys, kth, axis=1)[:, kth, None]
+    kept &= candidate
+    cells = np.flatnonzero(kept)
+    rows, cols = np.divmod(cells, width)
+    return (rows, cols, np.take(keys, cells),
+            np.searchsorted(np.flatnonzero(candidate), cells),
+            np.count_nonzero(candidate, axis=1))
 
 
 def geographic_neighbors(dm: DistanceMatrix, school_id: str, k: int,
@@ -217,8 +210,9 @@ def geographic_neighbors(dm: DistanceMatrix, school_id: str, k: int,
     n = len(dm.ids)
     if not 1 <= k <= n - 1:
         raise KOutOfRange(f"k={k} outside [1, {n - 1}]")
-    row = np.array([dm.index_of(school_id)])
-    picked = _rank_block(_distance_keys(dm, row), [school_id], seed, k)[0]
+    i = dm.ids.index(school_id)
+    picked = _rank_cells(_distance_cells(dm, slice(i, i + 1), k), [school_id],
+                         seed, k)[0]
     return [dm.ids[j] for j in picked.tolist()]
 
 

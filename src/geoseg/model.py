@@ -24,6 +24,7 @@ from .errors import (
     CoordinateOutOfRange,
     InvalidValue,
     LengthMismatch,
+    MismatchedIds,
     TooFewSamples,
     ZeroVariance,
 )
@@ -38,6 +39,13 @@ def substream(seed: int, label: str) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence([int(seed), zlib.crc32(label.encode("utf-8"))])
     )
+
+
+def check_roster(roster, ids, source: str) -> None:
+    """MismatchedIds unless the roster lists the school ids `ids` of
+    `source`, in their order: the statistics index schools by position."""
+    if [s.id for s in roster] != list(ids):
+        raise MismatchedIds(f"roster and {source} school lists differ")
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,8 @@ import numpy as np
 
 from .errors import DegenerateNull, InvalidValue
 from .geo import DistanceMatrix
-from .model import DecayCurve, School, SchoolNetwork, group_arcs, pearson, write_csv
+from .model import (DecayCurve, School, SchoolNetwork, check_roster, group_arcs,
+                    pearson, write_csv)
 
 
 @dataclass(frozen=True)
@@ -233,8 +234,7 @@ def null_distribution_s_d(
     """
     if simulations < 100:
         raise InvalidValue(f"need >= 100 simulations, got {simulations}")
-    if [s.id for s in roster] != list(dm.ids):
-        raise ValueError("roster and distance matrix school lists differ")
+    check_roster(roster, dm.ids, "distance matrix")
     table = _pair_table(curve, dm)
     scores = np.array([s.score for s in roster])
     samples = np.empty(simulations)

@@ -7,11 +7,13 @@ no tie are unreachable. A single seed drives all tie-breaks in a report,
 with per-school substreams so results do not depend on iteration order.
 
 Both neighbor-mean tables come from one ranking kernel,
-`geo.ranked_neighbors`, with distance keys (the school itself excluded)
-or minus-weight keys (untied schools excluded): rows are ranked a block
-at a time, and a table column k-1 is a row-wise cumsum of the first k
-neighbor scores over k. The one-school `geographic_neighbors` and
-`digital_neighbors` are one-row calls of the same kernel.
+`geo.ranked_neighbors`, over a block of schools' candidate cells:
+distances cut at the k_max-th (the school itself excluded), or the arcs
+keyed by minus their weight, so no digital row spans the roster. A table
+column k-1 is a row-wise cumsum of the first k neighbor scores over k.
+The one-school `geographic_neighbors` and `digital_neighbors` are
+one-row calls of the same kernel. Schools are roster positions: the
+roster lists the distance matrix's and network's schools in their order.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import numpy as np
 from .errors import InsufficientNeighbors, KOutOfRange, TooFewSamples
 from .geo import (
     DistanceMatrix,
-    _distance_keys,
-    _rank_block,
+    _distance_cells,
+    _rank_cells,
     geographic_neighbors,  # noqa: F401  (callers look it up here too)
     ranked_neighbors,
 )
@@ -30,21 +32,21 @@ from .model import (
     School,
     SchoolNetwork,
     SegregationReport,
+    check_roster,
     correlation_report,
     permutation_p_value,  # noqa: F401  (bench/spans.py traces it at this site)
     write_csv,
 )
 
 
-def _weight_keys(net: SchoolNetwork, rows: np.ndarray) -> np.ndarray:
-    """Ranking keys of the schools at rows: minus the tie weight, and
-    +inf (not a candidate) where there is no tie."""
+def _arc_cells(net: SchoolNetwork, block: slice):
+    """Candidate cells of the schools in block: their arcs, each keyed by
+    minus its weight, in the arc view's row-major ascending order."""
     indptr, neighbors, weights = net.arcs
-    keys = np.full((len(rows), len(net)), np.inf)
-    for row, i in zip(keys, rows.tolist()):
-        arcs = slice(indptr[i], indptr[i + 1])
-        row[neighbors[arcs]] = -weights[arcs]
-    return keys
+    counts = np.diff(indptr[block.start:block.stop + 1])
+    arcs = slice(indptr[block.start], indptr[block.stop])
+    return (np.repeat(np.arange(len(counts)), counts), neighbors[arcs],
+            -weights[arcs], np.arange(arcs.stop - arcs.start), counts)
 
 
 def digital_neighbors(net: SchoolNetwork, school_id: str, k: int,
@@ -60,7 +62,7 @@ def digital_neighbors(net: SchoolNetwork, school_id: str, k: int,
         raise InsufficientNeighbors(
             f"school {school_id!r} has degree {degree} < k={k}"
         )
-    picked = _rank_block(_weight_keys(net, np.array([i])), [school_id], seed, k)[0]
+    picked = _rank_cells(_arc_cells(net, slice(i, i + 1)), [school_id], seed, k)[0]
     return [net.schools[j] for j in picked.tolist()]
 
 
@@ -75,32 +77,25 @@ def _neighbor_means(scores: np.ndarray, ranked: np.ndarray) -> np.ndarray:
     return table
 
 
-def _column_scores(roster: list[School], ids) -> np.ndarray:
-    score = {s.id: s.score for s in roster}
-    return np.array([score[i] for i in ids])
-
-
 def geographic_means(roster, dm, k_max, seed) -> np.ndarray:
     """Neighbor-mean table over each school's k_max nearest schools."""
-    n = len(dm.ids)
-    if not 1 <= k_max <= n - 1:
-        raise KOutOfRange(f"k={k_max} outside [1, {n - 1}]")
-    rows = [dm.index_of(s.id) for s in roster]
-    ranked = ranked_neighbors(rows, lambda block: _distance_keys(dm, block),
-                              [s.id for s in roster], seed, k_max, n)
-    return _neighbor_means(_column_scores(roster, dm.ids), ranked)
+    check_roster(roster, dm.ids, "distance matrix")
+    if not 1 <= k_max <= len(roster) - 1:
+        raise KOutOfRange(f"k={k_max} outside [1, {len(roster) - 1}]")
+    ranked = ranked_neighbors(lambda block: _distance_cells(dm, block, k_max),
+                              [s.id for s in roster], seed, k_max)
+    return _neighbor_means(np.array([s.score for s in roster]), ranked)
 
 
 def digital_means(roster, net, k_max, seed) -> np.ndarray:
     """Neighbor-mean table over each school's k_max heaviest ties (all of
     them below k_max ties)."""
+    check_roster(roster, net.schools, "network")
     if not 1 <= k_max <= len(roster) - 1:
         raise KOutOfRange(f"k={k_max} outside [1, {len(roster) - 1}]")
-    rows = [net.index[s.id] for s in roster]
-    ranked = ranked_neighbors(rows, lambda block: _weight_keys(net, block),
-                              [s.id for s in roster], seed, k_max,
-                              len(net.schools))
-    return _neighbor_means(_column_scores(roster, net.schools), ranked)
+    ranked = ranked_neighbors(lambda block: _arc_cells(net, block),
+                              [s.id for s in roster], seed, k_max)
+    return _neighbor_means(np.array([s.score for s in roster]), ranked)
 
 
 def _report(name, roster, table, k, seed, permutations,
@@ -164,9 +159,10 @@ def degree_outcome_correlation(
     seed: int = 0,
 ) -> SegregationReport:
     """Correlation between school scores and degree centrality."""
+    check_roster(roster, net.schools, "network")
     return correlation_report(
-        "degree_outcome_correlation", [s.score for s in roster],
-        [int(net.degrees[net.index[s.id]]) for s in roster], permutations, seed)
+        "degree_outcome_correlation", [s.score for s in roster], net.degrees,
+        permutations, seed)
 
 
 def segregation_profile(

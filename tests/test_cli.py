@@ -159,6 +159,24 @@ class TestAnalyzeCommand:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bin_width_beyond_matrix_size_exits_2(self, city, tmp_path, capsys):
+        # schools some km apart would need billions of 1e-9 km bins
+        out = tmp_path / "out"
+        assert run_analyze(city, out, extra=("--bin-km", "1e-9")) == 2
+        assert "bin width 1e-09 km gives" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_dir_file_rejected_before_parse(self, city, tmp_path, capsys):
+        # the students file is malformed, so a parse would fail first
+        bad_city = tmp_path / "city"
+        shutil.copytree(city, bad_city)
+        (bad_city / "students.csv").write_bytes(b"s\xe9\n")
+        out = tmp_path / "out"
+        out.write_text("a file\n")
+        assert run_analyze(bad_city, out) == 2
+        assert "--out-dir" in capsys.readouterr().err
+        assert out.read_text() == "a file\n"
+
     def test_failed_run_leaves_no_output(self, city, tmp_path, capsys):
         # the digital S_d at --k 30 fails after the decay outputs are
         # written; none of them may reach --out-dir, nor a work directory

@@ -80,7 +80,7 @@ class TestCurve:
         assert lines[0] == "bin_mid_km,probability,pair_count"
         assert len(lines) == 1 + len(curve.pair_counts)
 
-    @pytest.mark.parametrize("width", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("width", [math.nan, math.inf, 0.0, -1.0, 1e-9])
     def test_bad_bin_width(self, width):
         dm = school_distance_matrix(equatorial_roster(6))
         with pytest.raises(InvalidValue, match="bin width"):

@@ -125,13 +125,13 @@ class TestDistanceMatrix:
         assert np.array_equal(dm.distances, dm.distances.T)
         assert np.all(np.diag(dm.distances) == 0)
 
-    def test_index_of_matches_list_index(self):
+    def test_neighbors_looked_up_by_matrix_position(self):
+        # schools listed out of id order: s0's nearest are s1, then s3
         roster = [make_school(i, 0.0, 0.1 * i) for i in (3, 0, 7, 1, 12)]
         dm = school_distance_matrix(roster)
-        for school_id in dm.ids:
-            assert dm.index_of(school_id) == dm.ids.index(school_id)
+        assert geographic_neighbors(dm, "s0", 2, seed=0) == ["s1", "s3"]
         with pytest.raises(ValueError):
-            dm.index_of("s99")
+            geographic_neighbors(dm, "s99", 1, seed=0)
 
     def test_pairs_by_bin_matches_per_pair_binning(self):
         rng = np.random.default_rng(9)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from geoseg import geo
+from geoseg.decay import tie_probability_curve
 from geoseg.errors import (
     InsufficientNeighbors,
     KOutOfRange,
+    MismatchedIds,
     TooFewSamples,
     ZeroVariance,
 )
@@ -19,6 +21,7 @@ from geoseg.model import (
     permutation_p_value,
     substream,
 )
+from geoseg.nullmodel import null_distribution_s_d
 from geoseg.segregation import (
     degree_outcome_correlation,
     digital_means,
@@ -196,7 +199,7 @@ def reference_geographic_neighbors(dm, school_id, k, seed):
     n = len(dm.ids)
     if not 1 <= k <= n - 1:
         raise KOutOfRange(f"k={k} outside [1, {n - 1}]")
-    i = dm.index_of(school_id)
+    i = dm.ids.index(school_id)
     candidates = np.delete(np.arange(n), i)
     rng = substream(seed, school_id)
     picked = _ranked_prefix(dm.distances[i, candidates], candidates, k, rng)
@@ -421,16 +424,31 @@ class TestRankingKernel:
         monkeypatch.setattr(geo, "_BLOCK_CELLS", rows * n)
         blocks = []
 
-        def counted(keys, *args):
-            blocks.append(len(keys))
-            return rank_block(keys, *args)
+        def counted(cells, labels, *args):
+            blocks.append(len(labels))
+            return rank_cells(cells, labels, *args)
 
-        rank_block = geo._rank_block
-        monkeypatch.setattr(geo, "_rank_block", counted)
+        rank_cells = geo._rank_cells
+        monkeypatch.setattr(geo, "_rank_cells", counted)
         roster, dm, net = lattice_city(n, seed=n)
         assert_tables_match(roster, dm, net, min(5, n - 1), seeds=[1])
         full, rest = divmod(n, rows)
         assert blocks == 2 * ([rows] * full + [rest] * bool(rest))
+
+    @pytest.mark.parametrize("statistic", [
+        lambda roster, dm, net: geographic_means(roster, dm, 3, seed=0),
+        lambda roster, dm, net: digital_means(roster, net, 3, seed=0),
+        lambda roster, dm, net: degree_outcome_correlation(roster, net),
+        lambda roster, dm, net: null_distribution_s_d(
+            roster, dm, tie_probability_curve(net, dm), 1, 100, seed=0,
+            observed=0.0),
+    ], ids=["geographic_means", "digital_means", "degree_outcome_correlation",
+            "null_distribution_s_d"])
+    def test_roster_out_of_order_rejected(self, statistic):
+        # the tables and the null model index schools by roster position
+        roster, dm, net = sparse_city()
+        with pytest.raises(MismatchedIds, match="school lists differ"):
+            statistic(roster[::-1], dm, net)
 
     def test_default_blocks(self):
         roster, net, _ = generate_city(SynthConfig(n_schools=600, seed=8))
