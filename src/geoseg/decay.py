@@ -52,7 +52,7 @@ def fit_power_law(
 ):
     """Pair-count-weighted least squares of log(probability) on
     log(bin midpoint) over bins beyond d_min_km. Returns (exponent,
-    prefactor) and stores both on the curve.
+    prefactor); the curve is left unchanged.
 
     d_min_km defaults to the first bin's upper edge: the short-range
     plateau is excluded from the power-law regime. Zero-probability bins
@@ -77,9 +77,7 @@ def fit_power_law(
     y = np.log(curve.probabilities[eligible])
     # polyfit weights multiply residuals; sqrt gives pair_count-weighted OLS
     slope, intercept = np.polyfit(x, y, 1, w=np.sqrt(curve.pair_counts[eligible]))
-    curve.fitted_exponent = float(slope)
-    curve.fitted_prefactor = float(np.exp(intercept))
-    return curve.fitted_exponent, curve.fitted_prefactor
+    return float(slope), float(np.exp(intercept))
 
 
 def write_curve_csv(curve: DecayCurve, path) -> None:

@@ -67,7 +67,9 @@ class KOutOfRange(GeosegError):
 
 
 class UnknownSchoolId(GeosegError):
-    """Student assigned to a school missing from the roster."""
+    """A school id that the roster, network or distance matrix does not
+    list: a student assigned to a school missing from the roster, or a
+    neighbor query for an unknown school."""
 
 
 class MismatchedIds(GeosegError):

@@ -11,6 +11,8 @@ apartments.
 
 The ranking kernel ranks a block of schools' candidate cells, fed by
 `_distance_cells` or by `segregation._arc_cells` over a network's arcs.
+Exact key ties are broken by one seeded uniform matrix, cell (i, j) for
+school i's candidate j, drawn a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .model import (
     SegregationReport,
     correlation_report,
     permutation_p_value,  # noqa: F401  (bench/spans.py traces it at this site)
-    substream,
+    position_of,
 )
 
 
@@ -140,43 +142,48 @@ def school_distance_matrix(roster: list[School]) -> DistanceMatrix:
 _BLOCK_CELLS = 1 << 14
 
 
-def _rank_cells(cells, labels, seed: int, k_max: int) -> np.ndarray:
-    """Each block row's first min(#candidates, k_max) cells by ascending
+def _tie_jitter(seed: int, block: slice, n: int) -> np.ndarray:
+    """Rows block of np.random.default_rng(seed).random((n, n)), drawn
+    alone: PCG64 gives one double per step, so the stream is advanced
+    (O'Neill 2014) past the block.start * n draws of the rows before."""
+    bits = np.random.PCG64(seed)
+    bits.advance(block.start * n)
+    return np.random.Generator(bits).random((block.stop - block.start, n))
+
+
+def _rank_cells(cells, block: slice, n: int, seed: int, k_max: int) -> np.ndarray:
+    """Each row of block's first min(#candidates, k_max) cells by ascending
     key, as their columns in a (rows x k_max) int array padded with -1.
 
-    cells = (rows, cols, keys, ordinals, counts): candidate cells of the
-    block's rows, each one's place among the block's candidates in
-    row-major order, and each row's candidate count. Exact key ties are
-    broken by a uniform jitter from substream(seed, label), drawn over a
-    row's candidates in column order; a row without candidates draws
-    nothing. One lexsort ranks the cells by (row, key, jitter). The
-    jittered order is total, so the first k columns of a row depend
+    cells = (rows, cols, keys): candidate cells of the block's rows, rows
+    counted from block.start and cols among the n schools. Exact key ties
+    are broken by cell (block.start + row, col) of the seeded uniform
+    matrix of _tie_jitter, so a cell's jitter depends on the seed and the
+    two schools only. One lexsort ranks the cells by (row, key, jitter).
+    The jittered order is total, so the first k columns of a row depend
     neither on k_max nor on candidates left out beyond them.
     """
-    rows, cols, keys, ordinals, counts = cells
-    draws = np.concatenate([np.empty(0)] + [
-        substream(seed, label).random(count)
-        for label, count in zip(labels, counts.tolist()) if count])
-    order = np.lexsort((draws[ordinals], keys, rows))
+    rows, cols, keys = cells
+    jitter = _tie_jitter(seed, block, n)[rows, cols]
+    order = np.lexsort((jitter, keys, rows))
     rows, cols = rows[order], cols[order]
-    per_row = np.bincount(rows, minlength=len(counts))
+    per_row = np.bincount(rows, minlength=block.stop - block.start)
     rank = np.arange(len(rows)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
     top = rank < k_max
-    ranked = np.full((len(counts), k_max), -1, dtype=np.int64)
+    ranked = np.full((len(per_row), k_max), -1, dtype=np.int64)
     ranked[rows[top], rank[top]] = cols[top]
     return ranked
 
 
-def ranked_neighbors(cells, labels, seed: int, k_max: int) -> np.ndarray:
-    """_rank_cells over the schools at positions 0..len(labels) - 1, in
-    blocks of _BLOCK_CELLS // len(labels) schools; cells(block) gives the
-    candidate cells of the schools in the position slice block."""
-    n = len(labels)
+def ranked_neighbors(cells, n: int, seed: int, k_max: int) -> np.ndarray:
+    """_rank_cells over the schools at positions 0..n - 1, in blocks of
+    _BLOCK_CELLS // n schools; cells(block) gives the candidate cells of
+    the schools in the position slice block."""
     step = max(1, _BLOCK_CELLS // n)
     ranked = np.empty((n, k_max), dtype=np.int64)
     for lo in range(0, n, step):
         block = slice(lo, min(lo + step, n))
-        ranked[block] = _rank_cells(cells(block), labels[block], seed, k_max)
+        ranked[block] = _rank_cells(cells(block), block, n, seed, k_max)
     return ranked
 
 
@@ -188,31 +195,27 @@ def _distance_cells(dm: DistanceMatrix, block: slice, k_max: int):
     keys = dm.distances[block].copy()
     np.fill_diagonal(keys[:, block.start:], np.inf)
     width = keys.shape[1]
-    candidate = np.isfinite(keys)
-    kth = min(k_max, width) - 1
-    kept = keys <= np.partition(keys, kth, axis=1)[:, kth, None]
-    kept &= candidate
-    cells = np.flatnonzero(kept)
+    # at most the (n - 1)-th key: the row's one inf, itself, stays out
+    kth = min(k_max, width - 1) - 1
+    cells = np.flatnonzero(keys <= np.partition(keys, kth, axis=1)[:, kth, None])
     rows, cols = np.divmod(cells, width)
-    return (rows, cols, np.take(keys, cells),
-            np.searchsorted(np.flatnonzero(candidate), cells),
-            np.count_nonzero(candidate, axis=1))
+    return rows, cols, np.take(keys, cells)
 
 
 def geographic_neighbors(dm: DistanceMatrix, school_id: str, k: int,
                          seed: int) -> list[str]:
     """The k geographically closest schools to school_id, excluding itself.
 
-    Exact distance ties are broken by a seeded uniform choice among the
-    tied candidates, with a per-school substream so results do not depend
-    on the order schools are processed in.
+    Exact distance ties are broken by the seeded uniform matrix of
+    _tie_jitter, so results do not depend on the order schools are
+    processed in. UnknownSchoolId if the matrix lists no school_id.
     """
     n = len(dm.ids)
     if not 1 <= k <= n - 1:
         raise KOutOfRange(f"k={k} outside [1, {n - 1}]")
-    i = dm.ids.index(school_id)
-    picked = _rank_cells(_distance_cells(dm, slice(i, i + 1), k), [school_id],
-                         seed, k)[0]
+    i = position_of(dm.ids, school_id)
+    row = slice(i, i + 1)
+    picked = _rank_cells(_distance_cells(dm, row, k), row, n, seed, k)[0]
     return [dm.ids[j] for j in picked.tolist()]
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import zlib
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
@@ -26,19 +25,20 @@ from .errors import (
     LengthMismatch,
     MismatchedIds,
     TooFewSamples,
+    UnknownSchoolId,
     ZeroVariance,
 )
 
 EARTH_RADIUS_KM = 6371.0
 
 
-def substream(seed: int, label: str) -> np.random.Generator:
-    """Generator derived from (seed, label) so per-school randomness does
-    not depend on iteration order. Labels are hashed with crc32 (stable
-    across processes, unlike Python's salted str hash)."""
-    return np.random.default_rng(
-        np.random.SeedSequence([int(seed), zlib.crc32(label.encode("utf-8"))])
-    )
+def position_of(ids: list[str], school_id: str) -> int:
+    """school_id's position in the school list ids; UnknownSchoolId if it
+    is not there."""
+    try:
+        return ids.index(school_id)
+    except ValueError:
+        raise UnknownSchoolId(f"unknown school id {school_id!r}") from None
 
 
 def check_roster(roster, ids, source: str) -> None:
@@ -216,7 +216,6 @@ class SchoolNetwork:
         self.schools = list(schools)
         self.a, self.b, self.weight = a, b, weight
         self.kind = kind
-        self.index = {s: i for i, s in enumerate(self.schools)}
 
     def __len__(self):
         return len(self.schools)
@@ -255,8 +254,6 @@ class DecayCurve:
     bin_edges: np.ndarray  # strictly increasing, starts at 0, len = bins + 1
     probabilities: np.ndarray
     pair_counts: np.ndarray
-    fitted_exponent: float | None = None
-    fitted_prefactor: float | None = None
 
     def __post_init__(self):
         edges = np.asarray(self.bin_edges, dtype=float)

@@ -3,8 +3,9 @@ S_d(k), plus the degree-outcome correlation.
 
 Digital distance is the reciprocal of the tie weight, so ordering by
 descending weight is identical and avoids dividing by zero; schools with
-no tie are unreachable. A single seed drives all tie-breaks in a report,
-with per-school substreams so results do not depend on iteration order.
+no tie are unreachable. A single seed drives all tie-breaks in a report:
+cell (i, j) of one seeded uniform matrix breaks a tie at school i's
+candidate j, so results do not depend on iteration order.
 
 Both neighbor-mean tables come from one ranking kernel,
 `geo.ranked_neighbors`, over a block of schools' candidate cells:
@@ -35,34 +36,36 @@ from .model import (
     check_roster,
     correlation_report,
     permutation_p_value,  # noqa: F401  (bench/spans.py traces it at this site)
+    position_of,
     write_csv,
 )
 
 
 def _arc_cells(net: SchoolNetwork, block: slice):
     """Candidate cells of the schools in block: their arcs, each keyed by
-    minus its weight, in the arc view's row-major ascending order."""
+    minus its weight."""
     indptr, neighbors, weights = net.arcs
     counts = np.diff(indptr[block.start:block.stop + 1])
     arcs = slice(indptr[block.start], indptr[block.stop])
-    return (np.repeat(np.arange(len(counts)), counts), neighbors[arcs],
-            -weights[arcs], np.arange(arcs.stop - arcs.start), counts)
+    return np.repeat(np.arange(len(counts)), counts), neighbors[arcs], -weights[arcs]
 
 
 def digital_neighbors(net: SchoolNetwork, school_id: str, k: int,
                       seed: int) -> list[str]:
     """The k schools with the largest tie weight to school_id. Equal
     weights are broken by a seeded uniform choice among the tied
-    candidates; deterministic for a fixed seed."""
+    candidates; deterministic for a fixed seed. UnknownSchoolId if the
+    network lists no school_id."""
     if k < 1:
         raise KOutOfRange(f"k={k} must be >= 1")
-    i = net.index[school_id]
+    i = position_of(net.schools, school_id)
     degree = int(net.degrees[i])
     if degree < k:
         raise InsufficientNeighbors(
             f"school {school_id!r} has degree {degree} < k={k}"
         )
-    picked = _rank_cells(_arc_cells(net, slice(i, i + 1)), [school_id], seed, k)[0]
+    row = slice(i, i + 1)
+    picked = _rank_cells(_arc_cells(net, row), row, len(net), seed, k)[0]
     return [net.schools[j] for j in picked.tolist()]
 
 
@@ -83,18 +86,19 @@ def geographic_means(roster, dm, k_max, seed) -> np.ndarray:
     if not 1 <= k_max <= len(roster) - 1:
         raise KOutOfRange(f"k={k_max} outside [1, {len(roster) - 1}]")
     ranked = ranked_neighbors(lambda block: _distance_cells(dm, block, k_max),
-                              [s.id for s in roster], seed, k_max)
+                              len(roster), seed, k_max)
     return _neighbor_means(np.array([s.score for s in roster]), ranked)
 
 
 def digital_means(roster, net, k_max, seed) -> np.ndarray:
     """Neighbor-mean table over each school's k_max heaviest ties (all of
-    them below k_max ties)."""
+    them below k_max ties). Every school draws a row of tie-break
+    uniforms, a school without ties too."""
     check_roster(roster, net.schools, "network")
     if not 1 <= k_max <= len(roster) - 1:
         raise KOutOfRange(f"k={k_max} outside [1, {len(roster) - 1}]")
     ranked = ranked_neighbors(lambda block: _arc_cells(net, block),
-                              [s.id for s in roster], seed, k_max)
+                              len(roster), seed, k_max)
     return _neighbor_means(np.array([s.score for s in roster]), ranked)
 
 

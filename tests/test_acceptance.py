@@ -206,13 +206,13 @@ def s_d_oracle_check(roster, net, k, seed):
     rep = digital_segregation(roster, net, k, seed)
     own, means = [], []
     for school in roster:
-        i = net.index[school.id]
+        i = net.schools.index(school.id)
         row = dense_weights(net)[i]
         if int((row > 0).sum()) < k:
             continue
         chosen = geoseg.digital_neighbors(net, school.id, k, seed)
         assert len(set(chosen)) == k and school.id not in chosen
-        w_chosen = [int(row[net.index[c]]) for c in chosen]
+        w_chosen = [int(row[net.schools.index(c)]) for c in chosen]
         threshold = min(w_chosen)
         assert all(w >= 1 for w in w_chosen)
         # every strictly heavier school must be chosen

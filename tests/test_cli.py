@@ -15,7 +15,6 @@ from geoseg.model import (
     SegregationReport,
     pearson,
     permutation_p_value,
-    substream,
 )
 
 from dense import dense_weights
@@ -245,9 +244,9 @@ def city_inputs(city):
 
 class TestAnalyzeRanksOnce:
     def test_one_ranking_per_school_and_kind(self, city, tmp_path, monkeypatch):
-        # a ranked school draws its tie-break jitter from one substream, so
-        # the substreams drawn per table count the rankings: one per school
-        # for geography, one per school with a tie for the digital table
+        # a ranked block draws one row of tie-break jitter per school, so
+        # the rows drawn per table count the rankings: one per school for
+        # geography and one per school for the digital table
         draws = {"geo": Counter(), "digital": Counter()}
         table = []
 
@@ -260,21 +259,21 @@ class TestAnalyzeRanksOnce:
                     table.pop()
             return wrapper
 
-        def counted(seed, label):
-            draws[table[-1]][label] += 1  # IndexError outside the two tables
-            return substream(seed, label)
+        def counted(seed, block, n):
+            # IndexError outside the two tables
+            draws[table[-1]].update(range(block.start, block.stop))
+            return tie_jitter(seed, block, n)
 
-        monkeypatch.setattr(geo, "substream", counted)
+        tie_jitter = geo._tie_jitter
+        monkeypatch.setattr(geo, "_tie_jitter", counted)
         monkeypatch.setattr(segregation, "geographic_means",
                             ranking("geo", segregation.geographic_means))
         monkeypatch.setattr(segregation, "digital_means",
                             ranking("digital", segregation.digital_means))
         assert run_analyze(city, tmp_path / "out", extra=("--null-k", "2")) == 0
-        roster, _, net = city_inputs(city)
-        degrees = (dense_weights(net) > 0).sum(axis=1)
-        assert draws["geo"] == Counter(s.id for s in roster)
-        assert draws["digital"] == Counter(
-            s.id for s in roster if degrees[net.index[s.id]] >= 1)
+        roster, _, _ = city_inputs(city)
+        assert draws["geo"] == Counter(range(len(roster)))
+        assert draws["digital"] == Counter(range(len(roster)))
 
     @pytest.mark.parametrize("null_k", [2, 5, 7])
     def test_reports_match_single_k_functions(self, city, tmp_path, null_k):
@@ -321,7 +320,7 @@ def correlation_inputs(city):
         ("center_distance_correlation", scores, geo._haversine_km(lat, lon, 0.0, 0.0),
          {"center_lat": 0.0, "center_lon": 0.0}),
         ("degree_outcome_correlation", scores,
-         [int(degrees[net.index[s.id]]) for s in roster], {}),
+         [int(degrees[net.schools.index(s.id)]) for s in roster], {}),
     ]
 
 

@@ -118,7 +118,6 @@ class TestPowerLawFit:
         exponent, prefactor = fit_power_law(curve, d_min_km=1.0)
         assert abs(exponent + 0.62) < 1e-9
         assert abs(prefactor - 0.5) < 1e-9
-        assert curve.fitted_exponent == exponent
 
     def test_constant_probability_gives_zero_exponent(self):
         curve = synthetic_curve(0.0, 0.4)

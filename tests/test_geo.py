@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoseg.errors import KOutOfRange, TooFewSamples, TooFewSchools
+from geoseg.errors import KOutOfRange, TooFewSamples, TooFewSchools, UnknownSchoolId
 from geoseg.geo import (
     _apartments_within,
     _haversine_km,
     _latlon_arrays,
+    _tie_jitter,
     center_distance_correlation,
     geographic_neighbors,
     haversine,
@@ -130,8 +131,18 @@ class TestDistanceMatrix:
         roster = [make_school(i, 0.0, 0.1 * i) for i in (3, 0, 7, 1, 12)]
         dm = school_distance_matrix(roster)
         assert geographic_neighbors(dm, "s0", 2, seed=0) == ["s1", "s3"]
-        with pytest.raises(ValueError):
+        with pytest.raises(UnknownSchoolId):
             geographic_neighbors(dm, "s99", 1, seed=0)
+
+    @pytest.mark.parametrize("block", [slice(0, 1), slice(4, 9), slice(10, 11),
+                                       slice(8, 11)],
+                             ids=["first row", "middle block", "last row",
+                                  "short last block"])
+    def test_tie_jitter_rows_of_one_matrix(self, block):
+        # the block's rows of the whole seeded matrix, drawn by jump-ahead
+        n = 11
+        whole = np.random.default_rng(42).random((n, n))
+        assert np.array_equal(_tie_jitter(42, block, n), whole[block])
 
     def test_pairs_by_bin_matches_per_pair_binning(self):
         rng = np.random.default_rng(9)

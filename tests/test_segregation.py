@@ -10,6 +10,7 @@ from geoseg.errors import (
     KOutOfRange,
     MismatchedIds,
     TooFewSamples,
+    UnknownSchoolId,
     ZeroVariance,
 )
 from geoseg.geo import geographic_neighbors, school_distance_matrix
@@ -19,7 +20,6 @@ from geoseg.model import (
     SegregationReport,
     pearson,
     permutation_p_value,
-    substream,
 )
 from geoseg.nullmodel import null_distribution_s_d
 from geoseg.segregation import (
@@ -184,13 +184,14 @@ class TestDegreeOutcome:
 
 
 # The per-school ranking that the blocked kernel replaced, kept as its
-# oracle: one substream, one jitter draw and one full lexsort per school.
+# oracle: one full lexsort per school, its tie-break jitter the school's
+# row of the whole seeded n x n uniform matrix.
 
 def _ranked_prefix(keys: np.ndarray, candidates: np.ndarray, k: int,
-                   rng: np.random.Generator) -> list[int]:
-    """First k candidate indices ordered by key, exact ties broken by a
-    uniform random jitter."""
-    jitter = rng.random(len(candidates))
+                   seed: int, i: int, n: int) -> list[int]:
+    """First k candidate indices ordered by key, exact ties broken by
+    row i of np.random.default_rng(seed).random((n, n))."""
+    jitter = np.random.default_rng(seed).random((n, n))[i, candidates]
     order = np.lexsort((jitter, keys))
     return candidates[order[:k]].tolist()
 
@@ -201,21 +202,20 @@ def reference_geographic_neighbors(dm, school_id, k, seed):
         raise KOutOfRange(f"k={k} outside [1, {n - 1}]")
     i = dm.ids.index(school_id)
     candidates = np.delete(np.arange(n), i)
-    rng = substream(seed, school_id)
-    picked = _ranked_prefix(dm.distances[i, candidates], candidates, k, rng)
+    picked = _ranked_prefix(dm.distances[i, candidates], candidates, k, seed, i, n)
     return [dm.ids[j] for j in picked]
 
 
 def reference_digital_neighbors(net, school_id, k, seed):
     if k < 1:
         raise KOutOfRange(f"k={k} must be >= 1")
-    row = dense_weights(net)[net.index[school_id]]
+    i = net.schools.index(school_id)
+    row = dense_weights(net)[i]
     candidates = np.nonzero(row > 0)[0]
     if len(candidates) < k:
         raise InsufficientNeighbors(
             f"school {school_id!r} has degree {len(candidates)} < k={k}")
-    rng = substream(seed, school_id)
-    picked = _ranked_prefix(-row[candidates], candidates, k, rng)
+    picked = _ranked_prefix(-row[candidates], candidates, k, seed, i, len(net))
     return [net.schools[j] for j in picked]
 
 
@@ -235,7 +235,7 @@ def reference_geographic_means(roster, dm, k_max, seed):
 
 def reference_digital_means(roster, net, k_max, seed):
     degrees = (dense_weights(net) > 0).sum(axis=1)
-    ks = [min(int(degrees[net.index[s.id]]), k_max) for s in roster]
+    ks = [min(int(degrees[net.schools.index(s.id)]), k_max) for s in roster]
     return reference_means(roster, [
         reference_digital_neighbors(net, s.id, k, seed) if k else []
         for s, k in zip(roster, ks)
@@ -267,7 +267,7 @@ def reference_profile(roster, dm, net, k_values, seed, permutations=0):
             / k
             for s in roster
         ]
-        linked = [s for s in roster if degrees[net.index[s.id]] >= k]
+        linked = [s for s in roster if degrees[net.schools.index(s.id)] >= k]
         dig_mean = [
             sum(scores[j] for j in reference_digital_neighbors(net, s.id, k, seed))
             / k
@@ -424,9 +424,9 @@ class TestRankingKernel:
         monkeypatch.setattr(geo, "_BLOCK_CELLS", rows * n)
         blocks = []
 
-        def counted(cells, labels, *args):
-            blocks.append(len(labels))
-            return rank_cells(cells, labels, *args)
+        def counted(cells, block, *args):
+            blocks.append(block.stop - block.start)
+            return rank_cells(cells, block, *args)
 
         rank_cells = geo._rank_cells
         monkeypatch.setattr(geo, "_rank_cells", counted)
@@ -463,9 +463,18 @@ class TestRankingKernel:
             for k in range(1, len(roster)):
                 assert (geographic_neighbors(dm, s.id, k, 5)
                         == reference_geographic_neighbors(dm, s.id, k, 5))
-            for k in range(1, degrees[net.index[s.id]] + 1):
+            for k in range(1, degrees[net.schools.index(s.id)] + 1):
                 assert (digital_neighbors(net, s.id, k, 5)
                         == reference_digital_neighbors(net, s.id, k, 5))
+
+    @pytest.mark.parametrize("neighbors", [
+        lambda dm, net: geographic_neighbors(dm, "nope", 1, 0),
+        lambda dm, net: digital_neighbors(net, "nope", 1, 0),
+    ], ids=["geographic_neighbors", "digital_neighbors"])
+    def test_unknown_school_id(self, neighbors):
+        _, dm, net = shared_location_city()
+        with pytest.raises(UnknownSchoolId, match="'nope'"):
+            neighbors(dm, net)
 
 
 class TestProfile:
