@@ -1,13 +1,13 @@
 """Spatial and digital segregation analysis of school friendship networks."""
 
 from .model import (
-    Apartment,
     DecayCurve,
     GeoPoint,
     School,
     SchoolNetwork,
     SegregationReport,
     StudentGraph,
+    apartment_table,
     pearson,
     permutation_p_value,
 )
@@ -39,7 +39,6 @@ from .synth import SynthConfig, generate_apartments, generate_city
 __version__ = "0.1.0"
 
 __all__ = [
-    "Apartment",
     "DecayCurve",
     "DistanceMatrix",
     "GeoPoint",
@@ -49,6 +48,7 @@ __all__ = [
     "SegregationReport",
     "StudentGraph",
     "SynthConfig",
+    "apartment_table",
     "binarize",
     "build_count_network",
     "build_min_symmetrized_network",

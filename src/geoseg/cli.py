@@ -147,7 +147,6 @@ def _analyze(args, center: GeoPoint, out_dir: str) -> None:
             roster, apartments, args.radius_km, args.permutations, args.seed),
         geo.center_distance_correlation(roster, center, args.permutations, args.seed),
     ]
-    del apartments
     # one ranking per school and kind: the --k reports, the k=1..K profile
     # and the observed S_d(--null-k) all read prefixes of these tables
     geo_means = segregation.geographic_means(roster, dm, args.k, args.seed)

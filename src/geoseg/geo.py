@@ -3,11 +3,11 @@ segregation measures (neighborhood affluence and center-distance
 correlations).
 
 S_n(R) averages the price per sqm of the apartments strictly within R of
-each school. The apartments are sorted by latitude once, and each school
-runs the haversine test only on the latitude band that can hold them (a
-great-circle distance is at least the Earth radius times the latitude
-difference), so memory grows with one band, never with schools x
-apartments.
+each school. The apartment table (`model.apartment_table`) is sorted by
+latitude once, and each school runs the haversine test only on the band
+that can hold them (a great-circle distance is at least the Earth radius
+times the latitude difference), so memory grows with one band, never with
+schools x apartments.
 
 The ranking kernel ranks a block of schools' candidate cells, fed by
 `_distance_cells` or by `segregation._arc_cells` over a network's arcs.
@@ -25,7 +25,6 @@ import numpy as np
 from .errors import InvalidValue, KOutOfRange, TooFewSamples, TooFewSchools
 from .model import (
     EARTH_RADIUS_KM,
-    Apartment,
     GeoPoint,
     School,
     SegregationReport,
@@ -219,7 +218,7 @@ def geographic_neighbors(dm: DistanceMatrix, school_id: str, k: int,
     return [dm.ids[j] for j in picked.tolist()]
 
 
-def _apartments_within(roster: list[School], apartments: list[Apartment],
+def _apartments_within(roster: list[School], apartments: np.recarray,
                        radius_km: float):
     """Per school, the number and the summed price per sqm of apartments
     strictly within radius_km.
@@ -229,11 +228,9 @@ def _apartments_within(roster: list[School], apartments: list[Apartment],
     the band never drops an apartment that the strict haversine test keeps.
     """
     slat, slon = _latlon_arrays(roster)
-    alat = np.array([a.location.latitude for a in apartments])
-    order = np.argsort(alat, kind="stable")
-    alat = alat[order]
-    alon = np.array([a.location.longitude for a in apartments])[order]
-    prices = np.array([a.price_per_sqm for a in apartments])[order]
+    order = np.argsort(apartments["latitude"], kind="stable")
+    alat, alon, prices = (apartments[name][order]
+                          for name in ("latitude", "longitude", "price_per_sqm"))
     delta = np.degrees(radius_km / EARTH_RADIUS_KM) * (1 + 1e-9) + 1e-12
     lo = np.searchsorted(alat, slat - delta, side="left")
     hi = np.searchsorted(alat, slat + delta, side="right")
@@ -248,7 +245,7 @@ def _apartments_within(roster: list[School], apartments: list[Apartment],
 
 def neighborhood_affluence_segregation(
     roster: list[School],
-    apartments: list[Apartment],
+    apartments: np.recarray,
     radius_km: float,
     permutations: int = 0,
     seed: int = 0,

@@ -10,6 +10,7 @@ newlines inside quoted fields counted):
   edges:      student_id_a, student_id_b
   schools:    school_id, latitude, longitude, score  (empty score = missing)
   apartments: latitude, longitude, price, area  -- or a price_per_sqm column
+              (a row needs a price_per_sqm field, or price and area fields)
 
 Each student id is coded as an int the first time the students or edges
 file names it, and the students stay coded until the school networks are
@@ -39,7 +40,7 @@ from .errors import (
     MalformedRow,
     NonPositiveArea,
 )
-from .model import Apartment, GeoPoint, School, StudentGraph, _unique_pairs
+from .model import GeoPoint, School, StudentGraph, _unique_pairs, apartment_table
 
 DEFAULT_MAX_COHORT = 1000
 
@@ -64,7 +65,7 @@ class RawInputs:
     """
 
     def __init__(self, claims: dict[str, set[str]], edges, schools: list[RawSchool],
-                 apartments: list[Apartment]):
+                 apartments: np.recarray):
         ids: dict[str, int] = {}
         school_code: dict[str, int] = {}
         pairs = [(ids.setdefault(s, len(ids)), school_code.setdefault(c, len(school_code)))
@@ -109,7 +110,7 @@ class RawInputs:
     def __eq__(self, other):
         return (isinstance(other, RawInputs) and self.claims == other.claims
                 and self.edges == other.edges and self.schools == other.schools
-                and self.apartments == other.apartments)
+                and np.array_equal(self.apartments, other.apartments))
 
 
 @dataclass
@@ -257,15 +258,19 @@ def parse_schools(path) -> list[RawSchool]:
     return schools
 
 
-def apartment_prices(path) -> list[Apartment]:
-    """Apartments with price per square meter, computed from price/area
-    when not given directly. Rows with area <= 0 are rejected."""
-    apartments: list[Apartment] = []
+def apartment_prices(path) -> np.recarray:
+    """The apartment table (model.apartment_table), price per square meter
+    computed from price/area when not given directly. Rows with area <= 0
+    are rejected."""
+    rows = []
     records = _records(path, ("latitude", "longitude"), ("price_per_sqm", "price", "area"))
     for line_no, (lat, lon, per_sqm, price, area) in records:
         location = _location(lat, lon, path, line_no)
         if per_sqm:
             price_per_sqm = _float_field(per_sqm, "price_per_sqm", path, line_no)
+        elif price is None or area is None:
+            raise MalformedRow(path, line_no, "no price: needs a price_per_sqm field, "
+                               "or price and area fields")
         else:
             price = _float_field(price, "price", path, line_no)
             area = _float_field(area, "area", path, line_no)
@@ -275,8 +280,8 @@ def apartment_prices(path) -> list[Apartment]:
         if not 0 < price_per_sqm < math.inf:
             raise MalformedRow(path, line_no, f"price per sqm {price_per_sqm} "
                                "not positive and finite")
-        apartments.append(Apartment(location=location, price_per_sqm=price_per_sqm))
-    return apartments
+        rows.append((location.latitude, location.longitude, price_per_sqm))
+    return apartment_table(*np.array(rows, dtype=float).reshape(-1, 3).T)
 
 
 def parse_inputs(students_file, edges_file, schools_file,

@@ -74,14 +74,28 @@ class School:
             raise InvalidValue(f"school {self.id}: invalid score {self.score}")
 
 
-@dataclass(frozen=True)
-class Apartment:
-    location: GeoPoint
-    price_per_sqm: float  # rubles per square meter
+APARTMENT_DTYPE = np.dtype([("latitude", np.float64), ("longitude", np.float64),
+                            ("price_per_sqm", np.float64)])
 
-    def __post_init__(self):
-        if not math.isfinite(self.price_per_sqm) or self.price_per_sqm <= 0:
-            raise InvalidValue(f"invalid price per sqm {self.price_per_sqm}")
+
+def apartment_table(latitude, longitude, price_per_sqm) -> np.recarray:
+    """The apartments as one read-only record array of APARTMENT_DTYPE
+    (prices in rubles per square meter). Unequal column lengths, a
+    coordinate out of range or not finite, or a price not positive and
+    finite raise a GeosegError that names the first bad value."""
+    lat, lon, price = (np.asarray(c, dtype=float) for c in (latitude, longitude, price_per_sqm))
+    if lat.ndim != 1 or not lat.shape == lon.shape == price.shape:
+        raise LengthMismatch(f"apartment column shapes {lat.shape}, {lon.shape}, {price.shape}")
+    for name, values, bound in (("latitude", lat, 90), ("longitude", lon, 180)):
+        bad = np.flatnonzero(~(np.abs(values) <= bound))
+        if len(bad):
+            raise CoordinateOutOfRange(f"{name} {values[bad[0]]} outside [-{bound}, {bound}]")
+    bad = np.flatnonzero(~((price > 0) & (price < np.inf)))
+    if len(bad):
+        raise InvalidValue(f"invalid price per sqm {price[bad[0]]}")
+    table = np.rec.fromarrays((lat, lon, price), dtype=APARTMENT_DTYPE)
+    table.flags.writeable = False
+    return table
 
 
 def _key_counts(keys):
@@ -188,16 +202,11 @@ class SchoolNetwork:
     Schools are positions in `schools`. The ties are int64 arrays a < b,
     sorted by (a, b) with each pair once, and a positive integer `weight`
     per pair; so the network is symmetric and intra-school ties, reported
-    by the ingest summary instead, cannot occur. kind is one of
-    'raw-count', 'min-symmetrized', 'binary'. `degrees` counts each
+    by the ingest summary instead, cannot occur. `degrees` counts each
     school's tied schools; `arcs` is the per-school view of the ties.
     """
 
-    KINDS = ("raw-count", "min-symmetrized", "binary")
-
-    def __init__(self, schools: list[str], a, b, weight, kind: str):
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown network kind {kind!r}")
+    def __init__(self, schools: list[str], a, b, weight):
         n = len(schools)
         a, b, weight = (np.asarray(x) for x in (a, b, weight))
         if a.ndim != 1 or not a.shape == b.shape == weight.shape:
@@ -215,7 +224,6 @@ class SchoolNetwork:
             array.flags.writeable = False
         self.schools = list(schools)
         self.a, self.b, self.weight = a, b, weight
-        self.kind = kind
 
     def __len__(self):
         return len(self.schools)

@@ -34,7 +34,7 @@ def build_count_network(g: StudentGraph, roster: list[School]):
     n = len(roster)
     cross = sa != sb
     keys, counts = _key_counts(np.minimum(sa, sb)[cross] * n + np.maximum(sa, sb)[cross])
-    net = SchoolNetwork([s.id for s in roster], *np.divmod(keys, n), counts, kind="raw-count")
+    net = SchoolNetwork([s.id for s in roster], *np.divmod(keys, n), counts)
     intra = np.bincount(sa[~cross], minlength=n)
     return net, {roster[i].id: int(intra[i]) for i in np.flatnonzero(intra)}
 
@@ -56,12 +56,12 @@ def build_min_symmetrized_network(g: StudentGraph, roster: list[School]) -> Scho
     pair, counts = pair[order], counts[order]
     both = pair[1:] == pair[:-1]
     return SchoolNetwork([s.id for s in roster], *np.divmod(pair[1:][both], n),
-                         np.minimum(counts[1:], counts[:-1])[both], kind="min-symmetrized")
+                         np.minimum(counts[1:], counts[:-1])[both])
 
 
 def binarize(net: SchoolNetwork) -> SchoolNetwork:
     """The same ties, each of weight 1."""
-    return SchoolNetwork(net.schools, net.a, net.b, np.ones_like(net.weight), kind="binary")
+    return SchoolNetwork(net.schools, net.a, net.b, np.ones_like(net.weight))
 
 
 def degree_centrality(net: SchoolNetwork) -> dict[str, int]:

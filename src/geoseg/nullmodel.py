@@ -178,7 +178,7 @@ def generate_null_graph(curve: DecayCurve, dm: DistanceMatrix,
     a, b = _draw_ties(_pair_table(curve, dm), np.random.default_rng(seed))
     n = len(dm.ids)
     a, b = np.divmod(np.sort(a.astype(np.int64) * n + b), n)
-    return SchoolNetwork(list(dm.ids), a, b, np.ones(len(a), dtype=np.int64), kind="binary")
+    return SchoolNetwork(list(dm.ids), a, b, np.ones(len(a), dtype=np.int64))
 
 
 def _k_subsets(degrees: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

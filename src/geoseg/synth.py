@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -25,10 +25,10 @@ from .errors import InvalidConfig
 from .geo import school_distance_matrix
 from .model import (
     EARTH_RADIUS_KM,
-    Apartment,
     GeoPoint,
     School,
     SchoolNetwork,
+    apartment_table,
     write_csv,
     write_json,
 )
@@ -55,6 +55,9 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f, value in zip(fields(self), astuple(self)):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidConfig(f"{f.name} {value} is not finite")
         if self.n_schools < 10:
             raise InvalidConfig(f"n_schools {self.n_schools} < 10")
         if not 0.0 < self.decay_prefactor <= 1.0:
@@ -118,7 +121,7 @@ def generate_city(cfg: SynthConfig):
     n_ties = int(ties.sum())
     # tie weight >= 1, geometric, mimicking multi-tie school pairs
     net = SchoolNetwork([s.id for s in roster], iu[0][ties], iu[1][ties],
-                        rng.geometric(0.6, n_ties), kind="raw-count")
+                        rng.geometric(0.6, n_ties))
     truth = {
         "config": asdict(cfg),
         "center_lat": CENTER.latitude,
@@ -138,12 +141,14 @@ def generate_apartments(
     seed: int,
     noise_sd: float = 0.05,
     local_radius_km: float = 3.0,
-) -> list[Apartment]:
-    """Apartments uniform in the disc; price couples to the mean score of
-    schools within local_radius_km (nearest school when none in radius),
-    normalized by the roster's score spread."""
+) -> np.recarray:
+    """An apartment table of apartments uniform in the disc; price couples to
+    the mean score of schools within local_radius_km (nearest school when
+    none in radius), normalized by the roster's score spread."""
     if n_apartments < 1:
         raise InvalidConfig(f"n_apartments {n_apartments} < 1")
+    if not math.isfinite(price_coupling):
+        raise InvalidConfig(f"price_coupling {price_coupling} is not finite")
     rng = np.random.default_rng(seed)
     east, north = _disc_points(rng, n_apartments, cfg.city_radius_km)
     lat, lon = _to_geopoints(east, north)
@@ -166,11 +171,7 @@ def generate_apartments(
     z = (local_mean - mean) / sd
     price = BASE_PRICE_PER_SQM * (1.0 + price_coupling * z)
     price = price + BASE_PRICE_PER_SQM * noise_sd * rng.standard_normal(n_apartments)
-    price = np.maximum(price, 1.0)
-    return [
-        Apartment(GeoPoint(float(lat[i]), float(lon[i])), float(price[i]))
-        for i in range(n_apartments)
-    ]
+    return apartment_table(lat, lon, np.maximum(price, 1.0))
 
 
 def emit_city(
@@ -178,7 +179,7 @@ def emit_city(
     roster: list[School],
     net: SchoolNetwork,
     truth: dict,
-    apartments: list[Apartment],
+    apartments: np.recarray,
     seed: int = 0,
     students_per_school: int = 12,
 ) -> None:
@@ -190,6 +191,8 @@ def emit_city(
     """
     rng = np.random.default_rng(seed)
     m = students_per_school
+    if m < 2:
+        raise InvalidConfig(f"students_per_school {m} < 2: a cohort cycle needs two")
     max_w = int(net.weight.max(initial=0))
     if max_w > m * m:
         raise InvalidConfig(
@@ -218,6 +221,5 @@ def emit_city(
                for s in roster))
     write_csv(os.path.join(out_dir, "apartments.csv"),
               ["latitude", "longitude", "price_per_sqm"],
-              ([repr(a.location.latitude), repr(a.location.longitude), repr(a.price_per_sqm)]
-               for a in apartments))
+              ([repr(x) for x in row] for row in apartments.tolist()))
     write_json(os.path.join(out_dir, "ground_truth.json"), truth)

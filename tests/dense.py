@@ -20,7 +20,7 @@ def dense_weights(net: SchoolNetwork) -> np.ndarray:
     return w
 
 
-def network_from_dense(schools, w, kind: str) -> SchoolNetwork:
+def network_from_dense(schools, w) -> SchoolNetwork:
     """The network whose weight matrix is w: its positive upper-triangle
     entries in row-major order. Rejects an asymmetric matrix or a nonzero
     diagonal, as the dense SchoolNetwork did."""
@@ -28,7 +28,7 @@ def network_from_dense(schools, w, kind: str) -> SchoolNetwork:
     if np.any(w != w.T) or np.any(np.diag(w) != 0):
         raise ValueError("weight matrix must be symmetric with a zero diagonal")
     a, b = np.nonzero(np.triu(w, k=1))
-    return SchoolNetwork(list(schools), a, b, w[a, b], kind)
+    return SchoolNetwork(list(schools), a, b, w[a, b])
 
 
 def _edge_schools(g, roster):

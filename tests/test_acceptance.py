@@ -248,7 +248,7 @@ def test_criterion_4_oracle_equivalence():
         n = int(rng.integers(4, 11))
         w = np.triu(rng.integers(0, 4, (n, n)), 1)
         w = w + w.T
-        net = network_from_dense([f"s{i}" for i in range(n)], w, "raw-count")
+        net = network_from_dense([f"s{i}" for i in range(n)], w)
         roster = [
             School(f"s{i}", GeoPoint(0.0, i * 0.01), float(rng.uniform(30, 90)))
             for i in range(n)
@@ -287,7 +287,7 @@ def test_criterion_5_metric_and_invariance():
     dg_aff = digital_segregation(affine, net, 5, seed=1).value
     gg_base = geoseg.geographic_segregation(roster, dm, 5, seed=1).value
     gg_aff = geoseg.geographic_segregation(affine, dm, 5, seed=1).value
-    scaled_net = network_from_dense(net.schools, dense_weights(net) * 13, net.kind)
+    scaled_net = network_from_dense(net.schools, dense_weights(net) * 13)
     dg_scaled = digital_segregation(roster, scaled_net, 5, seed=1).value
 
     ok = (

@@ -84,6 +84,16 @@ class TestSynthCommand:
         assert main(["synth", "--seed", "-1", "--out-dir", str(tmp_path)]) == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--students-per-school", "-3"),
+        ("--students-per-school", "0"),
+        ("--students-per-school", "1"),
+        ("--price-coupling", "nan"),
+    ])
+    def test_setting_that_breaks_the_city_exits_2(self, tmp_path, capsys, flag, value):
+        assert run_synth(tmp_path, extra=(flag, value)) == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
     def test_emits_all_files(self, city):
         for name in ("students.csv", "edges.csv", "schools.csv",
                      "apartments.csv", "ground_truth.json"):

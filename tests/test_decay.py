@@ -22,12 +22,12 @@ def complete_net(ids):
     n = len(ids)
     w = np.ones((n, n), dtype=np.int64)
     np.fill_diagonal(w, 0)
-    return network_from_dense(ids, w, "binary")
+    return network_from_dense(ids, w)
 
 
 def empty_net(ids):
     n = len(ids)
-    return network_from_dense(ids, np.zeros((n, n), dtype=np.int64), "binary")
+    return network_from_dense(ids, np.zeros((n, n), dtype=np.int64))
 
 
 class TestCurve:
@@ -58,7 +58,7 @@ class TestCurve:
         rng = np.random.default_rng(1)
         n = len(roster)
         w = np.triu((rng.random((n, n)) < 0.4).astype(np.int64), 1)
-        net = network_from_dense(dm.ids, w + w.T, "binary")
+        net = network_from_dense(dm.ids, w + w.T)
         curve = tie_probability_curve(net, dm, 1.0)
         occupied = curve.pair_counts > 0
         products = curve.probabilities[occupied] * curve.pair_counts[occupied]
@@ -95,7 +95,7 @@ class TestCurve:
                   for i in range(30)]
         dm = school_distance_matrix(roster)
         w = np.triu(rng.integers(0, 3, (30, 30)) * (rng.random((30, 30)) < 0.3), 1)
-        net = network_from_dense(dm.ids, w + w.T, "raw-count")
+        net = network_from_dense(dm.ids, w + w.T)
         curve = tie_probability_curve(net, dm, 0.8)
         ties = dense_tie_counts(net, dm, curve.bin_edges)
         occupied = curve.pair_counts > 0

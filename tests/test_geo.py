@@ -18,11 +18,18 @@ from geoseg.geo import (
     neighborhood_affluence_segregation,
     school_distance_matrix,
 )
-from geoseg.model import EARTH_RADIUS_KM, Apartment, GeoPoint, School, pearson
+from geoseg.model import EARTH_RADIUS_KM, GeoPoint, School, apartment_table, pearson
 
 
 def make_school(i, lat, lon, score=50.0):
     return School(f"s{i}", GeoPoint(lat, lon), score)
+
+
+def make_apartments(rows):
+    """The apartment table of (GeoPoint, price per sqm) rows."""
+    rows = list(rows)
+    return apartment_table([p.latitude for p, _ in rows], [p.longitude for p, _ in rows],
+                           [price for _, price in rows])
 
 
 coords = st.tuples(st.floats(-89.0, 89.0), st.floats(-180.0, 180.0))
@@ -226,9 +233,7 @@ class TestNeighborhoodAffluence:
             make_school(i, 0.0, i * 0.05, score=float(rng.uniform(30, 90)))
             for i in range(20)
         ]
-        apartments = [
-            Apartment(s.location, 1000.0 * s.score) for s in roster
-        ]
+        apartments = make_apartments((s.location, 1000.0 * s.score) for s in roster)
         report = neighborhood_affluence_segregation(roster, apartments, radius_km=0.5)
         assert abs(report.value - 1.0) < 1e-12
 
@@ -239,21 +244,22 @@ class TestNeighborhoodAffluence:
                         score=float(rng.uniform(30, 90)))
             for i in range(25)
         ]
-        apartments = [
-            Apartment(
+        apartments = make_apartments(
+            (
                 GeoPoint(float(rng.uniform(-0.1, 0.1)), float(rng.uniform(-0.1, 0.1))),
                 float(rng.uniform(5e4, 2e5)),
             )
             for _ in range(200)
-        ]
+        )
         r1 = neighborhood_affluence_segregation(roster, apartments, 5.0)
-        scaled = [Apartment(a.location, 7.0 * a.price_per_sqm) for a in apartments]
+        scaled = apartment_table(apartments.latitude, apartments.longitude,
+                                 7.0 * apartments.price_per_sqm)
         r2 = neighborhood_affluence_segregation(roster, scaled, 5.0)
         assert abs(r1.value - r2.value) < 1e-10
 
     def test_radius_excludes_everything(self):
         roster = [make_school(i, 0.0, float(i) * 0.1, score=40 + i) for i in range(5)]
-        apartments = [Apartment(GeoPoint(10.0, 10.0), 1e5)]
+        apartments = make_apartments([(GeoPoint(10.0, 10.0), 1e5)])
         with pytest.raises(TooFewSamples):
             neighborhood_affluence_segregation(roster, apartments, radius_km=1.0)
 
@@ -269,14 +275,14 @@ class TestNeighborhoodAffluence:
                             score=float(rng.uniform(30, 90)))
                 for i in range(500)
             ]
-            apartments = [
-                Apartment(
+            apartments = make_apartments(
+                (
                     GeoPoint(float(rng.uniform(-0.2, 0.2)),
                              float(rng.uniform(-0.2, 0.2))),
                     float(rng.uniform(5e4, 2e5)),
                 )
                 for _ in range(500)
-            ]
+            )
             report = neighborhood_affluence_segregation(
                 roster, apartments, 5.0, permutations=199, seed=rep
             )
@@ -307,12 +313,10 @@ class TestCenterDistance:
         assert abs(report.value) < 0.1
 
 
-def school_apartment_distances(roster: list[School],
-                               apartments: list[Apartment]) -> np.ndarray:
+def school_apartment_distances(roster: list[School], apartments) -> np.ndarray:
     """(n_schools, n_apartments) great-circle distance matrix in km."""
     slat, slon = _latlon_arrays(roster)
-    alat = np.array([a.location.latitude for a in apartments])
-    alon = np.array([a.location.longitude for a in apartments])
+    alat, alon = apartments.latitude, apartments.longitude
     return _haversine_km(slat[:, None], slon[:, None], alat[None, :], alon[None, :])
 
 
@@ -322,8 +326,7 @@ def dense_affluence(roster, apartments, radius_km):
     within = school_apartment_distances(roster, apartments) < radius_km
     counts = within.sum(axis=1)
     eligible = counts > 0
-    prices = np.array([a.price_per_sqm for a in apartments])
-    mean_price = (within[eligible] @ prices) / counts[eligible]
+    mean_price = (within[eligible] @ apartments.price_per_sqm) / counts[eligible]
     scores = np.array([s.score for s in roster])[eligible]
     return counts, mean_price, pearson(scores, mean_price)
 
@@ -352,9 +355,7 @@ def random_city(seed, lat0, lon0, half_lat, n_schools=60, n_apartments=400):
     alat[: len(shared)] = slat[shared]
     alon[: len(shared) // 2] = slon[shared[: len(shared) // 2]]
     prices = rng.uniform(5e4, 2e5, n_apartments)
-    apartments = [Apartment(GeoPoint(float(alat[j]), float(alon[j])), float(prices[j]))
-                  for j in range(n_apartments)]
-    return roster, apartments
+    return roster, apartment_table(alat, alon, prices)
 
 
 # (latitude, longitude, box half-height in degrees, radius in km), sized
@@ -394,12 +395,13 @@ class TestAffluenceBandOracle:
         school = make_school(0, lat0, 179.99)
         edge_lat = lat0 + math.degrees(3.0 / EARTH_RADIUS_KM)
         radius_km = float(_haversine_km(lat0, 179.99, edge_lat, 179.99))
-        apartments = [Apartment(GeoPoint(edge_lat, 179.99), 5e5)]
+        rows = [(GeoPoint(edge_lat, 179.99), 5e5)]
         for sign in (1, -1):
             for offset, price in ((-1e-6, 1e5), (-1e-9, 1e5), (1e-9, 9e5),
                                   (1e-6, 9e5)):
                 dlat = math.degrees((radius_km + offset) / EARTH_RADIUS_KM)
-                apartments.append(Apartment(GeoPoint(lat0 + sign * dlat, 179.99), price))
+                rows.append((GeoPoint(lat0 + sign * dlat, 179.99), price))
+        apartments = make_apartments(rows)
         counts, sums = _apartments_within([school], apartments, radius_km)
         dense_counts = (school_apartment_distances([school], apartments)
                         < radius_km).sum(axis=1)
@@ -408,10 +410,11 @@ class TestAffluenceBandOracle:
 
     def test_empty_apartment_list(self):
         roster = [make_school(i, 0.0, 0.01 * i) for i in range(4)]
-        counts, sums = _apartments_within(roster, [], 1.0)
+        empty = make_apartments([])
+        counts, sums = _apartments_within(roster, empty, 1.0)
         assert counts.tolist() == [0] * 4 and sums.tolist() == [0.0] * 4
         with pytest.raises(TooFewSamples):
-            neighborhood_affluence_segregation(roster, [], 1.0)
+            neighborhood_affluence_segregation(roster, empty, 1.0)
 
 
 def test_affluence_memory_bounded():
@@ -422,12 +425,9 @@ def test_affluence_memory_bounded():
                           float(rng.uniform(-half, half)),
                           score=float(rng.uniform(30, 90)))
               for i in range(300)]
-    apartments = [
-        Apartment(GeoPoint(float(lat), float(lon)), float(price))
-        for lat, lon, price in zip(rng.uniform(-half, half, 40_000),
-                                   rng.uniform(-half, half, 40_000),
-                                   rng.uniform(5e4, 2e5, 40_000))
-    ]
+    apartments = apartment_table(rng.uniform(-half, half, 40_000),
+                                 rng.uniform(-half, half, 40_000),
+                                 rng.uniform(5e4, 2e5, 40_000))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

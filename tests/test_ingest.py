@@ -1,6 +1,8 @@
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,7 @@ from geoseg.ingest import (
     apply_filters,
     parse_inputs,
 )
-from geoseg.model import GeoPoint, School, StudentGraph
+from geoseg.model import GeoPoint, School, StudentGraph, apartment_table
 
 
 def write(path, text):
@@ -236,6 +238,37 @@ class TestApartments:
         path = write(tmp_path / "apts.csv", text)
         assert apartment_prices(path)[0].price_per_sqm == 100_000.0
 
+    @pytest.mark.parametrize("text", [
+        "latitude,longitude\n59.9,30.3\n",
+        "latitude,longitude,price_per_sqm\n59.9,30.3,150000\n59.9,30.3,\n",
+    ], ids=["no-price-columns", "empty-price-per-sqm"])
+    def test_row_without_price_names_the_columns(self, tmp_path, text):
+        path = write(tmp_path / "apts.csv", text)
+        with pytest.raises(MalformedRow) as exc:
+            apartment_prices(path)
+        assert exc.value.line_no == text.count("\n")
+        assert "price_per_sqm" in exc.value.reason
+        assert "price and area" in exc.value.reason
+
+    def test_table_holds_little_memory(self, tmp_path):
+        # 30,000 rows are one 24-byte record each; a frozen Apartment and
+        # GeoPoint per row held about 7 MB
+        rng = np.random.default_rng(5)
+        columns = (rng.uniform(59.8, 60.0, 30_000), rng.uniform(30.2, 30.4, 30_000),
+                   rng.uniform(5e4, 2e5, 30_000))
+        rows = zip(*(c.tolist() for c in columns))
+        path = write(tmp_path / "apts.csv", "latitude,longitude,price_per_sqm\n"
+                     + "".join(f"{lat!r},{lon!r},{price!r}\n" for lat, lon, price in rows))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = apartment_prices(path)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(table, apartment_table(*columns))
+        assert held < 2 * 2**20, f"held {held / 2**20:.2f} MB"
+
     def test_three_row_fixture_sorted(self, tmp_path):
         # oracle: prices computed by hand, 8000000/40=200000 etc.
         path = write(
@@ -428,7 +461,8 @@ def raw_inputs(draw):
         for a, b in draw(st.sets(st.tuples(ends, ends), max_size=40))
         if a != b
     }
-    return RawInputs(claims=claims, edges=edges, schools=schools, apartments=[])
+    return RawInputs(claims=claims, edges=edges, schools=schools,
+                     apartments=apartment_table([], [], []))
 
 
 @given(raw_inputs())

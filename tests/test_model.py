@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoseg.errors import LengthMismatch, TooFewSamples, ZeroVariance
+from geoseg.errors import InvalidValue, LengthMismatch, TooFewSamples, ZeroVariance
 from geoseg.model import (
+    APARTMENT_DTYPE,
     GeoPoint,
     SchoolNetwork,
     SegregationReport,
     StudentGraph,
     _unique_keys,
+    apartment_table,
     pearson,
     permutation_p_value,
 )
-from geoseg.errors import CoordinateOutOfRange
+from geoseg.errors import CoordinateOutOfRange, GeosegError
 
 
 def oracle_pearson(x, y):
@@ -132,6 +134,35 @@ class TestTypes:
         with pytest.raises(CoordinateOutOfRange):
             GeoPoint(float("nan"), 0.0)
 
+    def test_apartment_table_columns(self):
+        table = apartment_table([59.9, -33.0], (30.3, 179.99), np.array([1.5e5, 2.0]))
+        assert table.dtype == APARTMENT_DTYPE
+        assert table.latitude.tolist() == [59.9, -33.0]
+        assert table["longitude"].tolist() == [30.3, 179.99]
+        assert table[1].price_per_sqm == 2.0
+        for name in APARTMENT_DTYPE.names:
+            with pytest.raises(ValueError):
+                table[name][0] = 1.0
+        assert len(apartment_table([], [], [])) == 0
+
+    @pytest.mark.parametrize("columns, error, first_bad", [
+        (([0.0], [0.0, 1.0], [1.0, 1.0]), LengthMismatch, "(1,), (2,), (2,)"),
+        (([0.0, 1.0], [0.0, 1.0], [1.0]), LengthMismatch, "(2,), (2,), (1,)"),
+        (([0.0, float("nan")], [0.0, 0.0], [1.0, 1.0]), CoordinateOutOfRange, "latitude nan"),
+        (([0.0, 95.0, -91.0], [0.0] * 3, [1.0] * 3), CoordinateOutOfRange, "latitude 95.0"),
+        (([0.0, 0.0], [180.0, -180.5], [1.0, 1.0]), CoordinateOutOfRange, "longitude -180.5"),
+        (([0.0], [float("inf")], [1.0]), CoordinateOutOfRange, "longitude inf"),
+        (([0.0, 0.0], [0.0, 0.0], [1.0, 0.0]), InvalidValue, "price per sqm 0.0"),
+        (([0.0, 0.0], [0.0, 0.0], [-3.0, -4.0]), InvalidValue, "price per sqm -3.0"),
+        (([0.0], [0.0], [float("inf")]), InvalidValue, "price per sqm inf"),
+    ], ids=["short-latitude", "short-price", "nan-latitude", "latitude-95",
+            "longitude-180.5", "inf-longitude", "zero-price", "negative-price", "inf-price"])
+    def test_apartment_table_names_first_bad_value(self, columns, error, first_bad):
+        with pytest.raises(error) as exc:
+            apartment_table(*columns)
+        assert isinstance(exc.value, GeosegError)
+        assert first_bad in str(exc.value)
+
     def test_student_graph_rejects_self_loop(self):
         with pytest.raises(ValueError):
             StudentGraph({"a": "1", "b": "1"}, [("a", "a")])
@@ -187,19 +218,17 @@ class TestTypes:
             ([[0]], [[1]], [[1]]),  # not one-dimensional
         ]:
             with pytest.raises(ValueError):
-                SchoolNetwork(["1", "2", "3"], a, b, weight, "raw-count")
+                SchoolNetwork(["1", "2", "3"], a, b, weight)
 
     def test_school_network_pairs_and_arcs(self):
-        with pytest.raises(ValueError):
-            SchoolNetwork(["1", "2"], [0], [1], [1], "weighted")
-        net = SchoolNetwork(["1", "2", "3", "4"], [0, 0, 1], [1, 3, 3], [2, 1, 5], "raw-count")
+        net = SchoolNetwork(["1", "2", "3", "4"], [0, 0, 1], [1, 3, 3], [2, 1, 5])
         assert list(net.nonzero_pairs()) == [("1", "2", 2), ("1", "4", 1), ("2", "4", 5)]
         assert net.degrees.tolist() == [2, 2, 0, 2]
         indptr, neighbors, weights = net.arcs
         assert indptr.tolist() == [0, 2, 4, 4, 6]
         assert neighbors.tolist() == [1, 3, 0, 3, 0, 1]
         assert weights.tolist() == [2, 1, 2, 5, 1, 5]
-        empty = SchoolNetwork(["1", "2"], [], [], [], "binary")
+        empty = SchoolNetwork(["1", "2"], [], [], [])
         assert empty.degrees.tolist() == [0, 0] and list(empty.nonzero_pairs()) == []
         assert not net.weight.flags.writeable
 

@@ -189,7 +189,7 @@ class TestGenerate:
             a, b = _draw_ties(_pair_table(curve, dm), np.random.default_rng(seed))
             key = np.sort(a.astype(np.int64) * n + b)
             assert np.array_equal(net.a * n + net.b, key)
-            assert net.kind == "binary" and np.all(net.weight == 1)
+            assert np.all(net.weight == 1)
             order, indptr = group_arcs(np.concatenate((a, b)), n)
             dst = np.concatenate((b, a))[order]
             indptr_net, neighbors, _ = net.arcs
@@ -243,7 +243,7 @@ class TestGenerate:
                             np.array([[0, d, 1.0], [d, 0, 2.0], [1.0, 2.0, 0]]))
         tied = np.zeros((3, 3), dtype=np.int64)
         tied[0, 1] = tied[1, 0] = 1
-        curve = tie_probability_curve(network_from_dense(dm.ids, tied, "binary"), dm, 0.7)
+        curve = tie_probability_curve(network_from_dense(dm.ids, tied), dm, 0.7)
         # the curve's binning is the one the pair table reads
         assert curve.bin_edges.tobytes() in dm._binned_pairs
         table = _pair_table(curve, dm)

@@ -45,7 +45,7 @@ def weighted_net(ids, entries):
     for (a, b), weight in entries.items():
         w[idx[a], idx[b]] = weight
         w[idx[b], idx[a]] = weight
-    return network_from_dense(ids, w, "raw-count")
+    return network_from_dense(ids, w)
 
 
 class TestDigitalNeighbors:
@@ -158,7 +158,7 @@ class TestDigitalSegregation:
     def test_weight_scaling_invariance(self):
         roster, net, _ = generate_city(SynthConfig(n_schools=60, seed=3))
         base = digital_segregation(roster, net, 3, seed=5).value
-        scaled = network_from_dense(net.schools, dense_weights(net) * 7, net.kind)
+        scaled = network_from_dense(net.schools, dense_weights(net) * 7)
         assert digital_segregation(roster, scaled, 3, seed=5).value == base
 
 
@@ -294,7 +294,7 @@ def tied_grid_city(seed):
     ]
     n = len(roster)
     w = np.triu(rng.choice([0, 1, 2], size=(n, n), p=[0.3, 0.4, 0.3]), k=1)
-    net = network_from_dense([s.id for s in roster], w + w.T, "raw-count")
+    net = network_from_dense([s.id for s in roster], w + w.T)
     return roster, school_distance_matrix(roster), net
 
 
@@ -368,7 +368,7 @@ def lattice_city(n, seed):
     roster = [School(f"l{i:03d}", GeoPoint((i // 5) * h, (i % 5) * h),
                      float(rng.integers(30, 90))) for i in range(n)]
     w = np.triu(rng.choice([0, 1, 2], size=(n, n), p=[0.3, 0.4, 0.3]), k=1)
-    net = network_from_dense([s.id for s in roster], w + w.T, "raw-count")
+    net = network_from_dense([s.id for s in roster], w + w.T)
     return roster, school_distance_matrix(roster), net
 
 
@@ -380,7 +380,7 @@ def shared_location_city(seed=3):
                      float(rng.integers(30, 90))) for i in range(12)]
     w = np.triu(rng.choice([0, 1, 3], size=(12, 12), p=[0.4, 0.4, 0.2]), k=1)
     w[:, 11] = 0
-    net = network_from_dense([s.id for s in roster], w + w.T, "raw-count")
+    net = network_from_dense([s.id for s in roster], w + w.T)
     return roster, school_distance_matrix(roster), net
 
 

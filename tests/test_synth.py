@@ -29,6 +29,13 @@ class TestConfig:
             {"plateau_distance_km": 0.0},
             {"homophily_scale": -1.0},
             {"score_sd": 0.0},
+            {"homophily_scale": float("nan")},
+            {"decay_exponent": float("nan")},
+            {"plateau_distance_km": float("inf")},
+            {"degree_boost": float("inf")},
+            {"city_radius_km": float("inf")},
+            {"spatial_score_gradient": float("-inf")},
+            {"score_mean": float("nan")},
         ],
     )
     def test_invalid(self, kwargs):
@@ -119,6 +126,7 @@ class TestEmitCity:
             tmp_path / "schools.csv",
             tmp_path / "apartments.csv",
         )
+        assert np.array_equal(raw.apartments, apartments)
         graph, roster2, report = apply_filters(raw)
         assert report.students_removed_no_same_school_friend == 0
         assert report.students_removed_multi_school == 0
