@@ -78,6 +78,13 @@ def _check_counts(args) -> None:
             raise GeosegError(f"{flag} must be finite and > 0, got {value}")
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """Reject an --out-dir that exists and is not a directory: writing into
+    it would fail only after the whole run."""
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise GeosegError(f"--out-dir {out_dir} exists and is not a directory")
+
+
 def run_analyze(args) -> None:
     """Write every output into a temporary sibling of --out-dir and move
     them in only once report.json is written, so a failed run leaves no
@@ -90,10 +97,8 @@ def run_analyze(args) -> None:
     for path in (args.students, args.edges, args.schools, args.apartments):
         if not os.path.exists(path):
             raise GeosegError(f"input file not found: {path}")
+    _check_out_dir(args.out_dir)
     out_dir = os.path.abspath(args.out_dir)
-    # the move into --out-dir would fail only after the whole pipeline ran
-    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
-        raise GeosegError(f"--out-dir {args.out_dir} exists and is not a directory")
     parent = os.path.dirname(out_dir)
     os.makedirs(parent, exist_ok=True)
     work = tempfile.mkdtemp(prefix=f".{os.path.basename(out_dir)}.", dir=parent)
@@ -200,6 +205,7 @@ def _analyze(args, center: GeoPoint, out_dir: str) -> None:
 
 
 def run_synth(args) -> None:
+    _check_out_dir(args.out_dir)
     cfg = synth.SynthConfig(
         n_schools=args.n_schools,
         city_radius_km=args.city_radius,

@@ -196,6 +196,20 @@ def group_arcs(src, n: int):
     return np.argsort(src, kind="stable"), indptr
 
 
+def k_subsets(sizes: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform random k-subsets of range(size), one per size >= k, by
+    Floyd's algorithm (Bentley & Floyd 1987) in k vectorised rounds: round
+    r draws t uniform in [0, size - k + r] and takes size - k + r instead
+    when t is already taken. Returns the rounds as a (k x len(sizes))
+    array, from one rng.random((k, len(sizes))) draw; k = 1 is the single
+    round floor(u * size)."""
+    bounds = sizes + np.arange(1 - k, 1)[:, None]  # size - k + 1 + r
+    picks = (rng.random(bounds.shape) * bounds).astype(np.int64)
+    for r in range(1, k):
+        np.copyto(picks[r], bounds[r] - 1, where=(picks[:r] == picks[r]).any(axis=0))
+    return picks
+
+
 class SchoolNetwork:
     """Weighted undirected school network, held as its tied pairs.
 

@@ -27,9 +27,9 @@ neighbors. The arcs are grouped by school by `model.group_arcs`, the
 function behind `SchoolNetwork.arcs`: a stable sort of their small-int
 sources (a radix sort), in draw order. Each school of degree >= k takes
 a uniform k-subset of its arc range by Floyd's algorithm (Bentley &
-Floyd 1987), in k vectorised rounds; no comparison sort is needed, and
-only the picked arcs are gathered. At k = 1 that is arc first +
-floor(u * degree).
+Floyd 1987), `model.k_subsets`, in k vectorised rounds; no comparison
+sort is needed, and only the picked arcs are gathered. At k = 1 that is
+arc first + floor(u * degree).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 from .errors import DegenerateNull, InvalidValue
 from .geo import DistanceMatrix
 from .model import (DecayCurve, School, SchoolNetwork, check_roster, group_arcs,
-                    pearson, write_csv)
+                    k_subsets, pearson, write_csv)
 
 
 @dataclass(frozen=True)
@@ -181,19 +181,6 @@ def generate_null_graph(curve: DecayCurve, dm: DistanceMatrix,
     return SchoolNetwork(list(dm.ids), a, b, np.ones(len(a), dtype=np.int64))
 
 
-def _k_subsets(degrees: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random k-subsets of range(degree), one per degree >= k, by
-    Floyd's algorithm (Bentley & Floyd 1987) in k vectorised rounds: round
-    r draws t uniform in [0, degree - k + r] and takes degree - k + r
-    instead when t is already taken. Returns the rounds as a (k x schools)
-    array; k = 1 is the single round floor(u * degree)."""
-    sizes = degrees + np.arange(1 - k, 1)[:, None]  # degree - k + 1 + r
-    picks = (rng.random(sizes.shape) * sizes).astype(np.int64)
-    for r in range(1, k):
-        np.copyto(picks[r], sizes[r] - 1, where=(picks[:r] == picks[r]).any(axis=0))
-    return picks
-
-
 def _s_d_on_edges(a: np.ndarray, b: np.ndarray, n: int, scores: np.ndarray,
                   k: int, rng: np.random.Generator) -> float | None:
     """S_d(k) on the binary graph with tied pairs (a, b): the k-set of each
@@ -206,7 +193,7 @@ def _s_d_on_edges(a: np.ndarray, b: np.ndarray, n: int, scores: np.ndarray,
     eligible = np.flatnonzero(degrees >= k)
     if len(eligible) < 3:
         return None
-    picks = _k_subsets(degrees[eligible], k, rng)
+    picks = k_subsets(degrees[eligible], k, rng)
     picks += indptr[eligible]
     neighbor_mean = scores[dst[order[picks]]].mean(axis=0)
     own = scores[eligible]

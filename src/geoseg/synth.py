@@ -11,6 +11,13 @@ probability
 so downstream modules can be validated against known planted values. The
 generator can also emit the city in the ingest CSV schemas, closing the
 loop synth -> files -> ingest -> pipeline.
+
+Apartments are priced in blocks of whole apartment rows, _BLOCK_CELLS
+apartment x school cells each, so memory stays bounded as the apartment
+count grows and each row sums its schools in the same order as one dense
+pass would. `emit_city` realises a pair's tie weight w as w distinct
+cross-cohort student pairs: a uniform w-subset of the m * m pairs, drawn
+for all pairs of one weight at once by `model.k_subsets`.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .model import (
     School,
     SchoolNetwork,
     apartment_table,
+    k_subsets,
     write_csv,
     write_json,
 )
@@ -38,6 +46,8 @@ _DEG_PER_KM = 180.0 / (math.pi * EARTH_RADIUS_KM)
 CENTER = GeoPoint(0.0, 0.0)
 # apartment price per sqm at the roster's mean local score
 BASE_PRICE_PER_SQM = 100_000.0
+# apartment x school cells per pricing block: a float64 block is 1 MB
+_BLOCK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -163,11 +173,17 @@ def generate_apartments(
     scores = np.array([s.score for s in roster])
     mean, sd = scores.mean(), scores.std()
     sd = sd if sd > 0 else 1.0
-    d2 = (east[:, None] - s_east[None, :]) ** 2 + (north[:, None] - s_north[None, :]) ** 2
-    within = d2 < local_radius_km**2
-    none_close = ~within.any(axis=1)
-    within[none_close, np.argmin(d2[none_close], axis=1)] = True
-    local_mean = (within @ scores) / within.sum(axis=1)
+    # whole rows per block, so each row's within @ scores sums its schools
+    # in one order whatever the block size
+    step = max(1, _BLOCK_CELLS // len(roster))
+    local_mean = np.empty(n_apartments)
+    for lo in range(0, n_apartments, step):
+        rows = slice(lo, lo + step)
+        d2 = (east[rows, None] - s_east) ** 2 + (north[rows, None] - s_north) ** 2
+        within = d2 < local_radius_km**2
+        none_close = ~within.any(axis=1)
+        within[none_close, np.argmin(d2[none_close], axis=1)] = True
+        local_mean[rows] = (within @ scores) / within.sum(axis=1)
     z = (local_mean - mean) / sd
     price = BASE_PRICE_PER_SQM * (1.0 + price_coupling * z)
     price = price + BASE_PRICE_PER_SQM * noise_sd * rng.standard_normal(n_apartments)
@@ -185,9 +201,14 @@ def emit_city(
 ) -> None:
     """Write the city in the ingest CSV schemas plus ground_truth.json.
 
-    Each school gets a cohort wired in a cycle, so every student has a
-    same-school friend and the filter stage removes nobody. Inter-school
-    weights are realized as that many distinct cross-cohort student pairs.
+    Each school gets a cohort of students_per_school = m students wired in
+    a cycle, so every student has a same-school friend and the filter stage
+    removes nobody. Inter-school weights are realized as that many distinct
+    cross-cohort student pairs: one k_subsets call per distinct weight w
+    draws a w-subset of range(m * m) for every pair of that weight, pick p
+    joining student p // m of school a to student p % m of school b. The
+    cycle rows come first, then each pair's rows in (a, b) order. Rows are
+    built as student codes and written through one list of student ids.
     """
     rng = np.random.default_rng(seed)
     m = students_per_school
@@ -199,22 +220,26 @@ def emit_city(
             f"max weight {max_w} exceeds {m}x{m} cross pairs; "
             f"raise students_per_school"
         )
-    students = {
-        school: [f"{school}_u{j:03d}" for j in range(m)] for school in net.schools
-    }
-    edges = []
-    for school, cohort in students.items():
-        for j in range(m):
-            edges.append((cohort[j], cohort[(j + 1) % m]))
-    for a, b, w in net.nonzero_pairs():
-        pair_ids = rng.choice(m * m, size=w, replace=False)
-        for pid in pair_ids:
-            edges.append((students[a][pid // m], students[b][pid % m]))
+    # student code school * m + j; its cycle successor is j + 1 mod m
+    ids = [f"{school}_u{j:03d}" for school in net.schools for j in range(m)]
+    codes = np.arange(len(ids))
+    ring = codes - codes % m + (codes + 1) % m
+    # each pair's cross picks fill its run of weight rows, in pair order
+    starts = np.cumsum(net.weight) - net.weight
+    picks = np.empty(int(net.weight.sum()), dtype=np.int64)
+    for w in np.unique(net.weight).tolist():
+        pairs = np.flatnonzero(net.weight == w)
+        picks[starts[pairs] + np.arange(w)[:, None]] = k_subsets(
+            np.full(len(pairs), m * m), w, rng)
+    pair = np.repeat(np.arange(len(net.weight)), net.weight)
+    src = np.concatenate((codes, net.a[pair] * m + picks // m)).tolist()
+    dst = np.concatenate((ring, net.b[pair] * m + picks % m)).tolist()
 
     os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "students.csv"), ["student_id", "school_id"],
-              ([student, school] for school in net.schools for student in students[school]))
-    write_csv(os.path.join(out_dir, "edges.csv"), ["student_id_a", "student_id_b"], edges)
+              zip(ids, (school for school in net.schools for _ in range(m))))
+    write_csv(os.path.join(out_dir, "edges.csv"), ["student_id_a", "student_id_b"],
+              zip(map(ids.__getitem__, src), map(ids.__getitem__, dst)))
     write_csv(os.path.join(out_dir, "schools.csv"),
               ["school_id", "latitude", "longitude", "score"],
               ([s.id, repr(s.location.latitude), repr(s.location.longitude), repr(s.score)]

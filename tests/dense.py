@@ -1,14 +1,18 @@
-"""Dense n x n forms of school networks, for tests.
+"""Dense forms of school networks and synthetic apartments, for tests.
 
 geoseg keeps a school network as its tied pairs (`SchoolNetwork`). These
 helpers convert between that form and a symmetric zero-diagonal weight
 matrix, and keep the dense constructions that the pair builders replaced
-as their oracles.
+as their oracles. `dense_generate_apartments` is the apartments x schools
+pricing that the blocked `synth.generate_apartments` replaced.
 """
+
+import math
 
 import numpy as np
 
-from geoseg.model import SchoolNetwork
+from geoseg.model import EARTH_RADIUS_KM, SchoolNetwork, apartment_table
+from geoseg.synth import BASE_PRICE_PER_SQM, CENTER, _disc_points, _to_geopoints
 
 
 def dense_weights(net: SchoolNetwork) -> np.ndarray:
@@ -63,3 +67,31 @@ def dense_tie_counts(net: SchoolNetwork, dm, bin_edges) -> np.ndarray:
     a, b, offsets = dm.pairs_by_bin(bin_edges)
     tied = np.concatenate(([0], np.cumsum(dense_weights(net)[a, b] > 0)))
     return np.diff(tied[offsets[:-1]])
+
+
+def dense_generate_apartments(cfg, roster, n_apartments, price_coupling, seed,
+                              noise_sd=0.05, local_radius_km=3.0):
+    """synth.generate_apartments with one apartments x schools d2 array."""
+    rng = np.random.default_rng(seed)
+    east, north = _disc_points(rng, n_apartments, cfg.city_radius_km)
+    lat, lon = _to_geopoints(east, north)
+    s_east = np.array(
+        [EARTH_RADIUS_KM * math.radians(s.location.longitude - CENTER.longitude)
+         for s in roster]
+    )
+    s_north = np.array(
+        [EARTH_RADIUS_KM * math.radians(s.location.latitude - CENTER.latitude)
+         for s in roster]
+    )
+    scores = np.array([s.score for s in roster])
+    mean, sd = scores.mean(), scores.std()
+    sd = sd if sd > 0 else 1.0
+    d2 = (east[:, None] - s_east[None, :]) ** 2 + (north[:, None] - s_north[None, :]) ** 2
+    within = d2 < local_radius_km**2
+    none_close = ~within.any(axis=1)
+    within[none_close, np.argmin(d2[none_close], axis=1)] = True
+    local_mean = (within @ scores) / within.sum(axis=1)
+    z = (local_mean - mean) / sd
+    price = BASE_PRICE_PER_SQM * (1.0 + price_coupling * z)
+    price = price + BASE_PRICE_PER_SQM * noise_sd * rng.standard_normal(n_apartments)
+    return apartment_table(lat, lon, np.maximum(price, 1.0))

@@ -94,6 +94,18 @@ class TestSynthCommand:
         assert run_synth(tmp_path, extra=(flag, value)) == 2
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
+    def test_out_dir_file_rejected_before_generating(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def no_city(cfg):
+            raise AssertionError("generated a city for an unusable --out-dir")
+
+        monkeypatch.setattr(cli.synth, "generate_city", no_city)
+        out = tmp_path / "out"
+        out.write_text("a file\n")
+        assert run_synth(out) == 2
+        assert "--out-dir" in capsys.readouterr().err
+        assert out.read_text() == "a file\n"
+
     def test_emits_all_files(self, city):
         for name in ("students.csv", "edges.csv", "schools.csv",
                      "apartments.csv", "ground_truth.json"):

@@ -14,6 +14,7 @@ from geoseg.model import (
     StudentGraph,
     _unique_keys,
     apartment_table,
+    k_subsets,
     pearson,
     permutation_p_value,
 )
@@ -237,3 +238,21 @@ class TestTypes:
             SegregationReport("x", 1.5, 10)
         with pytest.raises(ValueError):
             SegregationReport("x", 0.5, 2)
+
+
+class TestKSubsets:
+    def test_two_subsets_of_four_uniform(self):
+        draws = 6000
+        picks = k_subsets(np.full(draws, 4), 2, np.random.default_rng(12))
+        assert picks.shape == (2, draws)
+        assert np.all(picks[0] != picks[1]) and np.all((picks >= 0) & (picks < 4))
+        lo, hi = np.minimum(*picks), np.maximum(*picks)
+        counts = np.bincount(lo * 4 + hi, minlength=16)[[1, 2, 3, 6, 7, 11]]
+        assert counts.sum() == draws
+        p = 1 / 6
+        se = math.sqrt(p * (1 - p) / draws)
+        assert np.all(np.abs(counts / draws - p) <= 4 * se), counts
+
+    def test_k_equal_to_population_takes_every_element(self):
+        picks = k_subsets(np.full(50, 7), 7, np.random.default_rng(13))
+        assert np.array_equal(np.sort(picks, axis=0), np.tile(np.arange(7)[:, None], 50))

@@ -1,4 +1,7 @@
+import csv
 import json
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,10 +10,12 @@ from geoseg.decay import fit_power_law, tie_probability_curve
 from geoseg.errors import InvalidConfig
 from geoseg.geo import neighborhood_affluence_segregation, school_distance_matrix
 from geoseg.ingest import apply_filters, parse_inputs
+from geoseg.model import SchoolNetwork
+from geoseg import synth
 from geoseg.network import binarize, build_count_network
 from geoseg.synth import SynthConfig, emit_city, generate_apartments, generate_city
 
-from dense import dense_weights
+from dense import dense_generate_apartments, dense_weights
 
 
 class TestConfig:
@@ -88,6 +93,45 @@ class TestGenerateApartments:
         with pytest.raises(InvalidConfig):
             generate_apartments(cfg, roster, 0, 0.0, seed=0)
 
+    @pytest.fixture(scope="class")
+    def city(self):
+        cfg = SynthConfig(n_schools=200, seed=8)
+        return cfg, generate_city(cfg)[0]
+
+    @pytest.mark.parametrize("blocks", [None, -1, 0, 1, 3])
+    def test_blocks_match_dense(self, city, blocks):
+        # 1 apartment, one block -1/+0/+1 rows and several blocks and a part
+        cfg, roster = city
+        step = synth._BLOCK_CELLS // len(roster)
+        n = 1 if blocks is None else (step + blocks if blocks <= 1 else blocks * step + 7)
+        # 0.3 km holds no school for most apartments: the nearest-school
+        # branch prices them
+        table = generate_apartments(cfg, roster, n, 1.5, seed=9, local_radius_km=0.3)
+        assert np.array_equal(
+            table, dense_generate_apartments(cfg, roster, n, 1.5, seed=9, local_radius_km=0.3))
+
+    def test_nearest_school_branch_reached(self, city):
+        cfg, roster = city
+        table = generate_apartments(cfg, roster, 200, 1.5, seed=9, local_radius_km=0.3)
+        s_lat = np.array([s.location.latitude for s in roster])
+        s_lon = np.array([s.location.longitude for s in roster])
+        # near the equator a degree is the same length both ways
+        d = np.hypot(table.latitude[:, None] - s_lat, table.longitude[:, None] - s_lon)
+        nearest_km = d.min(axis=1) / synth._DEG_PER_KM
+        assert np.any(nearest_km > 0.3) and np.any(nearest_km < 0.3)
+
+    def test_memory_bounded_by_blocks(self):
+        cfg = SynthConfig(n_schools=600, seed=3)
+        roster, _, _ = generate_city(cfg)
+        tracemalloc.start()
+        try:
+            generate_apartments(cfg, roster, 30_000, 0.0, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the dense 30,000 x 600 arrays peak near 300 MB
+        assert peak < 32e6, peak
+
     def test_strong_coupling_high_affluence_correlation(self):
         # sparse schools + tight pricing radius: each school's neighborhood
         # price tracks its own score
@@ -136,3 +180,59 @@ class TestEmitCity:
 
         truth2 = json.loads((tmp_path / "ground_truth.json").read_text())
         assert truth2["config"]["n_schools"] == 40
+
+
+def _rows(path):
+    with open(path, newline="") as f:
+        return list(csv.reader(f))[1:]
+
+
+class TestEmitCityPairs:
+    M = 3
+
+    @pytest.fixture(scope="class")
+    def city(self, tmp_path_factory):
+        cfg = SynthConfig(n_schools=10, seed=2)
+        roster, _, truth = generate_city(cfg)
+        # weights up to M * M: a full pair takes every cross-cohort pair
+        net = SchoolNetwork([s.id for s in roster], [0, 0, 1, 2, 3, 4, 7],
+                            [1, 5, 2, 9, 4, 8, 8], [1, 9, 2, 4, 1, 9, 3])
+        apartments = generate_apartments(cfg, roster, 20, 0.0, seed=2)
+        out = tmp_path_factory.mktemp("emit")
+        emit_city(out, roster, net, truth, apartments, seed=4,
+                  students_per_school=self.M)
+        return roster, net, truth, apartments, out
+
+    def test_cohort_cycle_rows(self, city):
+        _, net, _, _, out = city
+        m = self.M
+        cycle = [[f"{school}_u{j:03d}", f"{school}_u{(j + 1) % m:03d}"]
+                 for school in net.schools for j in range(m)]
+        assert _rows(out / "edges.csv")[:len(cycle)] == cycle
+
+    def test_each_pair_gets_weight_distinct_cross_rows(self, city):
+        _, net, _, _, out = city
+        school_of = dict(map(tuple, _rows(out / "students.csv")))
+        cross = _rows(out / "edges.csv")[len(net.schools) * self.M:]
+        assert len(cross) == net.weight.sum()
+        per_pair = Counter()
+        for a, b in cross:
+            per_pair[school_of[a], school_of[b]] += 1
+        want = {(a, b): w for a, b, w in net.nonzero_pairs()}
+        assert dict(per_pair) == want
+        assert len(set(map(tuple, cross))) == len(cross)
+
+    def test_same_seed_same_bytes(self, city, tmp_path):
+        roster, net, truth, apartments, out = city
+        emit_city(tmp_path, roster, net, truth, apartments, seed=4,
+                  students_per_school=self.M)
+        for name in ("students.csv", "edges.csv", "schools.csv",
+                     "apartments.csv", "ground_truth.json"):
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
+
+    def test_weight_beyond_cross_pairs_invalid(self, city, tmp_path):
+        roster, net, truth, apartments, _ = city
+        heavy = SchoolNetwork(net.schools, [0], [1], [self.M * self.M + 1])
+        with pytest.raises(InvalidConfig, match="max weight"):
+            emit_city(tmp_path, roster, heavy, truth, apartments,
+                      students_per_school=self.M)
