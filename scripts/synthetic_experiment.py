@@ -3,17 +3,25 @@
 
 Generates a homophilous city, runs the full analyze pipeline on the
 emitted CSV files, and prints recovered statistics next to the planted
-ground truth. Exits with geoseg's nonzero exit code when synth or
-analyze fails.
+ground truth, and the process's peak RSS after each step. Exits with
+geoseg's nonzero exit code when synth or analyze fails.
 """
 
 import argparse
 import json
+import resource
 import sys
 import tempfile
 from pathlib import Path
 
 from geoseg.cli import main as cli_main
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MB (ru_maxrss
+    counts bytes on macOS and KB elsewhere)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
 
 
 def run(n_schools, homophily, seed, workdir) -> int:
@@ -39,10 +47,11 @@ def run(n_schools, homophily, seed, workdir) -> int:
         "--seed", str(seed),
         "--out-dir", str(out),
     ]
-    for argv in (synth, analyze):
+    for step, argv in (("synth", synth), ("analyze", analyze)):
         code = cli_main(argv)
         if code != 0:
             return code
+        print(f"peak RSS after {step:<7}: {peak_rss_mb():.1f} MB")
 
     truth = json.loads((city / "ground_truth.json").read_text())
     report = json.loads((out / "report.json").read_text())

@@ -79,10 +79,15 @@ def _check_counts(args) -> None:
 
 
 def _check_out_dir(out_dir: str) -> None:
-    """Reject an --out-dir that exists and is not a directory: writing into
-    it would fail only after the whole run."""
-    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
-        raise GeosegError(f"--out-dir {out_dir} exists and is not a directory")
+    """Reject an --out-dir that exists and is not a directory, or that lies
+    below a file: writing into it would fail only after the whole run. The
+    nearest existing ancestor must be a directory."""
+    path = target = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        where = "" if path == target else f" lies below {path}, which"
+        raise GeosegError(f"--out-dir {out_dir}{where} exists and is not a directory")
 
 
 def run_analyze(args) -> None:

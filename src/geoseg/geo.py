@@ -2,6 +2,14 @@
 segregation measures (neighborhood affluence and center-distance
 correlations).
 
+The O(n^2) school-pair structures are built a block of whole rows at a
+time, `model.BLOCK_CELLS` matrix cells each: the distance matrix is
+written straight into the result and made symmetric tile by tile, and the
+distance-bin pair table keeps one byte per pair until a single stable
+argsort orders them. Beside their results they hold one block at a time
+and, for the pair table, its int64 sort order; the results equal the
+all-pairs constructions exactly.
+
 S_n(R) averages the price per sqm of the apartments strictly within R of
 each school. The apartment table (`model.apartment_table`) is sorted by
 latitude once, and each school runs the haversine test only on the band
@@ -24,6 +32,7 @@ import numpy as np
 
 from .errors import InvalidValue, KOutOfRange, TooFewSamples, TooFewSchools
 from .model import (
+    BLOCK_CELLS,
     EARTH_RADIUS_KM,
     GeoPoint,
     School,
@@ -34,16 +43,17 @@ from .model import (
 )
 
 
-def _haversine_km(lat1, lon1, lat2, lon2):
+def _haversine_km(lat1, lon1, lat2, lon2, out=None):
     """Vectorized great-circle distance in km (mean Earth radius).
 
-    Computed in place in at most two arrays of the broadcast shape, with
-    the operations of sin(dlat / 2)**2 + cos(lat1) * cos(lat2) *
-    sin(dlon / 2)**2 in the order that expression evaluates them, so the
-    result equals it bit for bit."""
+    Computed in place in out (a new array by default) and at most one more
+    array of the broadcast shape, with the operations of sin(dlat / 2)**2 +
+    cos(lat1) * cos(lat2) * sin(dlon / 2)**2 in the order that expression
+    evaluates them, so the result equals it bit for bit."""
     lat1, lon1, lat2, lon2 = map(np.radians, (lat1, lon1, lat2, lon2))
-    shape = np.broadcast(lat1, lon1, lat2, lon2).shape
-    d = np.subtract(lon2, lon1, out=np.empty(shape))
+    if out is None:
+        out = np.empty(np.broadcast(lat1, lon1, lat2, lon2).shape)
+    d = np.subtract(lon2, lon1, out=out)
     d /= 2
     np.sin(d, out=d)
     np.square(d, out=d)
@@ -85,9 +95,15 @@ class DistanceMatrix:
         """Upper-triangle pairs (a, b), a < b, sorted by distance bin, and
         the bin offsets: bin m (bin_edges[m] <= d < bin_edges[m + 1]) is
         a[offsets[m]:offsets[m + 1]], and the pairs beyond the last edge
-        come last, from offsets[-2]. Indices are int16 up to 32,768
-        schools. The read-only arrays are cached for the last edges asked
-        for.
+        come last, from offsets[-2]. Within a bin the pairs keep their
+        row-major order. Indices are int16 up to 32,768 schools. The
+        read-only arrays are cached for the last edges asked for.
+
+        Each pair's bin is written as one byte (for up to 255 bins), a
+        block of matrix rows at a time, and one stable argsort of those
+        bins orders the pairs; a and b are read back from each pair's
+        row-major index, a block at a time, so no per-pair int64 or
+        float64 array is held beside the order.
         """
         edges = np.asarray(bin_edges, dtype=float)
         key = edges.tobytes()
@@ -95,20 +111,45 @@ class DistanceMatrix:
         if key not in cache:
             n = len(self.ids)
             beyond = len(edges) - 1
-            a, b = np.triu_indices(n, k=1)
-            idx = distance_bins(edges, self.distances[a, b])
+            bins = np.empty(n * (n - 1) // 2, dtype=np.min_scalar_type(beyond))
+            for rows, upper, start in upper_triangle_blocks(n):
+                cells = distance_bins(edges, self.distances[rows][upper])
+                bins[start:start + len(cells)] = cells
             # a stable sort of integers of 16 bits or less is a radix sort
-            idx = idx.astype(np.min_scalar_type(beyond))
-            order = np.argsort(idx, kind="stable")
+            order = np.argsort(bins, kind="stable")
+            counts = np.bincount(bins, minlength=beyond + 1)
+            del bins
+            # row i's pairs (i, i + 1..n - 1) start at row_start[i]
+            i = np.arange(n - 1)
+            row_start = i * (n - 1) - i * (i - 1) // 2
             small = np.int16 if n <= 2**15 else np.int32
-            counts = np.bincount(idx, minlength=beyond + 1)
-            pairs = (a[order].astype(small), b[order].astype(small),
-                     np.concatenate(([0], np.cumsum(counts))))
+            a, b = np.empty(len(order), dtype=small), np.empty(len(order), dtype=small)
+            for lo in range(0, len(order), BLOCK_CELLS):
+                block = slice(lo, lo + BLOCK_CELLS)
+                rows = np.searchsorted(row_start, order[block], side="right") - 1
+                a[block] = rows
+                b[block] = order[block] - row_start[rows] + rows + 1
+            pairs = (a, b, np.concatenate(([0], np.cumsum(counts))))
             for array in pairs:
                 array.setflags(write=False)
             cache.clear()
             cache[key] = pairs
         return cache[key]
+
+
+def upper_triangle_blocks(n: int):
+    """The upper triangle i < j of an n x n matrix in blocks of whole rows,
+    at most BLOCK_CELLS matrix cells a block, in row-major order: per
+    block (rows, upper, start), the row slice, the (rows x n) mask of its
+    cells with i < j and the row-major index of its first pair among all
+    n(n - 1)/2. matrix[rows][upper] is the block's pairs in order."""
+    step = max(1, BLOCK_CELLS // n)
+    start = 0
+    for lo in range(0, n - 1, step):
+        rows = slice(lo, min(lo + step, n - 1))
+        upper = np.arange(n) > np.arange(rows.start, rows.stop)[:, None]
+        yield rows, upper, start
+        start += (rows.stop - rows.start) * (2 * n - rows.start - rows.stop - 1) // 2
 
 
 def distance_bins(bin_edges: np.ndarray, distances) -> np.ndarray:
@@ -126,19 +167,34 @@ def _latlon_arrays(roster: list[School]):
 
 
 def school_distance_matrix(roster: list[School]) -> DistanceMatrix:
-    """Pairwise great-circle distances between schools, in roster order."""
-    if len(roster) < 2:
-        raise TooFewSchools(f"need >= 2 schools, got {len(roster)}")
+    """Pairwise great-circle distances between schools, in roster order.
+
+    The haversine is computed straight into the matrix, BLOCK_CELLS cells
+    at a time, and the matrix is made exactly symmetric (the haversine of
+    (i, j) and of (j, i) need not round alike) tile by tile: (d[i, j] +
+    d[j, i]) / 2 on both sides. Float addition commutes, so this equals (d + d.T) / 2
+    of the whole matrix bit for bit, with no second n x n array."""
+    n = len(roster)
+    if n < 2:
+        raise TooFewSchools(f"need >= 2 schools, got {n}")
     lat, lon = _latlon_arrays(roster)
-    d = _haversine_km(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
-    d += d.T  # exact symmetry despite float round-off
-    d /= 2
+    d = np.empty((n, n))
+    step = max(1, BLOCK_CELLS // n)
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        _haversine_km(lat[rows, None], lon[rows, None], lat, lon, out=d[rows])
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        tile = d[rows, lo:] + d[lo:, rows].T
+        tile /= 2
+        d[rows, lo:] = tile
+        d[lo:, rows] = tile.T
     np.fill_diagonal(d, 0.0)
     return DistanceMatrix(ids=[s.id for s in roster], distances=d)
 
 
 # Distance-matrix cells per ranking block: a float64 copy of a block is 128 KB.
-_BLOCK_CELLS = 1 << 14
+_RANK_BLOCK_CELLS = 1 << 14
 
 
 def _tie_jitter(seed: int, block: slice, n: int) -> np.ndarray:
@@ -176,9 +232,9 @@ def _rank_cells(cells, block: slice, n: int, seed: int, k_max: int) -> np.ndarra
 
 def ranked_neighbors(cells, n: int, seed: int, k_max: int) -> np.ndarray:
     """_rank_cells over the schools at positions 0..n - 1, in blocks of
-    _BLOCK_CELLS // n schools; cells(block) gives the candidate cells of
-    the schools in the position slice block."""
-    step = max(1, _BLOCK_CELLS // n)
+    _RANK_BLOCK_CELLS // n schools; cells(block) gives the candidate cells
+    of the schools in the position slice block."""
+    step = max(1, _RANK_BLOCK_CELLS // n)
     ranked = np.empty((n, k_max), dtype=np.int64)
     for lo in range(0, n, step):
         block = slice(lo, min(lo + step, n))

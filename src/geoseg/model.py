@@ -30,6 +30,9 @@ from .errors import (
 )
 
 EARTH_RADIUS_KM = 6371.0
+# cells per block of the blocked school-pair and apartment x school
+# builders (`geo`, `synth`): a float64 block is 1 MB
+BLOCK_CELLS = 1 << 17
 
 
 def position_of(ids: list[str], school_id: str) -> int:

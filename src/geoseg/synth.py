@@ -12,12 +12,18 @@ so downstream modules can be validated against known planted values. The
 generator can also emit the city in the ingest CSV schemas, closing the
 loop synth -> files -> ingest -> pipeline.
 
-Apartments are priced in blocks of whole apartment rows, _BLOCK_CELLS
-apartment x school cells each, so memory stays bounded as the apartment
-count grows and each row sums its schools in the same order as one dense
-pass would. `emit_city` realises a pair's tie weight w as w distinct
-cross-cohort student pairs: a uniform w-subset of the m * m pairs, drawn
-for all pairs of one weight at once by `model.k_subsets`.
+The school pairs are drawn a block of upper-triangle rows at a time
+(`geo.upper_triangle_blocks`): each block's tie probabilities and their
+uniforms, in row-major order, so the stream and the network are those of
+one draw over all n(n - 1)/2 pairs, and only the tied pairs are kept.
+`expected_ties` sums the blocks' sums, so it can differ from one sum over
+all pairs in the last digit. Apartments are priced in blocks of whole
+apartment rows, `model.BLOCK_CELLS` apartment x school cells each, so
+memory stays bounded as the apartment count grows and each row sums its
+schools in the same order as one dense pass would. `emit_city` realises
+a pair's tie weight w as w distinct cross-cohort student pairs: a uniform
+w-subset of the m * m pairs, drawn for all pairs of one weight at once by
+`model.k_subsets`.
 """
 
 from __future__ import annotations
@@ -29,8 +35,9 @@ from dataclasses import asdict, astuple, dataclass, fields
 import numpy as np
 
 from .errors import InvalidConfig
-from .geo import school_distance_matrix
+from .geo import school_distance_matrix, upper_triangle_blocks
 from .model import (
+    BLOCK_CELLS,
     EARTH_RADIUS_KM,
     GeoPoint,
     School,
@@ -46,8 +53,6 @@ _DEG_PER_KM = 180.0 / (math.pi * EARTH_RADIUS_KM)
 CENTER = GeoPoint(0.0, 0.0)
 # apartment price per sqm at the roster's mean local score
 BASE_PRICE_PER_SQM = 100_000.0
-# apartment x school cells per pricing block: a float64 block is 1 MB
-_BLOCK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -112,33 +117,41 @@ def generate_city(cfg: SynthConfig):
         for i in range(cfg.n_schools)
     ]
     dm = school_distance_matrix(roster)
-    iu = np.triu_indices(cfg.n_schools, k=1)
-    d = dm.distances[iu]
-    p = cfg.decay_prefactor * (
-        np.maximum(d, cfg.plateau_distance_km) / cfg.plateau_distance_km
-    ) ** cfg.decay_exponent
-    if cfg.homophily_scale > 0:
-        p = p * np.exp(-np.abs(scores[iu[0]] - scores[iu[1]]) / cfg.homophily_scale)
-    if cfg.degree_boost > 0:
-        p = p * (
-            1.0
-            + cfg.degree_boost
-            * (scores[iu[0]] + scores[iu[1]] - 2 * cfg.score_mean)
-            / cfg.score_sd
-        )
-    p = np.clip(p, 0.0, 1.0)
-    ties = rng.random(len(p)) < p
-    n_ties = int(ties.sum())
+    # row-major blocks draw the uniforms of one rng.random over all pairs
+    a, b = [], []
+    expected_ties = 0.0
+    for rows, upper, _ in upper_triangle_blocks(cfg.n_schools):
+        i, j = np.nonzero(upper)
+        i += rows.start
+        p = cfg.decay_prefactor * (
+            np.maximum(dm.distances[rows][upper], cfg.plateau_distance_km)
+            / cfg.plateau_distance_km
+        ) ** cfg.decay_exponent
+        if cfg.homophily_scale > 0:
+            p = p * np.exp(-np.abs(scores[i] - scores[j]) / cfg.homophily_scale)
+        if cfg.degree_boost > 0:
+            p = p * (
+                1.0
+                + cfg.degree_boost
+                * (scores[i] + scores[j] - 2 * cfg.score_mean)
+                / cfg.score_sd
+            )
+        p = np.clip(p, 0.0, 1.0)
+        ties = rng.random(len(p)) < p
+        a.append(i[ties])
+        b.append(j[ties])
+        expected_ties += float(p.sum())
+    a, b = np.concatenate(a), np.concatenate(b)
+    n_ties = len(a)
     # tie weight >= 1, geometric, mimicking multi-tie school pairs
-    net = SchoolNetwork([s.id for s in roster], iu[0][ties], iu[1][ties],
-                        rng.geometric(0.6, n_ties))
+    net = SchoolNetwork([s.id for s in roster], a, b, rng.geometric(0.6, n_ties))
     truth = {
         "config": asdict(cfg),
         "center_lat": CENTER.latitude,
         "center_lon": CENTER.longitude,
         "homophily_kernel": "exp(-|dU|/h)",
         "n_ties": n_ties,
-        "expected_ties": float(p.sum()),
+        "expected_ties": expected_ties,
     }
     return roster, net, truth
 
@@ -175,7 +188,7 @@ def generate_apartments(
     sd = sd if sd > 0 else 1.0
     # whole rows per block, so each row's within @ scores sums its schools
     # in one order whatever the block size
-    step = max(1, _BLOCK_CELLS // len(roster))
+    step = max(1, BLOCK_CELLS // len(roster))
     local_mean = np.empty(n_apartments)
     for lo in range(0, n_apartments, step):
         rows = slice(lo, lo + step)

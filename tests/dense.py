@@ -4,14 +4,19 @@ geoseg keeps a school network as its tied pairs (`SchoolNetwork`). These
 helpers convert between that form and a symmetric zero-diagonal weight
 matrix, and keep the dense constructions that the pair builders replaced
 as their oracles. `dense_generate_apartments` is the apartments x schools
-pricing that the blocked `synth.generate_apartments` replaced.
+pricing that the blocked `synth.generate_apartments` replaced, and
+`dense_pairs_by_bin` and `dense_generate_city` are the all-pairs forms of
+`DistanceMatrix.pairs_by_bin` and `synth.generate_city`, which build their
+school pairs a block of rows at a time.
 """
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 
-from geoseg.model import EARTH_RADIUS_KM, SchoolNetwork, apartment_table
+from geoseg.geo import distance_bins, school_distance_matrix
+from geoseg.model import EARTH_RADIUS_KM, GeoPoint, School, SchoolNetwork, apartment_table
 from geoseg.synth import BASE_PRICE_PER_SQM, CENTER, _disc_points, _to_geopoints
 
 
@@ -95,3 +100,61 @@ def dense_generate_apartments(cfg, roster, n_apartments, price_coupling, seed,
     price = BASE_PRICE_PER_SQM * (1.0 + price_coupling * z)
     price = price + BASE_PRICE_PER_SQM * noise_sd * rng.standard_normal(n_apartments)
     return apartment_table(lat, lon, np.maximum(price, 1.0))
+
+
+def dense_pairs_by_bin(dm, bin_edges):
+    """DistanceMatrix.pairs_by_bin over np.triu_indices and the distances
+    of all pairs at once."""
+    edges = np.asarray(bin_edges, dtype=float)
+    n = len(dm.ids)
+    beyond = len(edges) - 1
+    a, b = np.triu_indices(n, k=1)
+    idx = distance_bins(edges, dm.distances[a, b]).astype(np.min_scalar_type(beyond))
+    order = np.argsort(idx, kind="stable")
+    small = np.int16 if n <= 2**15 else np.int32
+    counts = np.bincount(idx, minlength=beyond + 1)
+    return (a[order].astype(small), b[order].astype(small),
+            np.concatenate(([0], np.cumsum(counts))))
+
+
+def dense_generate_city(cfg):
+    """synth.generate_city with float64 per-pair arrays over all pairs."""
+    rng = np.random.default_rng(cfg.seed)
+    east, north = _disc_points(rng, cfg.n_schools, cfg.city_radius_km)
+    lat, lon = _to_geopoints(east, north)
+    scores = rng.normal(cfg.score_mean, cfg.score_sd, cfg.n_schools)
+    scores += cfg.spatial_score_gradient * east
+    scores = np.maximum(scores, 0.0)
+    roster = [
+        School(f"s{i:04d}", GeoPoint(float(lat[i]), float(lon[i])), float(scores[i]))
+        for i in range(cfg.n_schools)
+    ]
+    dm = school_distance_matrix(roster)
+    iu = np.triu_indices(cfg.n_schools, k=1)
+    d = dm.distances[iu]
+    p = cfg.decay_prefactor * (
+        np.maximum(d, cfg.plateau_distance_km) / cfg.plateau_distance_km
+    ) ** cfg.decay_exponent
+    if cfg.homophily_scale > 0:
+        p = p * np.exp(-np.abs(scores[iu[0]] - scores[iu[1]]) / cfg.homophily_scale)
+    if cfg.degree_boost > 0:
+        p = p * (
+            1.0
+            + cfg.degree_boost
+            * (scores[iu[0]] + scores[iu[1]] - 2 * cfg.score_mean)
+            / cfg.score_sd
+        )
+    p = np.clip(p, 0.0, 1.0)
+    ties = rng.random(len(p)) < p
+    n_ties = int(ties.sum())
+    net = SchoolNetwork([s.id for s in roster], iu[0][ties], iu[1][ties],
+                        rng.geometric(0.6, n_ties))
+    truth = {
+        "config": asdict(cfg),
+        "center_lat": CENTER.latitude,
+        "center_lon": CENTER.longitude,
+        "homophily_kernel": "exp(-|dU|/h)",
+        "n_ties": n_ties,
+        "expected_ties": float(p.sum()),
+    }
+    return roster, net, truth

@@ -106,6 +106,19 @@ class TestSynthCommand:
         assert "--out-dir" in capsys.readouterr().err
         assert out.read_text() == "a file\n"
 
+    def test_out_dir_below_file_rejected_before_generating(self, tmp_path, capsys,
+                                                           monkeypatch):
+        def no_city(cfg):
+            raise AssertionError("generated a city for an unusable --out-dir")
+
+        monkeypatch.setattr(cli.synth, "generate_city", no_city)
+        parent = tmp_path / "file"
+        parent.write_text("a file\n")
+        assert run_synth(parent / "sub" / "dir") == 2
+        err = capsys.readouterr().err
+        assert "--out-dir" in err and "is not a directory" in err
+        assert parent.read_text() == "a file\n"
+
     def test_emits_all_files(self, city):
         for name in ("students.csv", "edges.csv", "schools.csv",
                      "apartments.csv", "ground_truth.json"):
@@ -197,6 +210,18 @@ class TestAnalyzeCommand:
         assert run_analyze(bad_city, out) == 2
         assert "--out-dir" in capsys.readouterr().err
         assert out.read_text() == "a file\n"
+
+    def test_out_dir_below_file_rejected_before_parse(self, city, tmp_path, capsys):
+        bad_city = tmp_path / "city"
+        shutil.copytree(city, bad_city)
+        (bad_city / "students.csv").write_bytes(b"s\xe9\n")
+        parent = tmp_path / "file"
+        parent.write_text("a file\n")
+        assert run_analyze(bad_city, parent / "sub") == 2
+        err = capsys.readouterr().err
+        assert "--out-dir" in err and "is not a directory" in err
+        assert parent.read_text() == "a file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["city", "file"]
 
     def test_failed_run_leaves_no_output(self, city, tmp_path, capsys):
         # the digital S_d at --k 30 fails after the decay outputs are

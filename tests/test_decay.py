@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from geoseg.decay import fit_power_law, tie_probability_curve, write_curve_csv
 from geoseg.errors import InvalidValue, MismatchedIds, TooFewBins
 from geoseg.geo import school_distance_matrix
 from geoseg.model import DecayCurve, GeoPoint, School
+from geoseg.synth import SynthConfig, generate_city
 
 from dense import dense_tie_counts, network_from_dense
 
@@ -145,3 +147,19 @@ class TestPowerLawFit:
         curve.pair_counts[3:] = 5  # below min_pairs_per_bin
         with pytest.raises(TooFewBins):
             fit_power_law(curve, d_min_km=1.0, min_pairs_per_bin=30)
+
+
+def test_first_curve_memory_bounded():
+    # the first call builds the distance-bin pair table of the 719,400
+    # pairs (2.9 MB of int16 pairs); all-pairs int64 and float64 arrays
+    # peaked at 25 MB
+    roster, net, _ = generate_city(SynthConfig(n_schools=1200, seed=3))
+    dm = school_distance_matrix(roster)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tie_probability_curve(net, dm)
+        peak = (tracemalloc.get_traced_memory()[1] - before) / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14, f"peak {peak:.1f} MB"

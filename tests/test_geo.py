@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geoseg import geo
 from geoseg.errors import KOutOfRange, TooFewSamples, TooFewSchools, UnknownSchoolId
 from geoseg.geo import (
     _apartments_within,
@@ -19,6 +20,9 @@ from geoseg.geo import (
     school_distance_matrix,
 )
 from geoseg.model import EARTH_RADIUS_KM, GeoPoint, School, apartment_table, pearson
+from geoseg.synth import SynthConfig, generate_city
+
+from dense import dense_pairs_by_bin
 
 
 def make_school(i, lat, lon, score=50.0):
@@ -170,6 +174,91 @@ class TestDistanceMatrix:
         assert np.all(d[offsets[-2]:] >= edges[-1])
         assert dm.pairs_by_bin(edges.tolist())[0] is a
         assert not a.flags.writeable
+
+
+def scattered_roster(n, seed):
+    """n schools in a 0.2-degree square (about 22 km across), a few of
+    them sharing a location."""
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(0, 0.2, (n, 2))
+    points[1::7] = points[0]
+    return [make_school(i, float(lat), float(lon)) for i, (lat, lon) in enumerate(points)]
+
+
+# (n, rows a block): the two smallest cities, n = rows - 1, rows and
+# rows + 1, and several blocks with a short last one
+BLOCKS = [(2, 1), (3, 1), (3, 2), (9, 8), (9, 9), (9, 10), (23, 4)]
+
+
+class TestBlockedPairBuilders:
+    """The distance matrix and the distance-bin pair table, built a block
+    of rows at a time, equal their all-pairs forms exactly."""
+
+    @pytest.mark.parametrize("n, rows", BLOCKS)
+    def test_matrix_matches_reference(self, monkeypatch, n, rows):
+        monkeypatch.setattr(geo, "BLOCK_CELLS", rows * n)
+        roster = scattered_roster(n, seed=n)
+        assert np.array_equal(school_distance_matrix(roster).distances,
+                              reference_distances(roster))
+
+    @pytest.mark.parametrize("n, rows", BLOCKS)
+    def test_asymmetric_haversine_symmetrised(self, monkeypatch, n, rows):
+        # the haversine is symmetric bit for bit here; skew it so that the
+        # tiles' (d[i, j] + d[j, i]) / 2 has work to do on both sides
+        haversine_km = geo._haversine_km
+
+        def skewed(lat1, lon1, lat2, lon2, out=None):
+            d = haversine_km(lat1, lon1, lat2, lon2, out=out)
+            d += 1e-6 * (lat1 - lat2)
+            return d
+
+        monkeypatch.setattr(geo, "BLOCK_CELLS", rows * n)
+        monkeypatch.setattr(geo, "_haversine_km", skewed)
+        roster = scattered_roster(n, seed=n)
+        lat, lon = _latlon_arrays(roster)
+        d = skewed(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
+        d = (d + d.T) / 2.0
+        np.fill_diagonal(d, 0.0)
+        assert np.array_equal(school_distance_matrix(roster).distances, d)
+
+    @pytest.mark.parametrize("n, rows", BLOCKS)
+    @pytest.mark.parametrize("edges", [
+        [0.0, 2.0, 2.0, 5.0, 9.0],  # [2, 2) is empty; pairs lie beyond 9 km
+        np.arange(300) * 0.05,  # 299 bins: two-byte bin indices
+    ], ids=["empty bin", "299 bins"])
+    def test_pairs_by_bin_matches_dense(self, monkeypatch, n, rows, edges):
+        monkeypatch.setattr(geo, "BLOCK_CELLS", rows * n)
+        dm = school_distance_matrix(scattered_roster(n, seed=n))
+        pairs = dm.pairs_by_bin(edges)
+        for got, want in zip(pairs, dense_pairs_by_bin(dm, edges)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+        assert dm.pairs_by_bin(np.array(edges))[0] is pairs[0]
+
+    def test_pairs_by_bin_default_blocks(self):
+        roster = generate_city(SynthConfig(n_schools=600, seed=4))[0]
+        assert 599 % (geo.BLOCK_CELLS // 600) != 0  # a short last block
+        dm = school_distance_matrix(roster)
+        edges = [0.0, 1.0, 1.0, 4.0, 8.0, 20.0]
+        a, b, offsets = dm.pairs_by_bin(edges)
+        assert offsets[2] == offsets[1] and offsets[-1] > offsets[-2]
+        for got, want in zip((a, b, offsets), dense_pairs_by_bin(dm, edges)):
+            assert np.array_equal(got, want)
+
+
+def test_distance_matrix_memory_bounded():
+    # the 1,200 x 1,200 result alone is 11 MB; a second n x n array and
+    # the haversine's full-size temporaries peaked at 22 MB
+    roster = generate_city(SynthConfig(n_schools=1200, seed=3))[0]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        school_distance_matrix(roster)
+        peak = (tracemalloc.get_traced_memory()[1] - before) / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14, f"peak {peak:.1f} MB"
 
 
 class TestGeographicNeighbors:

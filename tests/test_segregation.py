@@ -421,7 +421,7 @@ class TestRankingKernel:
     def test_block_boundaries(self, monkeypatch, n, rows):
         # n = 3 is the smallest city; then one full block, a block and one
         # row, and a size that is not a multiple of the block
-        monkeypatch.setattr(geo, "_BLOCK_CELLS", rows * n)
+        monkeypatch.setattr(geo, "_RANK_BLOCK_CELLS", rows * n)
         blocks = []
 
         def counted(cells, block, *args):
@@ -452,7 +452,7 @@ class TestRankingKernel:
 
     def test_default_blocks(self):
         roster, net, _ = generate_city(SynthConfig(n_schools=600, seed=8))
-        assert 600 % (geo._BLOCK_CELLS // 600) != 0  # a short last block
+        assert 600 % (geo._RANK_BLOCK_CELLS // 600) != 0  # a short last block
         assert_tables_match(roster, school_distance_matrix(roster), net, 20,
                             seeds=[8])
 

@@ -11,11 +11,11 @@ from geoseg.errors import InvalidConfig
 from geoseg.geo import neighborhood_affluence_segregation, school_distance_matrix
 from geoseg.ingest import apply_filters, parse_inputs
 from geoseg.model import SchoolNetwork
-from geoseg import synth
+from geoseg import geo, synth
 from geoseg.network import binarize, build_count_network
 from geoseg.synth import SynthConfig, emit_city, generate_apartments, generate_city
 
-from dense import dense_generate_apartments, dense_weights
+from dense import dense_generate_apartments, dense_generate_city, dense_weights
 
 
 class TestConfig:
@@ -79,6 +79,46 @@ class TestGenerateCity:
         exponent, _ = fit_power_law(curve)
         assert abs(exponent) < 0.05
 
+    @pytest.mark.parametrize("n, rows", [(10, 8), (10, 9), (10, 10), (37, 4)],
+                             ids=["block+1", "one block", "block-1", "several blocks"])
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"homophily_scale": 4.0},
+        {"degree_boost": 0.3, "spatial_score_gradient": 0.5},
+        {"homophily_scale": 2.0, "degree_boost": 0.5, "spatial_score_gradient": -1.0},
+    ], ids=["plain", "homophily", "boost+gradient", "all"])
+    def test_blocks_match_dense(self, monkeypatch, n, rows, kwargs):
+        # rows of the upper triangle per block; the city has n - 1 of them
+        monkeypatch.setattr(geo, "BLOCK_CELLS", rows * n)
+        cfg = SynthConfig(n_schools=n, city_radius_km=3.0, seed=n, **kwargs)
+        roster, net, truth = generate_city(cfg)
+        want_roster, want_net, want_truth = dense_generate_city(cfg)
+        assert roster == want_roster
+        for name in ("a", "b", "weight"):
+            assert np.array_equal(getattr(net, name), getattr(want_net, name))
+        assert truth.pop("expected_ties") == pytest.approx(
+            want_truth.pop("expected_ties"), rel=1e-9, abs=0)
+        assert truth == want_truth
+
+    def test_default_blocks_match_dense(self):
+        cfg = SynthConfig(n_schools=700, homophily_scale=5.0, seed=6)
+        assert 699 % (geo.BLOCK_CELLS // 700) != 0  # a short last block
+        (_, net, truth), (_, want_net, want_truth) = generate_city(cfg), dense_generate_city(cfg)
+        assert np.array_equal(net.a, want_net.a) and np.array_equal(net.b, want_net.b)
+        assert np.array_equal(net.weight, want_net.weight)
+        assert truth["expected_ties"] == pytest.approx(want_truth["expected_ties"], rel=1e-9)
+
+    def test_memory_bounded_by_blocks(self):
+        # the all-pairs per-pair arrays peaked at 45 MB, beside the 11 MB
+        # distance matrix
+        tracemalloc.start()
+        try:
+            generate_city(SynthConfig(n_schools=1200, seed=3))
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24, f"peak {peak:.1f} MB"
+
     def test_truth_record(self):
         cfg = SynthConfig(n_schools=60, seed=9, homophily_scale=4.0)
         _, net, truth = generate_city(cfg)
@@ -102,7 +142,7 @@ class TestGenerateApartments:
     def test_blocks_match_dense(self, city, blocks):
         # 1 apartment, one block -1/+0/+1 rows and several blocks and a part
         cfg, roster = city
-        step = synth._BLOCK_CELLS // len(roster)
+        step = synth.BLOCK_CELLS // len(roster)
         n = 1 if blocks is None else (step + blocks if blocks <= 1 else blocks * step + 7)
         # 0.3 km holds no school for most apartments: the nearest-school
         # branch prices them
