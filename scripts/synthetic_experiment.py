@@ -3,8 +3,9 @@
 
 Generates a homophilous city, runs the full analyze pipeline on the
 emitted CSV files, and prints recovered statistics next to the planted
-ground truth, and the process's peak RSS after each step. Exits with
-geoseg's nonzero exit code when synth or analyze fails.
+ground truth, and each step's wall time beside the process's peak RSS
+after it. Exits with geoseg's nonzero exit code when synth or analyze
+fails.
 """
 
 import argparse
@@ -12,6 +13,7 @@ import json
 import resource
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from geoseg.cli import main as cli_main
@@ -48,10 +50,12 @@ def run(n_schools, homophily, seed, workdir) -> int:
         "--out-dir", str(out),
     ]
     for step, argv in (("synth", synth), ("analyze", analyze)):
+        start = time.perf_counter()
         code = cli_main(argv)
         if code != 0:
             return code
-        print(f"peak RSS after {step:<7}: {peak_rss_mb():.1f} MB")
+        print(f"{step:<7}: {time.perf_counter() - start:.2f} s, "
+              f"peak RSS after it {peak_rss_mb():.1f} MB")
 
     truth = json.loads((city / "ground_truth.json").read_text())
     report = json.loads((out / "report.json").read_text())

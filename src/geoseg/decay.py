@@ -31,7 +31,7 @@ def tie_probability_curve(
     span = farthest / bin_width_km
     if span >= dm.distances.size:
         bins = math.floor(span) + 1 if math.isfinite(span) else span
-        raise InvalidValue(f"bin width {bin_width_km} km gives {bins} bins, more "
+        raise InvalidValue(f"bin width {bin_width_km} km gives {bins:.3g} bins, more "
                            f"than the {dm.distances.size} distance matrix entries")
     # binned by the pair table the null model reads, up to the first edge
     # past the farthest pair
@@ -82,6 +82,6 @@ def fit_power_law(
 
 def write_curve_csv(curve: DecayCurve, path) -> None:
     """Plot-ready bin_mid_km, probability, pair_count rows."""
-    write_csv(path, ["bin_mid_km", "probability", "pair_count"], (
-        [repr(float(mid)), "" if np.isnan(p) else repr(float(p)), int(c)]
-        for mid, p, c in zip(curve.midpoints, curve.probabilities, curve.pair_counts)))
+    probs = [None if math.isnan(p) else p for p in curve.probabilities.tolist()]
+    write_csv(path, ["bin_mid_km", "probability", "pair_count"],
+              zip(curve.midpoints.tolist(), probs, curve.pair_counts.tolist()))

@@ -2,13 +2,13 @@
 segregation measures (neighborhood affluence and center-distance
 correlations).
 
-The O(n^2) school-pair structures are built a block of whole rows at a
-time, `model.BLOCK_CELLS` matrix cells each: the distance matrix is
-written straight into the result and made symmetric tile by tile, and the
-distance-bin pair table keeps one byte per pair until a single stable
-argsort orders them. Beside their results they hold one block at a time
-and, for the pair table, its int64 sort order; the results equal the
-all-pairs constructions exactly.
+The O(n^2) school-pair structures walk the upper triangle in blocks of
+rows, `model.BLOCK_CELLS` matrix cells each: the distance matrix writes a
+block's haversines straight into the result and mirrors them below the
+diagonal, and the distance-bin pair table keeps one byte per pair until a
+single stable argsort orders them. Beside their results they hold one
+block at a time and, for the pair table, its int64 sort order; the
+results equal the all-pairs constructions exactly.
 
 S_n(R) averages the price per sqm of the apartments strictly within R of
 each school. The apartment table (`model.apartment_table`) is sorted by
@@ -47,18 +47,21 @@ def _haversine_km(lat1, lon1, lat2, lon2, out=None):
     """Vectorized great-circle distance in km (mean Earth radius).
 
     Computed in place in out (a new array by default) and at most one more
-    array of the broadcast shape, with the operations of sin(dlat / 2)**2 +
-    cos(lat1) * cos(lat2) * sin(dlon / 2)**2 in the order that expression
-    evaluates them, so the result equals it bit for bit."""
+    array of the broadcast shape, with the operations of sin(|dlat| / 2)**2
+    + cos(lat1) * cos(lat2) * sin(|dlon| / 2)**2 in the order that
+    expression evaluates them, so the result equals it bit for bit and,
+    symmetric by construction, is the same when the points swap."""
     lat1, lon1, lat2, lon2 = map(np.radians, (lat1, lon1, lat2, lon2))
     if out is None:
         out = np.empty(np.broadcast(lat1, lon1, lat2, lon2).shape)
     d = np.subtract(lon2, lon1, out=out)
+    np.abs(d, out=d)
     d /= 2
     np.sin(d, out=d)
     np.square(d, out=d)
     d *= np.cos(lat1) * np.cos(lat2)
     h = np.asarray(lat2 - lat1)
+    np.abs(h, out=h)
     h /= 2
     np.sin(h, out=h)
     np.square(h, out=h)
@@ -113,7 +116,7 @@ class DistanceMatrix:
             beyond = len(edges) - 1
             bins = np.empty(n * (n - 1) // 2, dtype=np.min_scalar_type(beyond))
             for rows, upper, start in upper_triangle_blocks(n):
-                cells = distance_bins(edges, self.distances[rows][upper])
+                cells = distance_bins(edges, self.distances[rows, rows.start:][upper])
                 bins[start:start + len(cells)] = cells
             # a stable sort of integers of 16 bits or less is a radix sort
             order = np.argsort(bins, kind="stable")
@@ -138,18 +141,18 @@ class DistanceMatrix:
 
 
 def upper_triangle_blocks(n: int):
-    """The upper triangle i < j of an n x n matrix in blocks of whole rows,
-    at most BLOCK_CELLS matrix cells a block, in row-major order: per
-    block (rows, upper, start), the row slice, the (rows x n) mask of its
-    cells with i < j and the row-major index of its first pair among all
-    n(n - 1)/2. matrix[rows][upper] is the block's pairs in order."""
+    """The upper triangle i < j of an n x n matrix in row-major order, in
+    blocks of BLOCK_CELLS // n whole rows: per block (rows, upper, start),
+    the row slice, the mask of the cells i < j of its rectangle
+    matrix[rows, rows.start:], and the row-major index of its first pair
+    among all n(n - 1)/2. matrix[rows, rows.start:][upper] is its pairs."""
     step = max(1, BLOCK_CELLS // n)
     start = 0
     for lo in range(0, n - 1, step):
         rows = slice(lo, min(lo + step, n - 1))
-        upper = np.arange(n) > np.arange(rows.start, rows.stop)[:, None]
+        upper = np.arange(lo, n) > np.arange(lo, rows.stop)[:, None]
         yield rows, upper, start
-        start += (rows.stop - rows.start) * (2 * n - rows.start - rows.stop - 1) // 2
+        start += (rows.stop - lo) * (2 * n - lo - rows.stop - 1) // 2
 
 
 def distance_bins(bin_edges: np.ndarray, distances) -> np.ndarray:
@@ -169,26 +172,18 @@ def _latlon_arrays(roster: list[School]):
 def school_distance_matrix(roster: list[School]) -> DistanceMatrix:
     """Pairwise great-circle distances between schools, in roster order.
 
-    The haversine is computed straight into the matrix, BLOCK_CELLS cells
-    at a time, and the matrix is made exactly symmetric (the haversine of
-    (i, j) and of (j, i) need not round alike) tile by tile: (d[i, j] +
-    d[j, i]) / 2 on both sides. Float addition commutes, so this equals (d + d.T) / 2
-    of the whole matrix bit for bit, with no second n x n array."""
+    The haversine, symmetric by construction, is computed once per pair:
+    each upper_triangle_blocks rectangle d[rows, rows.start:] straight into
+    the matrix, its cells i < j then mirrored below the diagonal."""
     n = len(roster)
     if n < 2:
         raise TooFewSchools(f"need >= 2 schools, got {n}")
     lat, lon = _latlon_arrays(roster)
     d = np.empty((n, n))
-    step = max(1, BLOCK_CELLS // n)
-    for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
-        _haversine_km(lat[rows, None], lon[rows, None], lat, lon, out=d[rows])
-    for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
-        tile = d[rows, lo:] + d[lo:, rows].T
-        tile /= 2
-        d[rows, lo:] = tile
-        d[lo:, rows] = tile.T
+    for rows, upper, _ in upper_triangle_blocks(n):
+        lo = rows.start
+        _haversine_km(lat[rows, None], lon[rows, None], lat[lo:], lon[lo:], out=d[rows, lo:])
+        np.copyto(d[lo:, rows].T, d[rows, lo:], where=upper)
     np.fill_diagonal(d, 0.0)
     return DistanceMatrix(ids=[s.id for s in roster], distances=d)
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     CoordinateOutOfRange,
+    GeosegError,
     InvalidValue,
     LengthMismatch,
     MismatchedIds,
@@ -382,15 +383,21 @@ def correlation_report(name: str, x, y, permutations: int, seed: int,
                        **settings) -> SegregationReport:
     """pearson(x, y) as the report `name`, over len(x) samples, with
     permutation_p_value(x, y, permutations, seed) unless permutations is
-    0; the settings record permutations and seed after the given ones."""
-    value = pearson(x, y)
-    p = permutation_p_value(x, y, permutations, seed) if permutations else None
+    0; the settings record permutations and seed after the given ones. A
+    GeosegError of either is raised again, of its type, with name in front."""
+    try:
+        value = pearson(x, y)
+        p = permutation_p_value(x, y, permutations, seed) if permutations else None
+    except GeosegError as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
     return SegregationReport(name, value, len(x), p,
                              {**settings, "permutations": permutations, "seed": seed})
 
 
 def write_csv(path, header, rows) -> None:
-    """The header row and then rows, comma-separated with "\n" line ends."""
+    """The header row and then rows, comma-separated with "\n" line ends.
+    Rows hold native Python values (.tolist() of an array), written as str,
+    which for a float is its repr; a missing value is None, an empty field."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)

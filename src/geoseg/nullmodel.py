@@ -260,4 +260,4 @@ def null_distribution_s_d(
 
 def write_null_samples_csv(result: NullModelResult, path) -> None:
     """One simulated S value per row, for external plotting."""
-    write_csv(path, ["s_d_null"], ([repr(float(v))] for v in result.samples))
+    write_csv(path, ["s_d_null"], ([v] for v in result.samples.tolist()))

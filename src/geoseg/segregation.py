@@ -195,8 +195,6 @@ def segregation_profile(
 def write_profile_csv(profile, path) -> None:
     """k, s_g, s_d, excluded_digital, p_g, p_d rows."""
     write_csv(path, ["k", "s_g", "s_d", "excluded_digital", "p_g", "p_d"], (
-        [geo_rep.settings["k"], repr(geo_rep.value), repr(dig_rep.value),
-         dig_rep.settings["excluded_schools"],
-         "" if geo_rep.p_value is None else repr(geo_rep.p_value),
-         "" if dig_rep.p_value is None else repr(dig_rep.p_value)]
+        [geo_rep.settings["k"], geo_rep.value, dig_rep.value,
+         dig_rep.settings["excluded_schools"], geo_rep.p_value, dig_rep.p_value]
         for geo_rep, dig_rep in profile))

@@ -123,8 +123,9 @@ def generate_city(cfg: SynthConfig):
     for rows, upper, _ in upper_triangle_blocks(cfg.n_schools):
         i, j = np.nonzero(upper)
         i += rows.start
+        j += rows.start
         p = cfg.decay_prefactor * (
-            np.maximum(dm.distances[rows][upper], cfg.plateau_distance_km)
+            np.maximum(dm.distances[rows, rows.start:][upper], cfg.plateau_distance_km)
             / cfg.plateau_distance_km
         ) ** cfg.decay_exponent
         if cfg.homophily_scale > 0:
@@ -255,9 +256,7 @@ def emit_city(
               zip(map(ids.__getitem__, src), map(ids.__getitem__, dst)))
     write_csv(os.path.join(out_dir, "schools.csv"),
               ["school_id", "latitude", "longitude", "score"],
-              ([s.id, repr(s.location.latitude), repr(s.location.longitude), repr(s.score)]
-               for s in roster))
+              ([s.id, s.location.latitude, s.location.longitude, s.score] for s in roster))
     write_csv(os.path.join(out_dir, "apartments.csv"),
-              ["latitude", "longitude", "price_per_sqm"],
-              ([repr(x) for x in row] for row in apartments.tolist()))
+              ["latitude", "longitude", "price_per_sqm"], apartments.tolist())
     write_json(os.path.join(out_dir, "ground_truth.json"), truth)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -199,6 +200,29 @@ class TestAnalyzeCommand:
         assert run_analyze(city, out, extra=("--bin-km", "1e-9")) == 2
         assert "bin width 1e-09 km gives" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_huge_bin_count_given_in_three_digits(self, city, tmp_path, capsys):
+        # about 1e301 bins of 1e-300 km, not a 301-digit integer
+        assert run_analyze(city, tmp_path / "out", extra=("--bin-km", "1e-300")) == 2
+        assert re.search(r"bin width 1e-300 km gives \d\.\d\de\+30\d bins, more than",
+                         capsys.readouterr().err)
+
+    def test_constant_statistic_input_names_the_statistic(self, tmp_path, capsys):
+        # four schools in a line 1.1 km apart, an apartment beside each: within
+        # 50 km every school sees all four, so every mean price is the same
+        city = tmp_path / "city"
+        city.mkdir()
+        (city / "schools.csv").write_text("school_id,latitude,longitude,score\n" + "".join(
+            f"s{i},0.0,{0.01 * i},{50 + i}\n" for i in range(4)))
+        (city / "apartments.csv").write_text("latitude,longitude,price_per_sqm\n" + "".join(
+            f"0.001,{0.01 * i},{100_000 + 1000 * i}\n" for i in range(4)))
+        (city / "students.csv").write_text("student_id,school_id\n" + "".join(
+            f"u{i}{j},s{i}\n" for i in range(4) for j in range(2)))
+        (city / "edges.csv").write_text("student_id_a,student_id_b\n" + "".join(
+            f"u{i}0,u{i}1\nu{i}1,u{(i + 1) % 4}0\n" for i in range(4)))
+        assert run_analyze(city, tmp_path / "out", extra=("--radius-km", "50")) == 2
+        assert ("error: neighborhood_affluence_segregation: y is constant"
+                in capsys.readouterr().err)
 
     def test_out_dir_file_rejected_before_parse(self, city, tmp_path, capsys):
         # the students file is malformed, so a parse would fail first

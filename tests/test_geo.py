@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geoseg import geo
@@ -18,6 +18,7 @@ from geoseg.geo import (
     haversine,
     neighborhood_affluence_segregation,
     school_distance_matrix,
+    upper_triangle_blocks,
 )
 from geoseg.model import EARTH_RADIUS_KM, GeoPoint, School, apartment_table, pearson
 from geoseg.synth import SynthConfig, generate_city
@@ -37,6 +38,8 @@ def make_apartments(rows):
 
 
 coords = st.tuples(st.floats(-89.0, 89.0), st.floats(-180.0, 180.0))
+# the whole globe, poles and antimeridian included
+globe = st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0))
 
 
 class TestHaversine:
@@ -58,6 +61,18 @@ class TestHaversine:
     def test_symmetric(self, a, b):
         pa, pb = GeoPoint(*a), GeoPoint(*b)
         assert haversine(pa, pb) == haversine(pb, pa)
+
+    @given(globe, globe, st.lists(st.tuples(globe, globe), min_size=1, max_size=20))
+    @example((0.5, 180.0), (-0.5, -180.0), [((0.0, 179.9999), (0.0, -179.9999))])
+    @example((90.0, 0.0), (-90.0, 45.0), [((90.0, -180.0), (89.9, 180.0))])
+    @example((10.0, 10.0), (10.0, 10.0), [((-90.0, 0.0), (-90.0, 0.0))])
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_symmetric_bit_for_bit(self, a, b, pairs):
+        # scalar form, and array form over many pairs at once
+        assert _haversine_km(*a, *b).tobytes() == _haversine_km(*b, *a).tobytes()
+        first, second = (np.array(points).T for points in zip(*pairs))
+        assert (_haversine_km(*first, *second).tobytes()
+                == _haversine_km(*second, *first).tobytes())
 
     @given(coords, coords, coords)
     @settings(max_examples=200, deadline=None)
@@ -202,9 +217,25 @@ class TestBlockedPairBuilders:
                               reference_distances(roster))
 
     @pytest.mark.parametrize("n, rows", BLOCKS)
+    def test_matrix_exactly_symmetric(self, monkeypatch, n, rows):
+        monkeypatch.setattr(geo, "BLOCK_CELLS", rows * n)
+        d = school_distance_matrix(scattered_roster(n, seed=n)).distances
+        assert np.array_equal(d, d.T)
+
+    @pytest.mark.parametrize("n, rows", BLOCKS)
+    def test_blocks_yield_each_pair_once_in_row_major_order(self, monkeypatch, n, rows):
+        monkeypatch.setattr(geo, "BLOCK_CELLS", rows * n)
+        m = np.arange(n * n, dtype=float).reshape(n, n)
+        pairs = []
+        for block, upper, start in upper_triangle_blocks(n):
+            assert start == sum(map(len, pairs))
+            pairs.append(m[block, block.start:][upper])
+        assert np.array_equal(np.concatenate(pairs), m[np.triu_indices(n, 1)])
+
+    @pytest.mark.parametrize("n, rows", BLOCKS)
     def test_asymmetric_haversine_symmetrised(self, monkeypatch, n, rows):
-        # the haversine is symmetric bit for bit here; skew it so that the
-        # tiles' (d[i, j] + d[j, i]) / 2 has work to do on both sides
+        # the haversine is symmetric by construction; skew it so that the
+        # matrix shows it holds the upper triangle's haversines, mirrored
         haversine_km = geo._haversine_km
 
         def skewed(lat1, lon1, lat2, lon2, out=None):
@@ -216,10 +247,8 @@ class TestBlockedPairBuilders:
         monkeypatch.setattr(geo, "_haversine_km", skewed)
         roster = scattered_roster(n, seed=n)
         lat, lon = _latlon_arrays(roster)
-        d = skewed(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
-        d = (d + d.T) / 2.0
-        np.fill_diagonal(d, 0.0)
-        assert np.array_equal(school_distance_matrix(roster).distances, d)
+        upper = np.triu(skewed(lat[:, None], lon[:, None], lat[None, :], lon[None, :]), 1)
+        assert np.array_equal(school_distance_matrix(roster).distances, upper + upper.T)
 
     @pytest.mark.parametrize("n, rows", BLOCKS)
     @pytest.mark.parametrize("edges", [

@@ -14,6 +14,7 @@ from geoseg.model import (
     StudentGraph,
     _unique_keys,
     apartment_table,
+    correlation_report,
     k_subsets,
     pearson,
     permutation_p_value,
@@ -124,6 +125,19 @@ class TestPermutationPValue:
             if permutation_p_value(x, y, 199, seed=i) < 0.05:
                 rejections += 1
         assert abs(rejections / repeats - 0.05) <= 0.03
+
+
+class TestCorrelationReport:
+    @pytest.mark.parametrize("y, permutations, error, message", [
+        ((5.0, 5.0, 5.0, 5.0), 0, ZeroVariance, "y is constant"),
+        ((1.0, 3.0, 2.0, 4.0), 50, InvalidValue, "need >= 100 permutations, got 50"),
+    ], ids=["pearson", "permutation p"])
+    def test_error_names_its_statistic(self, y, permutations, error, message):
+        with pytest.raises(error) as info:
+            correlation_report("center_distance_correlation", (1.0, 2.0, 3.0, 4.0), y,
+                               permutations, seed=0)
+        assert type(info.value) is error
+        assert str(info.value) == f"center_distance_correlation: {message}"
 
 
 class TestTypes:
