@@ -4,8 +4,9 @@
 Generates a homophilous city, runs the full analyze pipeline on the
 emitted CSV files, and prints recovered statistics next to the planted
 ground truth, and each step's wall time beside the process's peak RSS
-after it. Exits with geoseg's nonzero exit code when synth or analyze
-fails.
+after it. It prints every statistic of report.json's segregation block
+with its permutation p. Exits with geoseg's nonzero exit code when synth
+or analyze fails.
 """
 
 import argparse
@@ -64,10 +65,10 @@ def run(n_schools, homophily, seed, workdir) -> int:
     print(f"planted decay exponent : {truth['config']['decay_exponent']}")
     print(f"recovered exponent     : {report['decay_fit']['exponent']:.3f}")
     print(f"planted homophily scale: {truth['config']['homophily_scale']}")
-    print(f"S_d(20) = {seg['digital_segregation']['value']:.3f} "
-          f"(p = {seg['digital_segregation']['p_value']:.4g})")
-    print(f"S_g(20) = {seg['geographic_segregation']['value']:.3f} "
-          f"(p = {seg['geographic_segregation']['p_value']:.4g})")
+    for name, stat in seg.items():
+        k = stat["settings"].get("k")
+        label = name if k is None else f"{name}(k={k})"
+        print(f"{label:<35}: {stat['value']:+.3f} (p = {stat['p_value']:.4g})")
     print(f"null S_d(1): mean {null['simulated_mean']:.4f}, "
           f"sd {null['simulated_sd']:.4f}, max {null['simulated_max']:.4f}, "
           f"observed {null['observed']:.4f}, p {null['empirical_p']:.4g}")

@@ -81,19 +81,35 @@ def _check_counts(args) -> None:
 def _check_out_dir(out_dir: str) -> None:
     """Reject an --out-dir that exists and is not a directory, or that lies
     below a file: writing into it would fail only after the whole run. The
-    nearest existing ancestor must be a directory."""
+    nearest existing ancestor must be a directory; a dangling symlink
+    exists and is not one."""
     path = target = os.path.abspath(out_dir)
-    while not os.path.exists(path):
+    while not os.path.lexists(path):
         path = os.path.dirname(path)
     if not os.path.isdir(path):
         where = "" if path == target else f" lies below {path}, which"
         raise GeosegError(f"--out-dir {out_dir}{where} exists and is not a directory")
 
 
+def _write_atomically(out_dir: str, write) -> None:
+    """Check --out-dir, then call write(work) on a temporary sibling of it
+    and move the files written there into it only once write returns, so
+    a failed run leaves no output in --out-dir."""
+    _check_out_dir(out_dir)
+    out_dir = os.path.abspath(out_dir)
+    parent = os.path.dirname(out_dir)
+    os.makedirs(parent, exist_ok=True)
+    work = tempfile.mkdtemp(prefix=f".{os.path.basename(out_dir)}.", dir=parent)
+    try:
+        write(work)
+        os.makedirs(out_dir, exist_ok=True)
+        for name in sorted(os.listdir(work)):
+            os.replace(os.path.join(work, name), os.path.join(out_dir, name))
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+
 def run_analyze(args) -> None:
-    """Write every output into a temporary sibling of --out-dir and move
-    them in only once report.json is written, so a failed run leaves no
-    output in --out-dir."""
     _check_counts(args)
     try:
         center = GeoPoint(args.center_lat, args.center_lon)
@@ -102,18 +118,7 @@ def run_analyze(args) -> None:
     for path in (args.students, args.edges, args.schools, args.apartments):
         if not os.path.exists(path):
             raise GeosegError(f"input file not found: {path}")
-    _check_out_dir(args.out_dir)
-    out_dir = os.path.abspath(args.out_dir)
-    parent = os.path.dirname(out_dir)
-    os.makedirs(parent, exist_ok=True)
-    work = tempfile.mkdtemp(prefix=f".{os.path.basename(out_dir)}.", dir=parent)
-    try:
-        _analyze(args, center, work)
-        os.makedirs(out_dir, exist_ok=True)
-        for name in sorted(os.listdir(work)):
-            os.replace(os.path.join(work, name), os.path.join(out_dir, name))
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
+    _write_atomically(args.out_dir, lambda work: _analyze(args, center, work))
 
 
 def _analyze(args, center: GeoPoint, out_dir: str) -> None:
@@ -210,7 +215,10 @@ def _analyze(args, center: GeoPoint, out_dir: str) -> None:
 
 
 def run_synth(args) -> None:
-    _check_out_dir(args.out_dir)
+    _write_atomically(args.out_dir, lambda work: _synth(args, work))
+
+
+def _synth(args, out_dir: str) -> None:
     cfg = synth.SynthConfig(
         n_schools=args.n_schools,
         city_radius_km=args.city_radius,
@@ -230,7 +238,7 @@ def run_synth(args) -> None:
     truth["price_coupling"] = args.price_coupling
     truth["students_per_school"] = args.students_per_school
     synth.emit_city(
-        args.out_dir, roster, net, truth, apartments,
+        out_dir, roster, net, truth, apartments,
         seed=args.seed, students_per_school=args.students_per_school,
     )
 

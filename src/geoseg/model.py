@@ -6,7 +6,9 @@ the one place a statistic becomes a SegregationReport: pearson(x, y), the
 permutation p-value when asked for, and the permutations and seed in its
 settings. `write_csv` and `write_json` are the one CSV dialect (a header
 row, "\n" line ends) and the one JSON layout (indent 2, sorted keys,
-trailing newline) of every output file.
+trailing newline) of every output file. `_centred_pair`, the correlation
+kernel of both statistics, alone decides when a correlation is undefined;
+the null model discards a simulation whose S_d is undefined.
 """
 
 from __future__ import annotations
@@ -323,32 +325,33 @@ class SegregationReport:
         return asdict(self)
 
 
-def _as_checked_pair(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+def _centred_pair(x, y):
+    """The one correlation kernel: [xc, sx, yc, sy], each side centred and
+    its root sum of squares, after an exact scaling by the power of two
+    that puts its largest magnitude in [0.5, 1), so no sum of squares
+    overflows or underflows. ZeroVariance when a side's min equals its max."""
+    x, y = (np.asarray(v, dtype=float) for v in (x, y))
     if x.shape != y.shape or x.ndim != 1:
         raise LengthMismatch(f"lengths {x.shape} vs {y.shape}")
     if len(x) < 3:
         raise TooFewSamples(f"need >= 3 samples, got {len(x)}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise InvalidValue("inputs must be finite")
-    return x, y
+    columns = []
+    for name, v in (("x", x), ("y", y)):
+        lo, hi = v.min(), v.max()
+        if lo == hi:
+            raise ZeroVariance(f"{name} is constant")
+        v = np.ldexp(v, -math.frexp(max(-lo, hi))[1])
+        v -= v.mean()
+        columns += [v, math.sqrt(float(v @ v))]
+    return columns
 
 
 def pearson(x, y) -> float:
-    """Sample Pearson correlation, clipped to [-1, 1].
-
-    Raises ZeroVariance for constant input, LengthMismatch, TooFewSamples.
-    """
-    x, y = _as_checked_pair(x, y)
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sx = math.sqrt(float(xc @ xc))
-    sy = math.sqrt(float(yc @ yc))
-    if sx == 0.0:
-        raise ZeroVariance("x is constant")
-    if sy == 0.0:
-        raise ZeroVariance("y is constant")
+    """Sample Pearson correlation, clipped to [-1, 1]. Raises ZeroVariance,
+    LengthMismatch, TooFewSamples or InvalidValue where it is undefined."""
+    xc, sx, yc, sy = _centred_pair(x, y)
     r = float(xc @ yc) / (sx * sy)
     return min(1.0, max(-1.0, r))
 
@@ -362,12 +365,10 @@ def permutation_p_value(x, y, permutations: int, seed: int) -> float:
     """
     if permutations < 100:
         raise InvalidValue(f"need >= 100 permutations, got {permutations}")
-    r_obs = abs(pearson(x, y))
-    x, y = _as_checked_pair(x, y)
-    xc = x - x.mean()
-    xc /= math.sqrt(float(xc @ xc))
-    yc = y - y.mean()
-    yc /= math.sqrt(float(yc @ yc))
+    xc, sx, yc, sy = _centred_pair(x, y)
+    r_obs = min(1.0, abs(float(xc @ yc)) / (sx * sy))
+    xc /= sx
+    yc /= sy
     rng = np.random.default_rng(seed)
     # ties at |r_obs| must count; tolerance absorbs permutation round-off
     threshold = r_obs - 1e-12

@@ -5,7 +5,8 @@ Each unordered school pair gets an independent Bernoulli tie with the
 decay-curve probability of its distance bin, and no tie outside the
 curve's defined bins. A simulated graph is kept as its list of tied
 pairs, never as an n x n matrix; `generate_null_graph` returns them
-sorted, as the `SchoolNetwork` the observed networks also are.
+sorted, as the `SchoolNetwork` the observed networks also are. A
+simulation whose S_d is undefined (`pearson` raises) is discarded.
 
 Pair table: the distance matrix sorts its pairs by bin once per set of
 bin edges (`DistanceMatrix.pairs_by_bin`, small-int school indices), and
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DegenerateNull, InvalidValue
+from .errors import DegenerateNull, InvalidValue, TooFewSamples, ZeroVariance
 from .geo import DistanceMatrix
 from .model import (DecayCurve, School, SchoolNetwork, check_roster, group_arcs,
                     k_subsets, pearson, write_csv)
@@ -57,8 +58,11 @@ class NullModelResult:
     k: int = 1
     discarded: int = 0
     uncovered_pairs: int = 0
-    extension: bool = False  # True when k > 1 (beyond the reference analysis)
     samples: np.ndarray = field(repr=False, default=None)
+
+    @property
+    def extension(self) -> bool:  # k > 1 is beyond the reference analysis
+        return self.k > 1
 
     @property
     def empirical_p_se(self) -> float:
@@ -68,10 +72,9 @@ class NullModelResult:
         return math.sqrt(p * (1 - p) / self.simulations)
 
     def to_dict(self) -> dict:
-        """Every field but the samples, and empirical_p_se."""
+        """Every field but the samples, extension and empirical_p_se."""
         d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "samples"}
-        d["empirical_p_se"] = self.empirical_p_se
-        return d
+        return {**d, "extension": self.extension, "empirical_p_se": self.empirical_p_se}
 
 
 @dataclass(frozen=True)
@@ -185,21 +188,18 @@ def _s_d_on_edges(a: np.ndarray, b: np.ndarray, n: int, scores: np.ndarray,
                   k: int, rng: np.random.Generator) -> float | None:
     """S_d(k) on the binary graph with tied pairs (a, b): the k-set of each
     school is a uniform random k-subset of its neighbors. Returns None when
-    fewer than 3 schools are eligible or a correlation input is constant."""
+    S_d is undefined: when pearson raises TooFewSamples or ZeroVariance."""
     src = np.concatenate((a, b))
     dst = np.concatenate((b, a))
     order, indptr = group_arcs(src, n)
     degrees = np.diff(indptr)
     eligible = np.flatnonzero(degrees >= k)
-    if len(eligible) < 3:
-        return None
     picks = k_subsets(degrees[eligible], k, rng)
     picks += indptr[eligible]
-    neighbor_mean = scores[dst[order[picks]]].mean(axis=0)
-    own = scores[eligible]
-    if np.all(own == own[0]) or np.all(neighbor_mean == neighbor_mean[0]):
+    try:
+        return pearson(scores[eligible], scores[dst[order[picks]]].mean(axis=0))
+    except (TooFewSamples, ZeroVariance):
         return None
-    return pearson(own, neighbor_mean)
 
 
 def null_distribution_s_d(
@@ -215,9 +215,9 @@ def null_distribution_s_d(
     preserving random graph, compared against the observed value.
 
     Per-simulation seeds derive from (master seed, simulation index), so
-    execution order cannot change the result. Simulations with fewer than
-    3 eligible schools are discarded and re-drawn; DegenerateNull if more
-    than half are discarded.
+    execution order cannot change the result. A simulation whose S_d is
+    undefined is discarded and re-drawn; DegenerateNull if more than half
+    are discarded.
     """
     if simulations < 100:
         raise InvalidValue(f"need >= 100 simulations, got {simulations}")
@@ -253,7 +253,6 @@ def null_distribution_s_d(
         k=k,
         discarded=discarded,
         uncovered_pairs=table.uncovered,
-        extension=k > 1,
         samples=samples,
     )
 

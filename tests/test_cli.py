@@ -120,6 +120,33 @@ class TestSynthCommand:
         assert "--out-dir" in err and "is not a directory" in err
         assert parent.read_text() == "a file\n"
 
+    def test_out_dir_dangling_symlink_rejected_before_generating(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        def no_city(cfg):
+            raise AssertionError("generated a city for an unusable --out-dir")
+
+        monkeypatch.setattr(cli.synth, "generate_city", no_city)
+        out = tmp_path / "out"
+        out.symlink_to(tmp_path / "missing")
+        assert run_synth(out) == 2
+        err = capsys.readouterr().err
+        assert "--out-dir" in err and "is not a directory" in err
+        assert out.is_symlink() and sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+    def test_failed_write_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        write_json = cli.synth.write_json
+
+        def failing(path, payload):
+            if os.path.basename(path) == "ground_truth.json":
+                raise OSError("disk full")
+            write_json(path, payload)
+
+        monkeypatch.setattr(cli.synth, "write_json", failing)
+        out = tmp_path / "out"
+        assert run_synth(out) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_emits_all_files(self, city):
         for name in ("students.csv", "edges.csv", "schools.csv",
                      "apartments.csv", "ground_truth.json"):
@@ -246,6 +273,32 @@ class TestAnalyzeCommand:
         assert "--out-dir" in err and "is not a directory" in err
         assert parent.read_text() == "a file\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["city", "file"]
+
+    def test_out_dir_dangling_symlink_rejected_before_parse(self, city, tmp_path, capsys):
+        bad_city = tmp_path / "city"
+        shutil.copytree(city, bad_city)
+        (bad_city / "students.csv").write_bytes(b"s\xe9\n")
+        out = tmp_path / "out"
+        out.symlink_to(tmp_path / "missing")
+        assert run_analyze(bad_city, out) == 2
+        err = capsys.readouterr().err
+        assert "--out-dir" in err and "is not a directory" in err
+        assert out.is_symlink() and sorted(p.name for p in tmp_path.iterdir()) == ["city", "out"]
+
+    def test_constant_scores_name_the_statistic(self, city, tmp_path, capsys):
+        # every school scores 61.3, whose mean over the schools is not 61.3
+        # in floating point; the first statistic reports the scores constant
+        const_city = tmp_path / "city"
+        shutil.copytree(city, const_city)
+        schools = const_city / "schools.csv"
+        header, *rows = schools.read_text().splitlines()
+        schools.write_text("\n".join([header] + [row.rsplit(",", 1)[0] + ",61.3"
+                                                 for row in rows]) + "\n")
+        out = tmp_path / "out"
+        assert run_analyze(const_city, out) == 2
+        assert ("error: neighborhood_affluence_segregation: x is constant"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_failed_run_leaves_no_output(self, city, tmp_path, capsys):
         # the digital S_d at --k 30 fails after the decay outputs are

@@ -78,6 +78,47 @@ class TestPearson:
         assert -1.0 <= r <= 1.0
 
     @given(
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-30, 1e30), st.floats(-1e30, -1e-30)),
+                 min_size=3, max_size=40),
+        st.integers(-900, 900),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_power_of_two_scaling_keeps_every_bit(self, x, e, data):
+        # every nonzero x * 2**e is a normal float, so the scaling is exact;
+        # no sum of squares may overflow or underflow on the way
+        y = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(x), max_size=len(x)))
+        scaled = np.array(x) * 2.0**e
+        try:
+            r = pearson(x, y)
+        except ZeroVariance:
+            with pytest.raises(ZeroVariance):
+                pearson(scaled, y)
+            return
+        assert pearson(scaled, y) == r
+        assert pearson(y, scaled) == pearson(y, x)
+
+    def test_equal_non_integer_values_are_constant(self):
+        # the mean of n copies of 61.3 need not round to 61.3, so the
+        # centred values need not be 0; equal values are constant regardless
+        ramp = np.arange(200.0)
+        for n in range(3, 201):
+            with pytest.raises(ZeroVariance, match="x is constant"):
+                pearson([61.3] * n, ramp[:n])
+            with pytest.raises(ZeroVariance, match="y is constant"):
+                pearson(ramp[:n], [61.3] * n)
+
+    @pytest.mark.parametrize("magnitude", [1e-300, 1e-200, 1e-20, 1.0, 1e20, 1e200, 1e300])
+    def test_perfect_correlation_at_any_magnitude(self, magnitude):
+        x = np.array([1.0, 2.0, 3.5, -4.0, 0.25]) * magnitude
+        assert abs(pearson(x, x) - 1.0) <= 1e-12
+        assert abs(pearson(x, -x) + 1.0) <= 1e-12
+
+    def test_large_values_without_overflow(self):
+        # an overflow's RuntimeWarning fails the suite (pyproject.toml)
+        assert pearson([1e200, 2e200, 3.5e200], [1e200, 2e200, 3.5e200]) == 1.0
+
+    @given(
         st.floats(0.01, 100),
         st.floats(-50, 50),
         st.integers(0, 2**31),

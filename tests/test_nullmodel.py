@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from geoseg.decay import tie_probability_curve
-from geoseg.errors import DegenerateNull
+from geoseg.errors import DegenerateNull, TooFewSamples, ZeroVariance
 from geoseg.geo import DistanceMatrix, school_distance_matrix
 from geoseg.model import DecayCurve, group_arcs, pearson
 from geoseg.network import binarize
@@ -359,6 +359,32 @@ class TestEdgeKernel:
         rng = np.random.default_rng(0)
         assert _s_d_on_binary(dense(a, b, n), scores, k, rng) is None
         assert _s_d_on_edges(a, b, n, scores, k, rng) is None
+
+    @pytest.mark.parametrize("pairs, n, k, scores", [
+        (cycle(10), 10, 2, np.arange(10.0) ** 2),
+        (cycle(10), 10, 2, np.arange(10.0) ** 2 * 1e-200),
+        (cycle(10), 10, 2, np.arange(10.0) ** 2 * 1e200),
+        ([], 6, 1, np.arange(6.0)),
+        ([(0, 1), (1, 2)], 3, 2, np.arange(3.0)),
+        ([(0, 1), (2, 3), (4, 5)], 6, 1, [3.0, 1.0, 4.0, 1.0, 5.0, 9.0]),
+        (cycle(8), 8, 2, np.full(8, 61.3)),
+        (cycle(8), 8, 2, np.full(8, 1.5)),
+        ([(i, j) for i in (0, 1) for j in (2, 3, 4)], 5, 2, [0.0, 2.0, 1.0, 1.0, 1.0]),
+    ], ids=["cycle", "cycle-tiny", "cycle-huge", "no-ties", "one-eligible",
+            "pairs", "constant-61.3", "constant-1.5", "constant-neighbour-means"])
+    def test_none_exactly_when_pearson_raises(self, pairs, n, k, scores):
+        # each eligible school's k-subsets all have its full neighbour mean,
+        # so S_d is pearson(scores, full neighbour means) or undefined
+        a, b = edge_arrays(pairs)
+        scores = np.asarray(scores, dtype=float)
+        adj = dense(a, b, n)
+        eligible = np.flatnonzero(adj.sum(axis=1) >= k)
+        means = [scores[adj[i]].mean() for i in eligible]
+        try:
+            expected = pearson(scores[eligible], means)
+        except (TooFewSamples, ZeroVariance):
+            expected = None
+        assert _s_d_on_edges(a, b, n, scores, k, np.random.default_rng(0)) == expected
 
     @pytest.mark.parametrize("k, degree", [(1, 5), (2, 5), (3, 5), (4, 5), (3, 3)],
                              ids=["1", "2", "3", "4", "3-degree-3"])

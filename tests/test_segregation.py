@@ -162,6 +162,25 @@ class TestDigitalSegregation:
         assert digital_segregation(roster, scaled, 3, seed=5).value == base
 
 
+class TestConstantScores:
+    @pytest.fixture(scope="class")
+    def constant_city(self):
+        roster, net, _ = generate_city(SynthConfig(n_schools=60, seed=5))
+        # the mean of 60 scores of 61.3 is not 61.3 in floating point
+        assert np.mean([61.3] * 60) != 61.3
+        return [School(s.id, s.location, 61.3) for s in roster], net
+
+    def test_geographic_segregation_is_undefined(self, constant_city):
+        roster, _ = constant_city
+        with pytest.raises(ZeroVariance, match="x is constant"):
+            geographic_segregation(roster, school_distance_matrix(roster), 5, seed=0)
+
+    def test_digital_segregation_is_undefined(self, constant_city):
+        roster, net = constant_city
+        with pytest.raises(ZeroVariance, match="x is constant"):
+            digital_segregation(roster, net, 5, seed=0)
+
+
 class TestDegreeOutcome:
     def test_constant_degree_raises(self):
         net = weighted_net(["a", "b", "c"], {("a", "b"): 1, ("b", "c"): 1, ("a", "c"): 1})
