@@ -3,28 +3,32 @@
 
 Generates a homophilous city, runs the full analyze pipeline on the
 emitted CSV files, and prints recovered statistics next to the planted
-ground truth, and each step's wall time beside the process's peak RSS
-after it. It prints every statistic of report.json's segregation block
-with its permutation p. Exits with geoseg's nonzero exit code when synth
-or analyze fails.
+ground truth. Each geoseg command runs as a child process, with this
+interpreter's warning and optimisation flags, and its wall time is
+printed beside that child's own peak RSS, read with os.wait4. It prints
+every statistic of report.json's segregation block with its permutation
+p. Exits with geoseg's nonzero exit code when synth or analyze fails.
 """
 
 import argparse
 import json
-import resource
+import os
+import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-from geoseg.cli import main as cli_main
 
-
-def peak_rss_mb() -> float:
-    """This process's peak resident set size so far, in MB (ru_maxrss
-    counts bytes on macOS and KB elsewhere)."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+def run_geoseg(argv) -> tuple[int, float]:
+    """Run `python -m geoseg.cli argv` as a child process; returns its exit
+    code and its own peak resident set size in MB (ru_maxrss counts bytes
+    on macOS and KB elsewhere)."""
+    flags = [f"-W{option}" for option in sys.warnoptions] + ["-O"] * sys.flags.optimize
+    proc = subprocess.Popen([sys.executable, *flags, "-m", "geoseg.cli", *argv])
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, usage.ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10)
 
 
 def run(n_schools, homophily, seed, workdir) -> int:
@@ -52,11 +56,11 @@ def run(n_schools, homophily, seed, workdir) -> int:
     ]
     for step, argv in (("synth", synth), ("analyze", analyze)):
         start = time.perf_counter()
-        code = cli_main(argv)
+        code, peak_mb = run_geoseg(argv)
         if code != 0:
             return code
         print(f"{step:<7}: {time.perf_counter() - start:.2f} s, "
-              f"peak RSS after it {peak_rss_mb():.1f} MB")
+              f"peak RSS {peak_mb:.1f} MB", flush=True)
 
     truth = json.loads((city / "ground_truth.json").read_text())
     report = json.loads((out / "report.json").read_text())

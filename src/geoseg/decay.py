@@ -12,6 +12,8 @@ from .model import DecayCurve, SchoolNetwork, write_csv
 
 DEFAULT_BIN_WIDTH_KM = 1.0
 DEFAULT_MIN_PAIRS_PER_BIN = 30
+# tied pairs per block of the curve's tie count: about 1 MB of temporaries
+_TIE_BLOCK = 1 << 14
 
 
 def tie_probability_curve(
@@ -24,22 +26,29 @@ def tie_probability_curve(
     # int() of a NaN width fails, and an infinite width gives NaN edges
     if not (math.isfinite(bin_width_km) and bin_width_km > 0):
         raise InvalidValue(f"bin width must be finite and positive, got {bin_width_km}")
-    farthest = float(dm.distances.max(initial=0.0))
-    # a curve and pair table of more bins than the distance matrix has
-    # entries would outgrow it, almost every bin empty: refuse that before
-    # the edges are allocated (span is inf for a subnormal width)
+    farthest = dm.farthest
+    # the pair table codes up to 65,535 bins in two bytes; past that, a
+    # curve of more bins than school pairs is mostly empty bins: refuse it
+    # before the edges are allocated (span is inf for a subnormal width)
+    pairs = len(dm.ids) * (len(dm.ids) - 1) // 2
     span = farthest / bin_width_km
-    if span >= dm.distances.size:
+    if span >= max(pairs, 2**16 - 1):
         bins = math.floor(span) + 1 if math.isfinite(span) else span
         raise InvalidValue(f"bin width {bin_width_km} km gives {bins:.3g} bins, more "
-                           f"than the {dm.distances.size} distance matrix entries")
+                           f"than max(65535, {pairs} school pairs)")
     # binned by the pair table the null model reads, up to the first edge
     # past the farthest pair
     edges = np.arange(int(span) + 3) * bin_width_km
     edges = edges[: np.searchsorted(edges, farthest, side="right") + 1]
     pair_counts = np.diff(dm.pairs_by_bin(edges)[2][:-1])
-    tie_counts = np.bincount(distance_bins(edges, dm.distances[net.a, net.b]),
-                             minlength=len(edges))[:-1]
+    # the tied pairs' distances, a block of ties at a time
+    tie_counts = np.zeros(len(edges), dtype=np.int64)
+    for lo in range(0, len(net.a), _TIE_BLOCK):
+        ties = slice(lo, lo + _TIE_BLOCK)
+        tie_counts += np.bincount(
+            distance_bins(edges, dm.pair_distances(net.a[ties], net.b[ties])),
+            minlength=len(edges))
+    tie_counts = tie_counts[:-1]
     probs = np.divide(tie_counts, pair_counts, out=np.full(len(pair_counts), np.nan),
                       where=pair_counts > 0)
     return DecayCurve(bin_edges=edges, probabilities=probs, pair_counts=pair_counts)

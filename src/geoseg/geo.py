@@ -2,20 +2,25 @@
 segregation measures (neighborhood affluence and center-distance
 correlations).
 
-The O(n^2) school-pair structures walk the upper triangle in blocks of
-rows, `model.BLOCK_CELLS` matrix cells each: the distance matrix writes a
-block's haversines straight into the result and mirrors them below the
-diagonal, and the distance-bin pair table keeps one byte per pair until a
-single stable argsort orders them. Beside their results they hold one
-block at a time and, for the pair table, its int64 sort order; the
-results equal the all-pairs constructions exactly.
+No n x n distance matrix is held. `DistanceMatrix` keeps the schools'
+coordinates in radians with the latitudes' cosines, converted once, and
+each reader computes the distances it needs where it reads them: the
+O(n^2) school-pair structures walk the upper triangle in blocks of rows,
+`model.BLOCK_CELLS` matrix cells each, the geographic ranking computes
+its block of whole rows, and the decay curve the tied pairs' distances
+only. The haversine gives the same bits when its points swap, so every
+computed distance equals the dense matrix's cell, which is built only
+for a caller that reads `DistanceMatrix.distances`. The distance-bin
+pair table keeps one byte per pair until a single stable argsort orders
+them; beside it the builds hold one block at a time and the int64 sort
+order, and the results equal the all-pairs constructions exactly.
 
 S_n(R) averages the price per sqm of the apartments strictly within R of
 each school. The apartment table (`model.apartment_table`) is sorted by
-latitude once, and each school runs the haversine test only on the band
-that can hold them (a great-circle distance is at least the Earth radius
-times the latitude difference), so memory grows with one band, never with
-schools x apartments.
+latitude, and converted to radians, once, and each school runs the
+haversine test only on the band that can hold them (a great-circle
+distance is at least the Earth radius times the latitude difference), so
+memory grows with one band, never with schools x apartments.
 
 The ranking kernel ranks a block of schools' candidate cells, fed by
 `_distance_cells` or by `segregation._arc_cells` over a network's arcs.
@@ -25,7 +30,7 @@ school i's candidate j, drawn a block of rows at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -43,15 +48,28 @@ from .model import (
 )
 
 
+def _radians(lat, lon):
+    """Latitude and longitude in radians, and the latitude's cosine: the
+    haversine's per-point inputs, computed once per point."""
+    lat = np.radians(lat)
+    return lat, np.radians(lon), np.cos(lat)
+
+
 def _haversine_km(lat1, lon1, lat2, lon2, out=None):
-    """Vectorized great-circle distance in km (mean Earth radius).
+    """Vectorized great-circle distance in km (mean Earth radius), from
+    coordinates in degrees: _haversine_rad of their _radians."""
+    return _haversine_rad(*_radians(lat1, lon1), *_radians(lat2, lon2), out=out)
+
+
+def _haversine_rad(lat1, lon1, cos1, lat2, lon2, cos2, out=None):
+    """Great-circle distance in km from coordinates in radians and the
+    latitudes' cosines.
 
     Computed in place in out (a new array by default) and at most one more
     array of the broadcast shape, with the operations of sin(|dlat| / 2)**2
     + cos(lat1) * cos(lat2) * sin(|dlon| / 2)**2 in the order that
     expression evaluates them, so the result equals it bit for bit and,
     symmetric by construction, is the same when the points swap."""
-    lat1, lon1, lat2, lon2 = map(np.radians, (lat1, lon1, lat2, lon2))
     if out is None:
         out = np.empty(np.broadcast(lat1, lon1, lat2, lon2).shape)
     d = np.subtract(lon2, lon1, out=out)
@@ -59,7 +77,7 @@ def _haversine_km(lat1, lon1, lat2, lon2, out=None):
     d /= 2
     np.sin(d, out=d)
     np.square(d, out=d)
-    d *= np.cos(lat1) * np.cos(lat2)
+    d *= cos1 * cos2
     h = np.asarray(lat2 - lat1)
     np.abs(h, out=h)
     h /= 2
@@ -80,15 +98,63 @@ def haversine(a: GeoPoint, b: GeoPoint) -> float:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
+    """Great-circle distances between the schools ids, held as their
+    coordinates: radians and the latitudes' cosines, converted once.
+    Readers compute the distances they need, a block of rows or a set of
+    pairs at a time, each equal bit for bit to the cell of the dense
+    matrix, which is built only when `distances` is read."""
     ids: list[str]
-    distances: np.ndarray  # km, symmetric, zero diagonal
+    latitude: InitVar[np.ndarray]  # degrees, one per school
+    longitude: InitVar[np.ndarray]
+    _lat: np.ndarray = field(init=False, repr=False)  # radians
+    _lon: np.ndarray = field(init=False, repr=False)
+    _cos: np.ndarray = field(init=False, repr=False)  # cos(_lat)
 
-    def __post_init__(self):
-        d = self.distances
+    def __post_init__(self, latitude, longitude):
         n = len(self.ids)
-        if d.shape != (n, n):
-            raise ValueError(f"distance matrix shape {d.shape} != ({n}, {n})")
+        coords = _radians(np.asarray(latitude, dtype=float),
+                          np.asarray(longitude, dtype=float))
+        for name, array in zip(("_lat", "_lon", "_cos"), coords):
+            if array.shape != (n,):
+                raise ValueError(f"coordinates of shape {array.shape} for {n} schools")
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    def block(self, rows: slice, start: int = 0, out=None) -> np.ndarray:
+        """distances[rows, start:], computed into out (a new array by
+        default)."""
+        lat, lon, cos = self._lat, self._lon, self._cos
+        return _haversine_rad(lat[rows, None], lon[rows, None], cos[rows, None],
+                              lat[start:], lon[start:], cos[start:], out=out)
+
+    def pair_distances(self, a, b) -> np.ndarray:
+        """distances[a, b], computed for those pairs only."""
+        lat, lon, cos = self._lat, self._lon, self._cos
+        return _haversine_rad(lat[a], lon[a], cos[a], lat[b], lon[b], cos[b])
+
+    @cached_property
+    def farthest(self) -> float:
+        """The largest distance between two schools, 0 below two schools:
+        the maximum over the upper-triangle blocks' rectangles."""
+        return max((float(self.block(rows, rows.start).max())
+                    for rows, _, _ in upper_triangle_blocks(len(self.ids))), default=0.0)
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """The read-only n x n matrix in km, symmetric with a zero
+        diagonal, built on first read for oracles and library callers:
+        each upper_triangle_blocks rectangle d[rows, rows.start:] is
+        computed straight into it, its cells i < j then mirrored below
+        the diagonal."""
+        n = len(self.ids)
+        d = np.empty((n, n))
+        for rows, upper, _ in upper_triangle_blocks(n):
+            lo = rows.start
+            self.block(rows, lo, out=d[rows, lo:])
+            np.copyto(d[lo:, rows].T, d[rows, lo:], where=upper)
+        np.fill_diagonal(d, 0.0)
         d.setflags(write=False)
+        return d
 
     @cached_property
     def _binned_pairs(self) -> dict:
@@ -102,11 +168,11 @@ class DistanceMatrix:
         row-major order. Indices are int16 up to 32,768 schools. The
         read-only arrays are cached for the last edges asked for.
 
-        Each pair's bin is written as one byte (for up to 255 bins), a
-        block of matrix rows at a time, and one stable argsort of those
-        bins orders the pairs; a and b are read back from each pair's
-        row-major index, a block at a time, so no per-pair int64 or
-        float64 array is held beside the order.
+        Each pair's bin is written as one byte (for up to 255 bins), its
+        distance computed a block of upper-triangle rows at a time, and
+        one stable argsort of those bins orders the pairs; a and b are
+        read back from each pair's row-major index, a block at a time, so
+        no per-pair int64 or float64 array is held beside the order.
         """
         edges = np.asarray(bin_edges, dtype=float)
         key = edges.tobytes()
@@ -116,22 +182,31 @@ class DistanceMatrix:
             beyond = len(edges) - 1
             bins = np.empty(n * (n - 1) // 2, dtype=np.min_scalar_type(beyond))
             for rows, upper, start in upper_triangle_blocks(n):
-                cells = distance_bins(edges, self.distances[rows, rows.start:][upper])
+                cells = distance_bins(edges, self.block(rows, rows.start)[upper])
                 bins[start:start + len(cells)] = cells
+            # bincount casts the bins to intp: count them before the order
+            # exists
+            counts = np.bincount(bins, minlength=beyond + 1)
             # a stable sort of integers of 16 bits or less is a radix sort
             order = np.argsort(bins, kind="stable")
-            counts = np.bincount(bins, minlength=beyond + 1)
             del bins
             # row i's pairs (i, i + 1..n - 1) start at row_start[i]
             i = np.arange(n - 1)
             row_start = i * (n - 1) - i * (i - 1) // 2
             small = np.int16 if n <= 2**15 else np.int32
             a, b = np.empty(len(order), dtype=small), np.empty(len(order), dtype=small)
-            for lo in range(0, len(order), BLOCK_CELLS):
-                block = slice(lo, lo + BLOCK_CELLS)
-                rows = np.searchsorted(row_start, order[block], side="right") - 1
+            # half blocks: each holds two int64 arrays beside the order
+            step = BLOCK_CELLS // 2
+            for lo in range(0, len(order), step):
+                block = slice(lo, lo + step)
+                rows = np.searchsorted(row_start, order[block], side="right")
+                rows -= 1
                 a[block] = rows
-                b[block] = order[block] - row_start[rows] + rows + 1
+                # b = order - row_start[rows] + rows + 1, in rows' buffer
+                rows -= row_start.take(rows)
+                rows += order[block]
+                rows += 1
+                b[block] = rows
             pairs = (a, b, np.concatenate(([0], np.cumsum(counts))))
             for array in pairs:
                 array.setflags(write=False)
@@ -156,10 +231,35 @@ def upper_triangle_blocks(n: int):
 
 
 def distance_bins(bin_edges: np.ndarray, distances) -> np.ndarray:
-    """The bin m of each distance, bin_edges[m] <= d < bin_edges[m + 1],
-    and len(bin_edges) - 1 for a distance outside the edges."""
-    idx = np.searchsorted(bin_edges, distances, side="right") - 1
-    idx[idx < 0] = len(bin_edges) - 1
+    """The bin m of each distance, bin_edges[m] <= d < bin_edges[m + 1]
+    (the last such m where edges repeat), and len(bin_edges) - 1 for a
+    distance outside the edges.
+
+    Each bin is guessed as floor((d - bin_edges[0]) / w), w the edges' mean
+    width, and the guess kept where the edges confirm it; only the
+    distances it misses, those outside the edges among them, are binary
+    searched, so the bins are exact for any sorted edges."""
+    edges = np.asarray(bin_edges, dtype=float)
+    d = np.asarray(distances, dtype=float)
+    beyond = len(edges) - 1
+    width = (edges[-1] - edges[0]) / beyond if beyond > 0 else 0.0
+    if np.isfinite(width) and width > 0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            guess = d - edges[0]
+            guess /= width
+        # fmax maps a NaN guess to 0, which the edges then refute; the
+        # cast truncates the guesses, now nonnegative, to their floor
+        np.fmin(np.fmax(guess, 0, out=guess), beyond - 1, out=guess)
+        idx = guess.astype(np.intp)
+        hit = edges.take(idx) <= d
+        hit &= d < edges.take(idx + 1)
+        missed = np.flatnonzero(~hit)
+    else:
+        idx = np.empty(d.shape, dtype=np.intp)
+        missed = np.arange(d.size)
+    found = np.searchsorted(edges, d.flat[missed], side="right") - 1
+    found[found < 0] = beyond
+    idx.flat[missed] = found
     return idx
 
 
@@ -170,25 +270,16 @@ def _latlon_arrays(roster: list[School]):
 
 
 def school_distance_matrix(roster: list[School]) -> DistanceMatrix:
-    """Pairwise great-circle distances between schools, in roster order.
-
-    The haversine, symmetric by construction, is computed once per pair:
-    each upper_triangle_blocks rectangle d[rows, rows.start:] straight into
-    the matrix, its cells i < j then mirrored below the diagonal."""
+    """Great-circle distances between schools, in roster order, held as
+    the schools' coordinates (`DistanceMatrix`)."""
     n = len(roster)
     if n < 2:
         raise TooFewSchools(f"need >= 2 schools, got {n}")
-    lat, lon = _latlon_arrays(roster)
-    d = np.empty((n, n))
-    for rows, upper, _ in upper_triangle_blocks(n):
-        lo = rows.start
-        _haversine_km(lat[rows, None], lon[rows, None], lat[lo:], lon[lo:], out=d[rows, lo:])
-        np.copyto(d[lo:, rows].T, d[rows, lo:], where=upper)
-    np.fill_diagonal(d, 0.0)
-    return DistanceMatrix(ids=[s.id for s in roster], distances=d)
+    return DistanceMatrix([s.id for s in roster], *_latlon_arrays(roster))
 
 
-# Distance-matrix cells per ranking block: a float64 copy of a block is 128 KB.
+# Distance-matrix cells per ranking block: a block of computed float64
+# distances is 128 KB.
 _RANK_BLOCK_CELLS = 1 << 14
 
 
@@ -242,7 +333,7 @@ def _distance_cells(dm: DistanceMatrix, block: slice, k_max: int):
     school itself excluded. Each row is cut at its k_max-th key
     (introselect, Musser 1997) and every candidate with a key at most that
     one is kept, so boundary ties stay in."""
-    keys = dm.distances[block].copy()
+    keys = dm.block(block)
     np.fill_diagonal(keys[:, block.start:], np.inf)
     width = keys.shape[1]
     # at most the (n - 1)-th key: the row's one inf, itself, stays out
@@ -277,6 +368,8 @@ def _apartments_within(roster: list[School], apartments: np.recarray,
     Each school tests the band |apartment latitude - its latitude| <= delta.
     delta is widened by a relative 1e-9 and 1e-12 degrees for round-off, so
     the band never drops an apartment that the strict haversine test keeps.
+    The schools' and the sorted apartments' coordinates are converted to
+    radians, with the latitudes' cosines, once.
     """
     slat, slon = _latlon_arrays(roster)
     order = np.argsort(apartments["latitude"], kind="stable")
@@ -285,10 +378,13 @@ def _apartments_within(roster: list[School], apartments: np.recarray,
     delta = np.degrees(radius_km / EARTH_RADIUS_KM) * (1 + 1e-9) + 1e-12
     lo = np.searchsorted(alat, slat - delta, side="left")
     hi = np.searchsorted(alat, slat + delta, side="right")
+    slat_r, slon_r, scos = _radians(slat, slon)
+    alat_r, alon_r, acos = _radians(alat, alon)
     counts = np.zeros(len(roster), dtype=np.int64)
     sums = np.zeros(len(roster))
     for i, band in enumerate(map(slice, lo.tolist(), hi.tolist())):
-        within = _haversine_km(slat[i], slon[i], alat[band], alon[band]) < radius_km
+        within = _haversine_rad(slat_r[i], slon_r[i], scos[i],
+                                alat_r[band], alon_r[band], acos[band]) < radius_km
         counts[i] = np.count_nonzero(within)
         sums[i] = prices[band][within].sum()
     return counts, sums

@@ -9,9 +9,10 @@ sorted, as the `SchoolNetwork` the observed networks also are. A
 simulation whose S_d is undefined (`pearson` raises) is discarded.
 
 Pair table: the distance matrix sorts its pairs by bin once per set of
-bin edges (`DistanceMatrix.pairs_by_bin`, small-int school indices), and
-`_pair_table` adds each bin's pair count and probability and the
-uncovered count; a run builds it once.
+bin edges (`DistanceMatrix.pairs_by_bin`, small-int school indices),
+computing their distances a block of rows at a time, and `_pair_table`
+adds each bin's pair count and probability and the uncovered count; a
+run builds it once. No n x n distance matrix is read.
 
 Geometric gaps (Batagelj & Brandes 2005, Phys. Rev. E 71:036113): in a
 bin of N pairs tied with probability p, the untied pairs before the next

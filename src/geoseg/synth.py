@@ -13,9 +13,11 @@ generator can also emit the city in the ingest CSV schemas, closing the
 loop synth -> files -> ingest -> pipeline.
 
 The school pairs are drawn a block of upper-triangle rows at a time
-(`geo.upper_triangle_blocks`): each block's tie probabilities and their
-uniforms, in row-major order, so the stream and the network are those of
-one draw over all n(n - 1)/2 pairs, and only the tied pairs are kept.
+(`geo.upper_triangle_blocks`): each block's distances, computed from the
+schools' coordinates (`DistanceMatrix.block`; no n x n matrix is built),
+its tie probabilities and their uniforms, in row-major order, so the
+stream and the network are those of one draw over all n(n - 1)/2 pairs,
+and only the tied pairs are kept.
 `expected_ties` sums the blocks' sums, so it can differ from one sum over
 all pairs in the last digit. Apartments are priced in blocks of whole
 apartment rows, `model.BLOCK_CELLS` apartment x school cells each, so
@@ -125,7 +127,7 @@ def generate_city(cfg: SynthConfig):
         i += rows.start
         j += rows.start
         p = cfg.decay_prefactor * (
-            np.maximum(dm.distances[rows, rows.start:][upper], cfg.plateau_distance_km)
+            np.maximum(dm.block(rows, rows.start)[upper], cfg.plateau_distance_km)
             / cfg.plateau_distance_km
         ) ** cfg.decay_exponent
         if cfg.homophily_scale > 0:

@@ -7,7 +7,9 @@ as their oracles. `dense_generate_apartments` is the apartments x schools
 pricing that the blocked `synth.generate_apartments` replaced, and
 `dense_pairs_by_bin` and `dense_generate_city` are the all-pairs forms of
 `DistanceMatrix.pairs_by_bin` and `synth.generate_city`, which build their
-school pairs a block of rows at a time.
+school pairs a block of rows at a time. `dense_distances` is the n x n
+distance matrix that `DistanceMatrix` no longer holds: its readers compute
+the distances they need from the schools' coordinates.
 """
 
 import math
@@ -15,7 +17,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from geoseg.geo import distance_bins, school_distance_matrix
+from geoseg.geo import _haversine_km, _latlon_arrays, upper_triangle_blocks
 from geoseg.model import EARTH_RADIUS_KM, GeoPoint, School, SchoolNetwork, apartment_table
 from geoseg.synth import BASE_PRICE_PER_SQM, CENTER, _disc_points, _to_geopoints
 
@@ -102,14 +104,37 @@ def dense_generate_apartments(cfg, roster, n_apartments, price_coupling, seed,
     return apartment_table(lat, lon, np.maximum(price, 1.0))
 
 
-def dense_pairs_by_bin(dm, bin_edges):
+def dense_distances(roster) -> np.ndarray:
+    """The n x n distance matrix in km, as school_distance_matrix held it:
+    each upper_triangle_blocks rectangle d[rows, rows.start:] computed from
+    the schools' coordinates in degrees, its cells i < j then mirrored
+    below the diagonal."""
+    lat, lon = _latlon_arrays(roster)
+    n = len(roster)
+    d = np.empty((n, n))
+    for rows, upper, _ in upper_triangle_blocks(n):
+        lo = rows.start
+        _haversine_km(lat[rows, None], lon[rows, None], lat[lo:], lon[lo:], out=d[rows, lo:])
+        np.copyto(d[lo:, rows].T, d[rows, lo:], where=upper)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def searchsorted_bins(bin_edges, distances) -> np.ndarray:
+    """distance_bins by one binary search per distance."""
+    idx = np.searchsorted(bin_edges, distances, side="right") - 1
+    idx[idx < 0] = len(bin_edges) - 1
+    return idx
+
+
+def dense_pairs_by_bin(distances, bin_edges):
     """DistanceMatrix.pairs_by_bin over np.triu_indices and the distances
-    of all pairs at once."""
+    of all pairs at once, read from the n x n matrix distances."""
     edges = np.asarray(bin_edges, dtype=float)
-    n = len(dm.ids)
+    n = len(distances)
     beyond = len(edges) - 1
     a, b = np.triu_indices(n, k=1)
-    idx = distance_bins(edges, dm.distances[a, b]).astype(np.min_scalar_type(beyond))
+    idx = searchsorted_bins(edges, distances[a, b]).astype(np.min_scalar_type(beyond))
     order = np.argsort(idx, kind="stable")
     small = np.int16 if n <= 2**15 else np.int32
     counts = np.bincount(idx, minlength=beyond + 1)
@@ -129,9 +154,8 @@ def dense_generate_city(cfg):
         School(f"s{i:04d}", GeoPoint(float(lat[i]), float(lon[i])), float(scores[i]))
         for i in range(cfg.n_schools)
     ]
-    dm = school_distance_matrix(roster)
     iu = np.triu_indices(cfg.n_schools, k=1)
-    d = dm.distances[iu]
+    d = dense_distances(roster)[iu]
     p = cfg.decay_prefactor * (
         np.maximum(d, cfg.plateau_distance_km) / cfg.plateau_distance_km
     ) ** cfg.decay_exponent

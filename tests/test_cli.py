@@ -174,6 +174,18 @@ class TestAnalyzeCommand:
             assert -1.0 <= stat["value"] <= 1.0
             assert 0.0 < stat["p_value"] <= 1.0
 
+    def test_never_builds_the_dense_matrix(self, city, tmp_path, monkeypatch):
+        # every distance analyze reads is computed from the coordinates
+        reads = []
+
+        def dense(dm):
+            reads.append(dm)
+            raise AssertionError("DistanceMatrix.distances read")
+
+        monkeypatch.setattr(geo.DistanceMatrix, "distances", property(dense))
+        assert run_analyze(city, tmp_path / "out", extra=("--null-k", "2")) == 0
+        assert reads == []
+
     def test_byte_identical_reruns(self, city, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert run_analyze(city, out1) == 0

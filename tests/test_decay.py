@@ -88,6 +88,22 @@ class TestCurve:
         with pytest.raises(InvalidValue, match="bin width"):
             tie_probability_curve(complete_net(dm.ids), dm, width)
 
+    def test_sparse_city_gets_a_curve(self):
+        # 144 bins of 1 km for 45 school pairs: more bins than pairs, but
+        # fewer than the 65,535 two-byte bins of the pair table
+        roster, net, _ = generate_city(SynthConfig(n_schools=10, city_radius_km=80, seed=1))
+        curve = tie_probability_curve(net, school_distance_matrix(roster))
+        assert len(curve.pair_counts) == 144
+        assert curve.pair_counts.sum() == 45
+
+    def test_bins_beyond_the_pair_table_refused(self):
+        # 45 school pairs: at most 65,535 bins
+        dm = school_distance_matrix(equatorial_roster(10))
+        net = complete_net(dm.ids)
+        assert len(tie_probability_curve(net, dm, dm.farthest / 65534).pair_counts) == 65535
+        with pytest.raises(InvalidValue, match=r"gives 6.55e\+04 bins, more than max\(65535"):
+            tie_probability_curve(net, dm, dm.farthest / 65535)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_tie_counts_match_weight_matrix(self, seed):
         # the tied pairs' bins against the weight matrix read over the

@@ -12,8 +12,10 @@ from geoseg.geo import (
     _apartments_within,
     _haversine_km,
     _latlon_arrays,
+    _radians,
     _tie_jitter,
     center_distance_correlation,
+    distance_bins,
     geographic_neighbors,
     haversine,
     neighborhood_affluence_segregation,
@@ -21,9 +23,9 @@ from geoseg.geo import (
     upper_triangle_blocks,
 )
 from geoseg.model import EARTH_RADIUS_KM, GeoPoint, School, apartment_table, pearson
-from geoseg.synth import SynthConfig, generate_city
+from geoseg.synth import SynthConfig, generate_apartments, generate_city
 
-from dense import dense_pairs_by_bin
+from dense import dense_distances, dense_pairs_by_bin, network_from_dense, searchsorted_bins
 
 
 def make_school(i, lat, lon, score=50.0):
@@ -236,18 +238,18 @@ class TestBlockedPairBuilders:
     def test_asymmetric_haversine_symmetrised(self, monkeypatch, n, rows):
         # the haversine is symmetric by construction; skew it so that the
         # matrix shows it holds the upper triangle's haversines, mirrored
-        haversine_km = geo._haversine_km
+        haversine_rad = geo._haversine_rad
 
-        def skewed(lat1, lon1, lat2, lon2, out=None):
-            d = haversine_km(lat1, lon1, lat2, lon2, out=out)
-            d += 1e-6 * (lat1 - lat2)
+        def skewed(lat1, lon1, cos1, lat2, lon2, cos2, out=None):
+            d = haversine_rad(lat1, lon1, cos1, lat2, lon2, cos2, out=out)
+            d += 1e-3 * (lat1 - lat2)
             return d
 
         monkeypatch.setattr(geo, "BLOCK_CELLS", rows * n)
-        monkeypatch.setattr(geo, "_haversine_km", skewed)
+        monkeypatch.setattr(geo, "_haversine_rad", skewed)
         roster = scattered_roster(n, seed=n)
-        lat, lon = _latlon_arrays(roster)
-        upper = np.triu(skewed(lat[:, None], lon[:, None], lat[None, :], lon[None, :]), 1)
+        lat, lon, cos = _radians(*_latlon_arrays(roster))
+        upper = np.triu(skewed(lat[:, None], lon[:, None], cos[:, None], lat, lon, cos), 1)
         assert np.array_equal(school_distance_matrix(roster).distances, upper + upper.T)
 
     @pytest.mark.parametrize("n, rows", BLOCKS)
@@ -257,9 +259,10 @@ class TestBlockedPairBuilders:
     ], ids=["empty bin", "299 bins"])
     def test_pairs_by_bin_matches_dense(self, monkeypatch, n, rows, edges):
         monkeypatch.setattr(geo, "BLOCK_CELLS", rows * n)
-        dm = school_distance_matrix(scattered_roster(n, seed=n))
+        roster = scattered_roster(n, seed=n)
+        dm = school_distance_matrix(roster)
         pairs = dm.pairs_by_bin(edges)
-        for got, want in zip(pairs, dense_pairs_by_bin(dm, edges)):
+        for got, want in zip(pairs, dense_pairs_by_bin(dense_distances(roster), edges)):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
             assert not got.flags.writeable
@@ -272,22 +275,115 @@ class TestBlockedPairBuilders:
         edges = [0.0, 1.0, 1.0, 4.0, 8.0, 20.0]
         a, b, offsets = dm.pairs_by_bin(edges)
         assert offsets[2] == offsets[1] and offsets[-1] > offsets[-2]
-        for got, want in zip((a, b, offsets), dense_pairs_by_bin(dm, edges)):
+        for got, want in zip((a, b, offsets),
+                             dense_pairs_by_bin(dense_distances(roster), edges)):
             assert np.array_equal(got, want)
 
 
 def test_distance_matrix_memory_bounded():
-    # the 1,200 x 1,200 result alone is 11 MB; a second n x n array and
-    # the haversine's full-size temporaries peaked at 22 MB
+    # the dense view of 1,200 schools alone is 11 MB; a second n x n array
+    # and the haversine's full-size temporaries peaked at 22 MB
     roster = generate_city(SynthConfig(n_schools=1200, seed=3))[0]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        school_distance_matrix(roster)
+        school_distance_matrix(roster).distances
         peak = (tracemalloc.get_traced_memory()[1] - before) / 2**20
     finally:
         tracemalloc.stop()
     assert peak <= 14, f"peak {peak:.1f} MB"
+
+
+def tied_antimeridian_city():
+    """31 schools: a 5 x 5 lattice, 1/64 degree apart, across the
+    antimeridian, and six more on its sites, with tie weights in {0, 1, 2}:
+    many exactly equal distances, and pairs 0 km apart."""
+    h = 1 / 64
+    points = [(r * h, _wrap_lon(180.0 + (c - 2) * h)) for r in range(5) for c in range(5)]
+    points += points[::4][:6]
+    roster = [make_school(i, lat, lon) for i, (lat, lon) in enumerate(points)]
+    rng = np.random.default_rng(31)
+    w = np.triu(rng.choice([0, 1, 2], size=(31, 31), p=[0.3, 0.4, 0.3]), k=1)
+    return roster, network_from_dense([s.id for s in roster], w + w.T)
+
+
+@pytest.fixture(scope="module", params=[40, 300, 1200, "tied 31"])
+def computed_city(request):
+    """(roster, network, DistanceMatrix, dense distance oracle)."""
+    if request.param == "tied 31":
+        roster, net = tied_antimeridian_city()
+    else:
+        roster, net, _ = generate_city(SynthConfig(n_schools=request.param,
+                                                   seed=request.param))
+    return roster, net, school_distance_matrix(roster), dense_distances(roster)
+
+
+class TestComputedDistances:
+    """The distances DistanceMatrix computes where they are read equal the
+    dense matrix's cells bit for bit."""
+
+    def test_block_rows(self, computed_city):
+        roster, _, dm, dense = computed_city
+        n = len(roster)
+        for rows, _, _ in upper_triangle_blocks(n):
+            assert np.array_equal(dm.block(rows, rows.start), dense[rows, rows.start:])
+        step = max(1, geo._RANK_BLOCK_CELLS // n)
+        for lo in range(0, n, step):
+            rows = slice(lo, min(lo + step, n))
+            assert np.array_equal(dm.block(rows), dense[rows])
+
+    def test_tied_pair_distances(self, computed_city):
+        _, net, dm, dense = computed_city
+        assert len(net.a) > 0
+        assert np.array_equal(dm.pair_distances(net.a, net.b), dense[net.a, net.b])
+        assert np.array_equal(dm.pair_distances(net.b, net.a), dense[net.a, net.b])
+
+    def test_farthest(self, computed_city):
+        *_, dm, dense = computed_city
+        assert dm.farthest == dense.max()
+
+    @pytest.mark.parametrize("edges", [
+        np.arange(32) * 1.0,  # 1 km, past every pair
+        np.arange(100) * 0.3,  # pairs beyond the last edge
+        [0.0, 0.0, 1.1, 1.1, 2.5, 7.0],  # empty bins, uneven widths
+    ], ids=["1 km", "0.3 km", "uneven"])
+    def test_pairs_by_bin(self, computed_city, edges):
+        *_, dm, dense = computed_city
+        for got, want in zip(dm.pairs_by_bin(edges), dense_pairs_by_bin(dense, edges)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_dense_view(self, computed_city):
+        *_, dm, dense = computed_city
+        assert np.array_equal(dm.distances, dense)
+        assert not dm.distances.flags.writeable
+
+
+class TestDistanceBins:
+    """distance_bins' guessed bins equal one binary search per distance."""
+
+    @pytest.mark.parametrize("edges", [
+        np.arange(40) * 0.7,
+        np.arange(300) * 0.05,
+        [0.0, 2.0, 2.0, 5.0, 9.0],
+        [1.0, 1.5, 4.0, 4.0, 4.0, 10.0, 30.0],
+        [3.0],
+        [2.0, 2.0],
+    ], ids=["0.7 km", "0.05 km", "empty bin", "uneven", "one edge", "one empty bin"])
+    def test_matches_binary_search(self, edges):
+        edges = np.asarray(edges, dtype=float)
+        rng = np.random.default_rng(len(edges))
+        at = np.concatenate((edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)))
+        d = np.concatenate((rng.uniform(-1, edges[-1] + 2, 5000), at,
+                            [-np.inf, np.inf, np.nan, 0.0, 1e308]))
+        assert np.array_equal(distance_bins(edges, d), searchsorted_bins(edges, d))
+
+    @given(st.lists(st.floats(0, 1e4), min_size=1, max_size=12),
+           st.lists(st.floats(-10, 2e4), max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_any_sorted_edges(self, edges, d):
+        edges, d = np.sort(edges), np.array(d, dtype=float)
+        assert np.array_equal(distance_bins(edges, d), searchsorted_bins(edges, d))
 
 
 class TestGeographicNeighbors:
@@ -476,6 +572,25 @@ def random_city(seed, lat0, lon0, half_lat, n_schools=60, n_apartments=400):
     return roster, apartment_table(alat, alon, prices)
 
 
+def per_school_apartments_within(roster, apartments, radius_km):
+    """_apartments_within with _haversine_km converting each school's
+    band to radians, and taking its cosines, again."""
+    slat, slon = _latlon_arrays(roster)
+    order = np.argsort(apartments["latitude"], kind="stable")
+    alat, alon, prices = (apartments[name][order]
+                          for name in ("latitude", "longitude", "price_per_sqm"))
+    delta = np.degrees(radius_km / EARTH_RADIUS_KM) * (1 + 1e-9) + 1e-12
+    lo = np.searchsorted(alat, slat - delta, side="left")
+    hi = np.searchsorted(alat, slat + delta, side="right")
+    counts = np.zeros(len(roster), dtype=np.int64)
+    sums = np.zeros(len(roster))
+    for i, band in enumerate(map(slice, lo.tolist(), hi.tolist())):
+        within = _haversine_km(slat[i], slon[i], alat[band], alon[band]) < radius_km
+        counts[i] = np.count_nonzero(within)
+        sums[i] = prices[band][within].sum()
+    return counts, sums
+
+
 # (latitude, longitude, box half-height in degrees, radius in km), sized
 # so that some schools have no apartment in radius
 CITIES = {
@@ -505,6 +620,26 @@ class TestAffluenceBandOracle:
         assert abs(report.value - dense_value) <= 1e-12
         assert report.sample_size == int(eligible.sum())
         assert report.settings["excluded_schools"] == int((~eligible).sum())
+
+    @pytest.mark.parametrize("region", sorted(CITIES))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_school_conversion(self, region, seed):
+        # the columns converted once give the same bits
+        lat0, lon0, half_lat, radius_km = CITIES[region]
+        roster, apartments = random_city(seed, lat0, lon0, half_lat,
+                                         n_apartments=2000)
+        got = _apartments_within(roster, apartments, radius_km)
+        want = per_school_apartments_within(roster, apartments, radius_km)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[0].sum() > 0
+
+    def test_synth_city_matches_per_school_conversion(self):
+        cfg = SynthConfig(n_schools=600, seed=5)
+        roster = generate_city(cfg)[0]
+        apartments = generate_apartments(cfg, roster, 20_000, 1.0, seed=5)
+        got = _apartments_within(roster, apartments, 3.0)
+        want = per_school_apartments_within(roster, apartments, 3.0)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     @pytest.mark.parametrize("lat0", [0.0, 65.0, -70.0, 89.97])
     def test_band_edge_due_north_and_south(self, lat0):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from geoseg.nullmodel import (
     null_distribution_s_d,
     write_null_samples_csv,
 )
-from geoseg.segregation import digital_segregation
+from geoseg.segregation import digital_segregation, geographic_means
 from geoseg.synth import SynthConfig, generate_city
 
 from dense import dense_weights, network_from_dense
@@ -237,10 +238,12 @@ class TestGenerate:
 
     def test_curve_and_pair_table_bin_an_edge_pair_alike(self):
         # a tied pair just below the edge 5 * 0.7 km: floor(d / 0.7) puts
-        # it in bin 5, the edges in bin 4
-        d = np.nextafter(3.5, 0)
-        dm = DistanceMatrix(["x", "y", "z"],
-                            np.array([[0, d, 1.0], [d, 0, 2.0], [1.0, 2.0, 0]]))
+        # it in bin 5, the edges in bin 4; z is 1 km north of x, in bin 1,
+        # and 3.6 km from y, in bin 5
+        dm = DistanceMatrix(["x", "y", "z"], [0.0, 0.0, 0.009],
+                            [0.0, 0.031476256207155565, 0.0])
+        d = dm.pair_distances(0, 1)
+        assert d == np.nextafter(3.5, 0) and math.floor(d / 0.7) == 5
         tied = np.zeros((3, 3), dtype=np.int64)
         tied[0, 1] = tied[1, 0] = 1
         curve = tie_probability_curve(network_from_dense(dm.ids, tied), dm, 0.7)
@@ -536,3 +539,22 @@ class TestNullDistribution:
         assert lines[0] == "s_d_null"
         assert len(lines) == 101
         assert np.allclose([float(v) for v in lines[1:]], result.samples)
+
+
+def test_analysis_peaks_below_one_dense_matrix():
+    # the curve with its pair table, the geographic ranking and 100 null
+    # simulations compute their distances where they read them, so at
+    # 1,200 schools they peak below one n x n float64 matrix (11.5 MB)
+    n = 1200
+    roster, net, _ = generate_city(SynthConfig(n_schools=n, seed=3))
+    dm = school_distance_matrix(roster)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        curve = tie_probability_curve(net, dm)
+        geographic_means(roster, dm, 10, seed=3)
+        null_distribution_s_d(roster, dm, curve, 5, 100, 3, observed=0.0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8, f"peak {peak / 2**20:.1f} MB"
