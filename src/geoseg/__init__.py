@@ -15,7 +15,6 @@ from .geo import (
     DistanceMatrix,
     center_distance_correlation,
     geographic_neighbors,
-    haversine,
     neighborhood_affluence_segregation,
     school_distance_matrix,
 )
@@ -23,7 +22,6 @@ from .network import (
     binarize,
     build_count_network,
     build_min_symmetrized_network,
-    degree_centrality,
 )
 from .decay import fit_power_law, tie_probability_curve
 from .segregation import (
@@ -33,7 +31,7 @@ from .segregation import (
     geographic_segregation,
     segregation_profile,
 )
-from .nullmodel import NullModelResult, generate_null_graph, null_distribution_s_d
+from .nullmodel import NullModelResult, null_distribution_s_d
 from .synth import SynthConfig, generate_apartments, generate_city
 
 __version__ = "0.1.0"
@@ -53,17 +51,14 @@ __all__ = [
     "build_count_network",
     "build_min_symmetrized_network",
     "center_distance_correlation",
-    "degree_centrality",
     "degree_outcome_correlation",
     "digital_neighbors",
     "digital_segregation",
     "fit_power_law",
     "generate_apartments",
     "generate_city",
-    "generate_null_graph",
     "geographic_neighbors",
     "geographic_segregation",
-    "haversine",
     "neighborhood_affluence_segregation",
     "null_distribution_s_d",
     "pearson",

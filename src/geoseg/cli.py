@@ -20,7 +20,7 @@ import tempfile
 import traceback
 
 from . import decay, geo, ingest, network, nullmodel, segregation, synth
-from .errors import GeosegError, TooFewBins, DegenerateFit
+from .errors import DegenerateFit, GeosegError, KOutOfRange, TooFewBins
 from .model import GeoPoint, write_json
 
 REPORT_SCHEMA_VERSION = 2
@@ -164,6 +164,9 @@ def _analyze(args, center: GeoPoint, out_dir: str) -> None:
     ]
     # one ranking per school and kind: the --k reports, the k=1..K profile
     # and the observed S_d(--null-k) all read prefixes of these tables
+    for flag, k in (("--k", args.k), ("--null-k", args.null_k)):
+        if k > len(roster) - 1:
+            raise KOutOfRange(f"{flag}: k={k} outside [1, {len(roster) - 1}]")
     geo_means = segregation.geographic_means(roster, dm, args.k, args.seed)
     dig_means = segregation.digital_means(roster, net_a, max(args.k, args.null_k),
                                           args.seed)

@@ -2,18 +2,17 @@
 segregation measures (neighborhood affluence and center-distance
 correlations).
 
-No n x n distance matrix is held. `DistanceMatrix` keeps the schools'
+No n x n distance matrix is built. `DistanceMatrix` keeps the schools'
 coordinates in radians with the latitudes' cosines, converted once, and
 each reader computes the distances it needs where it reads them: the
 O(n^2) school-pair structures walk the upper triangle in blocks of rows,
 `model.BLOCK_CELLS` matrix cells each, the geographic ranking computes
 its block of whole rows, and the decay curve the tied pairs' distances
 only. The haversine gives the same bits when its points swap, so every
-computed distance equals the dense matrix's cell, which is built only
-for a caller that reads `DistanceMatrix.distances`. The distance-bin
-pair table keeps one byte per pair until a single stable argsort orders
-them; beside it the builds hold one block at a time and the int64 sort
-order, and the results equal the all-pairs constructions exactly.
+computed distance equals the dense matrix's cell. The distance-bin pair
+table keeps one byte per pair until a single stable argsort orders them;
+beside it the builds hold one block at a time and the int64 sort order,
+and the results equal the all-pairs constructions exactly.
 
 S_n(R) averages the price per sqm of the apartments strictly within R of
 each school. The apartment table (`model.apartment_table`) is sorted by
@@ -55,24 +54,23 @@ def _radians(lat, lon):
     return lat, np.radians(lon), np.cos(lat)
 
 
-def _haversine_km(lat1, lon1, lat2, lon2, out=None):
+def _haversine_km(lat1, lon1, lat2, lon2):
     """Vectorized great-circle distance in km (mean Earth radius), from
     coordinates in degrees: _haversine_rad of their _radians."""
-    return _haversine_rad(*_radians(lat1, lon1), *_radians(lat2, lon2), out=out)
+    return _haversine_rad(*_radians(lat1, lon1), *_radians(lat2, lon2))
 
 
-def _haversine_rad(lat1, lon1, cos1, lat2, lon2, cos2, out=None):
+def _haversine_rad(lat1, lon1, cos1, lat2, lon2, cos2):
     """Great-circle distance in km from coordinates in radians and the
     latitudes' cosines.
 
-    Computed in place in out (a new array by default) and at most one more
-    array of the broadcast shape, with the operations of sin(|dlat| / 2)**2
+    Computed in place in one new array and at most one more of the
+    broadcast shape, with the operations of sin(|dlat| / 2)**2
     + cos(lat1) * cos(lat2) * sin(|dlon| / 2)**2 in the order that
     expression evaluates them, so the result equals it bit for bit and,
     symmetric by construction, is the same when the points swap."""
-    if out is None:
-        out = np.empty(np.broadcast(lat1, lon1, lat2, lon2).shape)
-    d = np.subtract(lon2, lon1, out=out)
+    d = np.empty(np.broadcast(lat1, lon1, lat2, lon2).shape)
+    np.subtract(lon2, lon1, out=d)
     np.abs(d, out=d)
     d /= 2
     np.sin(d, out=d)
@@ -91,18 +89,13 @@ def _haversine_rad(lat1, lon1, cos1, lat2, lon2, cos2, out=None):
     return d
 
 
-def haversine(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance between two points in km."""
-    return float(_haversine_km(a.latitude, a.longitude, b.latitude, b.longitude))
-
-
 @dataclass(frozen=True)
 class DistanceMatrix:
     """Great-circle distances between the schools ids, held as their
     coordinates: radians and the latitudes' cosines, converted once.
     Readers compute the distances they need, a block of rows or a set of
     pairs at a time, each equal bit for bit to the cell of the dense
-    matrix, which is built only when `distances` is read."""
+    matrix, which is never built."""
     ids: list[str]
     latitude: InitVar[np.ndarray]  # degrees, one per school
     longitude: InitVar[np.ndarray]
@@ -120,12 +113,11 @@ class DistanceMatrix:
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
-    def block(self, rows: slice, start: int = 0, out=None) -> np.ndarray:
-        """distances[rows, start:], computed into out (a new array by
-        default)."""
+    def block(self, rows: slice, start: int = 0) -> np.ndarray:
+        """distances[rows, start:], computed as a new array."""
         lat, lon, cos = self._lat, self._lon, self._cos
         return _haversine_rad(lat[rows, None], lon[rows, None], cos[rows, None],
-                              lat[start:], lon[start:], cos[start:], out=out)
+                              lat[start:], lon[start:], cos[start:])
 
     def pair_distances(self, a, b) -> np.ndarray:
         """distances[a, b], computed for those pairs only."""
@@ -138,23 +130,6 @@ class DistanceMatrix:
         the maximum over the upper-triangle blocks' rectangles."""
         return max((float(self.block(rows, rows.start).max())
                     for rows, _, _ in upper_triangle_blocks(len(self.ids))), default=0.0)
-
-    @cached_property
-    def distances(self) -> np.ndarray:
-        """The read-only n x n matrix in km, symmetric with a zero
-        diagonal, built on first read for oracles and library callers:
-        each upper_triangle_blocks rectangle d[rows, rows.start:] is
-        computed straight into it, its cells i < j then mirrored below
-        the diagonal."""
-        n = len(self.ids)
-        d = np.empty((n, n))
-        for rows, upper, _ in upper_triangle_blocks(n):
-            lo = rows.start
-            self.block(rows, lo, out=d[rows, lo:])
-            np.copyto(d[lo:, rows].T, d[rows, lo:], where=upper)
-        np.fill_diagonal(d, 0.0)
-        d.setflags(write=False)
-        return d
 
     @cached_property
     def _binned_pairs(self) -> dict:

@@ -189,9 +189,6 @@ class StudentGraph:
             and np.array_equal(self.b, other.b)
         )
 
-    def __repr__(self):
-        return f"StudentGraph({len(self.students)} students, {len(self.a)} edges)"
-
 
 def group_arcs(src, n: int):
     """Arcs grouped by source school: (order, indptr), the stable argsort

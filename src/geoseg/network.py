@@ -4,7 +4,7 @@ Three variants: raw tie counts, the min-symmetrized student-count
 alternative, and a binary projection. Each is built as its tied school
 pairs (`SchoolNetwork`): the counted networks count sorted school-pair
 keys over the graph's integer-coded edges, and no n x n matrix is
-formed. Degree centrality counts distinct connected schools.
+formed.
 """
 
 from __future__ import annotations
@@ -62,11 +62,6 @@ def build_min_symmetrized_network(g: StudentGraph, roster: list[School]) -> Scho
 def binarize(net: SchoolNetwork) -> SchoolNetwork:
     """The same ties, each of weight 1."""
     return SchoolNetwork(net.schools, net.a, net.b, np.ones_like(net.weight))
-
-
-def degree_centrality(net: SchoolNetwork) -> dict[str, int]:
-    """Number of distinct other schools with a tie."""
-    return {s: int(d) for s, d in zip(net.schools, net.degrees)}
 
 
 def write_edge_list_csv(net: SchoolNetwork, path) -> None:

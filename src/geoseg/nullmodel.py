@@ -4,9 +4,8 @@ significance test for digital segregation.
 Each unordered school pair gets an independent Bernoulli tie with the
 decay-curve probability of its distance bin, and no tie outside the
 curve's defined bins. A simulated graph is kept as its list of tied
-pairs, never as an n x n matrix; `generate_null_graph` returns them
-sorted, as the `SchoolNetwork` the observed networks also are. A
-simulation whose S_d is undefined (`pearson` raises) is discarded.
+pairs, in draw order, never as an n x n matrix. A simulation whose S_d
+is undefined (`pearson` raises) is discarded.
 
 Pair table: the distance matrix sorts its pairs by bin once per set of
 bin edges (`DistanceMatrix.pairs_by_bin`, small-int school indices),
@@ -43,8 +42,8 @@ import numpy as np
 
 from .errors import DegenerateNull, InvalidValue, TooFewSamples, ZeroVariance
 from .geo import DistanceMatrix
-from .model import (DecayCurve, School, SchoolNetwork, check_roster, group_arcs,
-                    k_subsets, pearson, write_csv)
+from .model import (DecayCurve, School, check_roster, group_arcs, k_subsets, pearson,
+                    write_csv)
 
 
 @dataclass(frozen=True)
@@ -174,15 +173,6 @@ def _draw_ties(table: _PairTable, rng: np.random.Generator):
             at = int(more[-1])
     tied = np.concatenate(ties)
     return table.a[tied], table.b[tied]
-
-
-def generate_null_graph(curve: DecayCurve, dm: DistanceMatrix,
-                        seed: int) -> SchoolNetwork:
-    """One binary random network with the curve's per-bin tie probability."""
-    a, b = _draw_ties(_pair_table(curve, dm), np.random.default_rng(seed))
-    n = len(dm.ids)
-    a, b = np.divmod(np.sort(a.astype(np.int64) * n + b), n)
-    return SchoolNetwork(list(dm.ids), a, b, np.ones(len(a), dtype=np.int64))
 
 
 def _s_d_on_edges(a: np.ndarray, b: np.ndarray, n: int, scores: np.ndarray,

@@ -102,30 +102,36 @@ def digital_means(roster, net, k_max, seed) -> np.ndarray:
     return _neighbor_means(np.array([s.score for s in roster]), ranked)
 
 
-def _report(name, roster, table, k, seed, permutations,
+def _column(table, k) -> np.ndarray:
+    """Column k-1 of a neighbor-mean table, each school's mean over its
+    first k neighbors; KOutOfRange unless 1 <= k <= the table's width."""
+    if not 1 <= k <= table.shape[1]:
+        raise KOutOfRange(f"k={k} outside [1, {table.shape[1]}], the neighbor-mean table's width")
+    return table[:, k - 1]
+
+
+def _report(name, roster, means, k, seed, permutations,
             **settings) -> SegregationReport:
-    """Correlation of each school's score with column k-1 of its
-    neighbor-mean table; schools with fewer than k neighbors are left
-    out."""
-    if k < 1:
-        raise KOutOfRange(f"k={k} must be >= 1")
-    kept = ~np.isnan(table[:, k - 1])
+    """Correlation of each school's score with its mean over its first k
+    neighbors (a _column); schools with fewer than k are left out."""
+    kept = ~np.isnan(means)
     return correlation_report(name, np.array([s.score for s in roster])[kept],
-                              table[kept, k - 1], permutations, seed, k=k, **settings)
+                              means[kept], permutations, seed, k=k, **settings)
 
 
 def geographic_report(roster, table, k, seed, permutations=0) -> SegregationReport:
     """S_g(k) from a geographic_means table at least k wide."""
-    return _report("geographic_segregation", roster, table, k, seed, permutations)
+    return _report("geographic_segregation", roster, _column(table, k), k, seed, permutations)
 
 
 def digital_report(roster, table, k, seed, permutations=0) -> SegregationReport:
     """S_d(k) from a digital_means table at least k wide, recording how many
     schools have degree < k."""
-    excluded = int(np.isnan(table[:, k - 1]).sum())
+    means = _column(table, k)
+    excluded = int(np.isnan(means).sum())
     if len(roster) - excluded < 3:
         raise TooFewSamples(f"only {len(roster) - excluded} schools have degree >= {k}")
-    return _report("digital_segregation", roster, table, k, seed, permutations,
+    return _report("digital_segregation", roster, means, k, seed, permutations,
                    excluded_schools=excluded)
 
 

@@ -8,8 +8,12 @@ pricing that the blocked `synth.generate_apartments` replaced, and
 `dense_pairs_by_bin` and `dense_generate_city` are the all-pairs forms of
 `DistanceMatrix.pairs_by_bin` and `synth.generate_city`, which build their
 school pairs a block of rows at a time. `dense_distances` is the n x n
-distance matrix that `DistanceMatrix` no longer holds: its readers compute
+distance matrix that `DistanceMatrix` never holds: its readers compute
 the distances they need from the schools' coordinates.
+
+`haversine`, `degree_centrality` and `generate_null_graph` are the
+one-pair distance, the per-school degree and one null-model graph as
+their own functions; the pipeline computes each inside a larger step.
 """
 
 import math
@@ -19,7 +23,28 @@ import numpy as np
 
 from geoseg.geo import _haversine_km, _latlon_arrays, upper_triangle_blocks
 from geoseg.model import EARTH_RADIUS_KM, GeoPoint, School, SchoolNetwork, apartment_table
+from geoseg.nullmodel import _draw_ties, _pair_table
 from geoseg.synth import BASE_PRICE_PER_SQM, CENTER, _disc_points, _to_geopoints
+
+
+def haversine(a: GeoPoint, b: GeoPoint) -> float:
+    """Great-circle distance between two points in km."""
+    return float(_haversine_km(a.latitude, a.longitude, b.latitude, b.longitude))
+
+
+def degree_centrality(net: SchoolNetwork) -> dict[str, int]:
+    """Number of distinct other schools with a tie."""
+    return {s: int(d) for s, d in zip(net.schools, net.degrees)}
+
+
+def generate_null_graph(curve, dm, seed: int) -> SchoolNetwork:
+    """One binary random network with the curve's per-bin tie probability:
+    the null model's draw from np.random.default_rng(seed), its pairs
+    sorted."""
+    a, b = _draw_ties(_pair_table(curve, dm), np.random.default_rng(seed))
+    n = len(dm.ids)
+    a, b = np.divmod(np.sort(a.astype(np.int64) * n + b), n)
+    return SchoolNetwork(list(dm.ids), a, b, np.ones(len(a), dtype=np.int64))
 
 
 def dense_weights(net: SchoolNetwork) -> np.ndarray:
@@ -114,7 +139,7 @@ def dense_distances(roster) -> np.ndarray:
     d = np.empty((n, n))
     for rows, upper, _ in upper_triangle_blocks(n):
         lo = rows.start
-        _haversine_km(lat[rows, None], lon[rows, None], lat[lo:], lon[lo:], out=d[rows, lo:])
+        d[rows, lo:] = _haversine_km(lat[rows, None], lon[rows, None], lat[lo:], lon[lo:])
         np.copyto(d[lo:, rows].T, d[rows, lo:], where=upper)
     np.fill_diagonal(d, 0.0)
     return d

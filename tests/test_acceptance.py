@@ -25,11 +25,11 @@ from geoseg.network import (
     build_count_network,
     build_min_symmetrized_network,
 )
-from geoseg.nullmodel import generate_null_graph, null_distribution_s_d
+from geoseg.nullmodel import null_distribution_s_d
 from geoseg.segregation import digital_segregation
 from geoseg.synth import SynthConfig, emit_city, generate_apartments, generate_city
 
-from dense import dense_weights, network_from_dense
+from dense import dense_weights, generate_null_graph, network_from_dense
 
 N_SEEDS = 20
 
@@ -86,7 +86,8 @@ def test_criterion_2_null_model_calibration():
     n = len(roster)
     iu = np.triu_indices(n, 1)
     bins = np.clip(
-        np.floor(dm.distances[iu] / 1.0).astype(int), 0, len(curve.probabilities) - 1
+        np.floor(dm.block(slice(0, n))[iu] / 1.0).astype(int), 0,
+        len(curve.probabilities) - 1
     )
     n_graphs = 1000
     tie_totals = np.zeros(len(curve.probabilities))

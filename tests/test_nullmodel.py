@@ -15,14 +15,13 @@ from geoseg.nullmodel import (
     _draw_ties,
     _pair_table,
     _s_d_on_edges,
-    generate_null_graph,
     null_distribution_s_d,
     write_null_samples_csv,
 )
 from geoseg.segregation import digital_segregation, geographic_means
 from geoseg.synth import SynthConfig, generate_city
 
-from dense import dense_weights, network_from_dense
+from dense import dense_weights, generate_null_graph, network_from_dense
 
 
 # The dense kernels the edge-list null model and the binned tie draw
@@ -37,7 +36,7 @@ def _pair_probabilities(curve: DecayCurve, dm):
     """
     n = len(dm.ids)
     iu = np.triu_indices(n, k=1)
-    d = dm.distances[iu]
+    d = dm.block(slice(0, n))[iu]
     idx = np.searchsorted(curve.bin_edges, d, side="right") - 1
     defined = ~np.isnan(curve.probabilities)
     in_range = (idx >= 0) & (idx < len(curve.probabilities))
@@ -152,7 +151,7 @@ def small_city():
 
 
 def flat_curve(dm, p):
-    max_d = float(dm.distances.max()) + 1.0
+    max_d = float(dm.block(slice(0, len(dm.ids))).max()) + 1.0
     edges = np.array([0.0, max_d])
     return DecayCurve(edges, np.array([p]), np.array([1000]))
 
@@ -203,7 +202,7 @@ class TestGenerate:
         _, _, dm, curve = small_city
         n = len(dm.ids)
         iu = np.triu_indices(n, 1)
-        idx = np.searchsorted(curve.bin_edges, dm.distances[iu], side="right") - 1
+        idx = np.searchsorted(curve.bin_edges, dm.block(slice(0, n))[iu], side="right") - 1
         idx = np.clip(idx, 0, len(curve.probabilities) - 1)
         probs = np.nan_to_num(curve.probabilities)[idx]
         expected = probs.sum()
@@ -260,7 +259,8 @@ class TestGenerate:
         # 300 seeds within 4 SE of the difference of two binomials
         _, _, dm, curve = small_city
         iu, probs, _ = _pair_probabilities(curve, dm)
-        bins = np.searchsorted(curve.bin_edges, dm.distances[iu], side="right") - 1
+        bins = np.searchsorted(curve.bin_edges, dm.block(slice(0, len(dm.ids)))[iu],
+                               side="right") - 1
         m = len(curve.probabilities)
         new = np.zeros(m)
         old = np.zeros(m)
@@ -285,7 +285,8 @@ class TestGenerate:
                             lambda counts, probs: np.ones_like(counts))
         assert np.all(_pair_table(curve, dm).slots == 1)
         iu = np.triu_indices(len(dm.ids), 1)
-        bins = np.searchsorted(curve.bin_edges, dm.distances[iu], side="right") - 1
+        bins = np.searchsorted(curve.bin_edges, dm.block(slice(0, len(dm.ids)))[iu],
+                               side="right") - 1
         m = len(curve.probabilities)
         n_graphs = 60
         ties = np.zeros(m)
@@ -302,7 +303,7 @@ class TestGenerate:
         _, _, dm, curve = small_city
         n = len(dm.ids)
         iu = np.triu_indices(n, 1)
-        bins = np.floor(dm.distances[iu] / 1.0).astype(int)
+        bins = np.floor(dm.block(slice(0, n))[iu] / 1.0).astype(int)
         bins = np.clip(bins, 0, len(curve.probabilities) - 1)
         n_graphs = 300
         tie_totals = np.zeros(len(curve.probabilities))

@@ -26,8 +26,10 @@ from geoseg.segregation import (
     degree_outcome_correlation,
     digital_means,
     digital_neighbors,
+    digital_report,
     digital_segregation,
     geographic_means,
+    geographic_report,
     geographic_segregation,
     segregation_profile,
 )
@@ -221,7 +223,8 @@ def reference_geographic_neighbors(dm, school_id, k, seed):
         raise KOutOfRange(f"k={k} outside [1, {n - 1}]")
     i = dm.ids.index(school_id)
     candidates = np.delete(np.arange(n), i)
-    picked = _ranked_prefix(dm.distances[i, candidates], candidates, k, seed, i, n)
+    row = dm.block(slice(i, i + 1))[0]
+    picked = _ranked_prefix(row[candidates], candidates, k, seed, i, n)
     return [dm.ids[j] for j in picked]
 
 
@@ -349,7 +352,7 @@ class TestProfileOracle:
         roster, dm, net = tied_grid_city(5)
         straddling = 0
         for i in range(len(roster)):
-            d = np.sort(np.delete(dm.distances[i], i))[: self.K + 1]
+            d = np.sort(np.delete(dm.block(slice(i, i + 1))[0], i))[: self.K + 1]
             row = dense_weights(net)[i]
             w = np.sort(row[row > 0])[::-1][: self.K + 1]
             straddling += bool(np.any(d[:-1] == d[1:]) and np.any(w[:-1] == w[1:]))
@@ -377,6 +380,17 @@ class TestProfileOracle:
             digital_segregation(roster, net, 13, seed=0)
         with pytest.raises(TooFewSamples):
             segregation_profile(roster, dm, net, [1, 13], seed=0)
+
+    @pytest.mark.parametrize("means, report", [
+        (lambda roster, dm, net: geographic_means(roster, dm, 3, seed=0), geographic_report),
+        (lambda roster, dm, net: digital_means(roster, net, 3, seed=0), digital_report),
+    ], ids=["geographic_report", "digital_report"])
+    def test_k_beyond_table_width(self, means, report):
+        # a report reads column k - 1 of a table ranked to k_max = 3
+        roster, net, _ = generate_city(SynthConfig(n_schools=40, seed=3))
+        table = means(roster, school_distance_matrix(roster), net)
+        with pytest.raises(KOutOfRange, match=r"k=5 outside \[1, 3\]"):
+            report(roster, table, 5, seed=0)
 
 
 def lattice_city(n, seed):
@@ -428,10 +442,11 @@ class TestRankingKernel:
 
     def test_cities_tie_at_the_cut(self):
         roster, dm, net = tied_grid_city(5)
-        d = np.sort(dm.distances + np.diag(np.full(len(roster), np.inf)), axis=1)
+        d = np.sort(dm.block(slice(0, len(roster))) + np.diag(np.full(len(roster), np.inf)),
+                    axis=1)
         assert np.any(d[:, 5] == d[:, 6])  # the 6th and 7th nearest tie
         roster, dm, net = shared_location_city()
-        assert np.sum(dm.distances == 0) > len(roster)
+        assert np.sum(dm.block(slice(0, len(roster))) == 0) > len(roster)
         w = np.sort(dense_weights(net), axis=1)[:, ::-1]
         assert np.any((w[:, 3] == w[:, 4]) & (w[:, 4] > 0))
         assert np.any((w > 0).sum(axis=1) < 4) and not dense_weights(net)[11].any()
