@@ -35,11 +35,12 @@ def _pin_malloc_thresholds() -> bool:
     """Fix glibc's mmap and trim thresholds at 1 MiB; True if it did.
 
     By default glibc raises both thresholds to the size of the first large
-    block it frees, so the n x n temporaries that follow land in the heap,
-    and whether their pages go back to the system depends on the order of
-    the frees: peak RSS then moves by several MB from one run to the next.
-    Fixed thresholds return every block of 1 MiB or more when it is freed.
-    A no-op off Linux and where the C library has no mallopt."""
+    block it frees, so the large blocks that follow (the pair table's sort
+    order and pairs, the 1 MB row blocks of the school-pair builders) land
+    in the heap, and whether their pages go back to the system depends on
+    the order of the frees: peak RSS then moves by several MB from one run
+    to the next. Fixed thresholds return every block of 1 MiB or more when
+    it is freed. A no-op off Linux and where the C library has no mallopt."""
     if not sys.platform.startswith("linux"):
         return False
     try:
@@ -129,6 +130,10 @@ def _analyze(args, center: GeoPoint, out_dir: str) -> None:
         excluded_school_ids=tuple(args.exclude_school),
     )
     graph, roster, filter_report = ingest.apply_filters(raw, config)
+    # the roster is known: reject a k beyond it before any stage runs
+    for flag, k in (("--k", args.k), ("--null-k", args.null_k)):
+        if k > len(roster) - 1:
+            raise KOutOfRange(f"{flag}: k={k} outside [1, {len(roster) - 1}]")
     # later stages read only the survivors and the apartments: drop the
     # parsed rows, and the student graph once the networks are counted, so
     # they do not sit under the memory peak of the statistics
@@ -164,9 +169,6 @@ def _analyze(args, center: GeoPoint, out_dir: str) -> None:
     ]
     # one ranking per school and kind: the --k reports, the k=1..K profile
     # and the observed S_d(--null-k) all read prefixes of these tables
-    for flag, k in (("--k", args.k), ("--null-k", args.null_k)):
-        if k > len(roster) - 1:
-            raise KOutOfRange(f"{flag}: k={k} outside [1, {len(roster) - 1}]")
     geo_means = segregation.geographic_means(roster, dm, args.k, args.seed)
     dig_means = segregation.digital_means(roster, net_a, max(args.k, args.null_k),
                                           args.seed)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UnknownSchoolId
-from .model import School, SchoolNetwork, StudentGraph, _key_counts, _unique_keys, write_csv
+from .model import School, SchoolNetwork, StudentGraph, _unique_keys, write_csv
 
 
 def _edge_schools(g: StudentGraph, roster: list[School]):
@@ -33,7 +33,8 @@ def build_count_network(g: StudentGraph, roster: list[School]):
     _, sa, sb = _edge_schools(g, roster)
     n = len(roster)
     cross = sa != sb
-    keys, counts = _key_counts(np.minimum(sa, sb)[cross] * n + np.maximum(sa, sb)[cross])
+    keys, counts = np.unique(np.minimum(sa, sb)[cross] * n + np.maximum(sa, sb)[cross],
+                             return_counts=True)
     net = SchoolNetwork([s.id for s in roster], *np.divmod(keys, n), counts)
     intra = np.bincount(sa[~cross], minlength=n)
     return net, {roster[i].id: int(intra[i]) for i in np.flatnonzero(intra)}
@@ -48,7 +49,7 @@ def build_min_symmetrized_network(g: StudentGraph, roster: list[School]) -> Scho
     cross = sa != sb
     # one key per (student, other school) with a friend there
     keys = _unique_keys(np.concatenate((g.a[cross] * n + sb[cross], g.b[cross] * n + sa[cross])))
-    directed, counts = _key_counts(school_of[keys // n] * n + keys % n)
+    directed, counts = np.unique(school_of[keys // n] * n + keys % n, return_counts=True)
     # the (k, l) and (l, k) counts of a pair are adjacent once sorted by pair
     k, l = np.divmod(directed, n)
     pair = np.minimum(k, l) * n + np.maximum(k, l)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DegenerateNull, InvalidValue, TooFewSamples, ZeroVariance
+from .errors import DegenerateNull, InvalidValue, KOutOfRange, TooFewSamples, ZeroVariance
 from .geo import DistanceMatrix
 from .model import (DecayCurve, School, check_roster, group_arcs, k_subsets, pearson,
                     write_csv)
@@ -208,11 +208,13 @@ def null_distribution_s_d(
     Per-simulation seeds derive from (master seed, simulation index), so
     execution order cannot change the result. A simulation whose S_d is
     undefined is discarded and re-drawn; DegenerateNull if more than half
-    are discarded.
+    are discarded. KOutOfRange unless 1 <= k <= n - 1.
     """
     if simulations < 100:
         raise InvalidValue(f"need >= 100 simulations, got {simulations}")
     check_roster(roster, dm.ids, "distance matrix")
+    if not 1 <= k <= len(roster) - 1:
+        raise KOutOfRange(f"k={k} outside [1, {len(roster) - 1}]")
     table = _pair_table(curve, dm)
     scores = np.array([s.score for s in roster])
     samples = np.empty(simulations)

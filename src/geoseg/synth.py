@@ -37,7 +37,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 import numpy as np
 
 from .errors import InvalidConfig
-from .geo import school_distance_matrix, upper_triangle_blocks
+from .geo import _latlon_arrays, school_distance_matrix, upper_triangle_blocks
 from .model import (
     BLOCK_CELLS,
     EARTH_RADIUS_KM,
@@ -178,14 +178,9 @@ def generate_apartments(
     rng = np.random.default_rng(seed)
     east, north = _disc_points(rng, n_apartments, cfg.city_radius_km)
     lat, lon = _to_geopoints(east, north)
-    s_east = np.array(
-        [EARTH_RADIUS_KM * math.radians(s.location.longitude - CENTER.longitude)
-         for s in roster]
-    )
-    s_north = np.array(
-        [EARTH_RADIUS_KM * math.radians(s.location.latitude - CENTER.latitude)
-         for s in roster]
-    )
+    s_lat, s_lon = _latlon_arrays(roster)
+    s_east = EARTH_RADIUS_KM * np.radians(s_lon - CENTER.longitude)
+    s_north = EARTH_RADIUS_KM * np.radians(s_lat - CENTER.latitude)
     scores = np.array([s.score for s in roster])
     mean, sd = scores.mean(), scores.std()
     sd = sd if sd > 0 else 1.0

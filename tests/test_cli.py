@@ -248,7 +248,7 @@ class TestAnalyzeCommand:
             f"u{i}{j},s{i}\n" for i in range(4) for j in range(2)))
         (city / "edges.csv").write_text("student_id_a,student_id_b\n" + "".join(
             f"u{i}0,u{i}1\nu{i}1,u{(i + 1) % 4}0\n" for i in range(4)))
-        assert run_analyze(city, tmp_path / "out", extra=("--radius-km", "50")) == 2
+        assert run_analyze(city, tmp_path / "out", extra=("--radius-km", "50", "--k", "3")) == 2
         assert ("error: neighborhood_affluence_segregation: y is constant"
                 in capsys.readouterr().err)
 
@@ -342,6 +342,16 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize("flag", ["--k", "--null-k"])
     def test_k_beyond_roster_names_its_flag(self, city, tmp_path, capsys, flag):
+        assert run_analyze(city, tmp_path / "out", extra=(flag, "60")) == 2
+        assert f"error: {flag}: k=60 outside [1, 59]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--k", "--null-k"])
+    def test_k_beyond_roster_rejected_before_networks(self, city, tmp_path, capsys,
+                                                      monkeypatch, flag):
+        def never(*args, **kwargs):
+            raise AssertionError("networks built before the --k check")
+
+        monkeypatch.setattr(network, "build_count_network", never)
         assert run_analyze(city, tmp_path / "out", extra=(flag, "60")) == 2
         assert f"error: {flag}: k=60 outside [1, 59]" in capsys.readouterr().err
 

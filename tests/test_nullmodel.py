@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from geoseg.decay import tie_probability_curve
-from geoseg.errors import DegenerateNull, TooFewSamples, ZeroVariance
+from geoseg.errors import DegenerateNull, KOutOfRange, TooFewSamples, ZeroVariance
 from geoseg.geo import DistanceMatrix, school_distance_matrix
 from geoseg.model import DecayCurve, group_arcs, pearson
 from geoseg.network import binarize
@@ -523,6 +523,14 @@ class TestNullDistribution:
         curve = flat_curve(dm, 0.0)  # no ties -> every simulation discarded
         with pytest.raises(DegenerateNull):
             null_distribution_s_d(roster, dm, curve, 1, 100, 0, observed=0.0)
+
+    @pytest.mark.parametrize("k", [0, -1, 40, 45])
+    def test_k_outside_roster_rejected_before_drawing(self, k):
+        roster, net, _ = generate_city(SynthConfig(n_schools=40, seed=3))
+        dm = school_distance_matrix(roster)
+        curve = tie_probability_curve(binarize(net), dm, 1.0)
+        with pytest.raises(KOutOfRange, match=rf"k={k} outside \[1, 39\]"):
+            null_distribution_s_d(roster, dm, curve, k, 100, 0, observed=0.0)
 
     def test_extension_flag_for_k_above_one(self, small_city):
         roster, net, dm, curve = small_city
