@@ -29,7 +29,6 @@ school i's candidate j, drawn a block of rows at a time.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -62,56 +61,33 @@ def _haversine_km(lat1, lon1, lat2, lon2):
 
 def _haversine_rad(lat1, lon1, cos1, lat2, lon2, cos2):
     """Great-circle distance in km from coordinates in radians and the
-    latitudes' cosines.
-
-    Computed in place in one new array and at most one more of the
-    broadcast shape, with the operations of sin(|dlat| / 2)**2
-    + cos(lat1) * cos(lat2) * sin(|dlon| / 2)**2 in the order that
-    expression evaluates them, so the result equals it bit for bit and,
-    symmetric by construction, is the same when the points swap."""
-    d = np.empty(np.broadcast(lat1, lon1, lat2, lon2).shape)
-    np.subtract(lon2, lon1, out=d)
-    np.abs(d, out=d)
-    d /= 2
-    np.sin(d, out=d)
-    np.square(d, out=d)
-    d *= cos1 * cos2
-    h = np.asarray(lat2 - lat1)
-    np.abs(h, out=h)
-    h /= 2
-    np.sin(h, out=h)
-    np.square(h, out=h)
-    d += h
-    np.clip(d, 0.0, 1.0, out=d)
-    np.sqrt(d, out=d)
-    np.arcsin(d, out=d)
-    d *= EARTH_RADIUS_KM * 2
-    return d
+    latitudes' cosines: 2 R arcsin(sqrt(sin(|dlat| / 2)**2
+    + cos(lat1) * cos(lat2) * sin(|dlon| / 2)**2)), symmetric by
+    construction, so the same bits when the points swap. np.square, not
+    ** 2, which on a numpy scalar rounds through C pow."""
+    h = (np.square(np.sin(np.abs(lat2 - lat1) / 2))
+         + cos1 * cos2 * np.square(np.sin(np.abs(lon2 - lon1) / 2)))
+    return 2 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
 
 
-@dataclass(frozen=True)
 class DistanceMatrix:
     """Great-circle distances between the schools ids, held as their
     coordinates: radians and the latitudes' cosines, converted once.
     Readers compute the distances they need, a block of rows or a set of
     pairs at a time, each equal bit for bit to the cell of the dense
     matrix, which is never built."""
-    ids: list[str]
-    latitude: InitVar[np.ndarray]  # degrees, one per school
-    longitude: InitVar[np.ndarray]
-    _lat: np.ndarray = field(init=False, repr=False)  # radians
-    _lon: np.ndarray = field(init=False, repr=False)
-    _cos: np.ndarray = field(init=False, repr=False)  # cos(_lat)
 
-    def __post_init__(self, latitude, longitude):
-        n = len(self.ids)
-        coords = _radians(np.asarray(latitude, dtype=float),
-                          np.asarray(longitude, dtype=float))
-        for name, array in zip(("_lat", "_lon", "_cos"), coords):
+    def __init__(self, ids: list[str], latitude, longitude):
+        """latitude and longitude in degrees, one per school."""
+        self.ids = ids
+        n = len(ids)
+        self._lat, self._lon, self._cos = _radians(np.asarray(latitude, dtype=float),
+                                                   np.asarray(longitude, dtype=float))
+        for array in (self._lat, self._lon, self._cos):
             if array.shape != (n,):
                 raise ValueError(f"coordinates of shape {array.shape} for {n} schools")
             array.setflags(write=False)
-            object.__setattr__(self, name, array)
+        self._binned_pairs = {}
 
     def block(self, rows: slice, start: int = 0) -> np.ndarray:
         """distances[rows, start:], computed as a new array."""
@@ -130,10 +106,6 @@ class DistanceMatrix:
         the maximum over the upper-triangle blocks' rectangles."""
         return max((float(self.block(rows, rows.start).max())
                     for rows, _, _ in upper_triangle_blocks(len(self.ids))), default=0.0)
-
-    @cached_property
-    def _binned_pairs(self) -> dict:
-        return {}
 
     def pairs_by_bin(self, bin_edges):
         """Upper-triangle pairs (a, b), a < b, sorted by distance bin, and

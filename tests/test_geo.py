@@ -84,7 +84,8 @@ class TestHaversine:
 
 
 def reference_haversine_km(lat1, lon1, lat2, lon2):
-    """The out-of-place formula _haversine_km replaced, kept as its oracle."""
+    """An independent copy of the haversine expression, kept as the
+    kernel's oracle."""
     lat1, lon1, lat2, lon2 = map(np.radians, (lat1, lon1, lat2, lon2))
     dlat = lat2 - lat1
     dlon = lon2 - lon1
@@ -161,6 +162,13 @@ class TestDistanceMatrix:
         assert geographic_neighbors(dm, "s0", 2, seed=0) == ["s1", "s3"]
         with pytest.raises(UnknownSchoolId):
             geographic_neighbors(dm, "s99", 1, seed=0)
+
+    def test_matrices_compare_and_hash_by_identity(self):
+        roster = [make_school(i, 0.0, 0.1 * i) for i in range(4)]
+        dm, other = school_distance_matrix(roster), school_distance_matrix(roster)
+        assert dm != other
+        assert dm == dm
+        assert len({dm, other}) == 2
 
     @pytest.mark.parametrize("block", [slice(0, 1), slice(4, 9), slice(10, 11),
                                        slice(8, 11)],
