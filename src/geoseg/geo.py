@@ -18,8 +18,10 @@ S_n(R) averages the price per sqm of the apartments strictly within R of
 each school. The apartment table (`model.apartment_table`) is sorted by
 latitude, and converted to radians, once, and each school runs the
 haversine test only on the band that can hold them (a great-circle
-distance is at least the Earth radius times the latitude difference), so
-memory grows with one band, never with schools x apartments.
+distance is at least the Earth radius times the latitude difference), and
+in it on the apartments within the longitude gap that bounds R (see
+`_apartments_within`), so memory grows with one band, never with schools
+x apartments.
 
 The ranking kernel ranks a block of schools' candidate cells, fed by
 `_distance_cells` or by `segregation._arc_cells` over a network's arcs.
@@ -312,10 +314,19 @@ def _apartments_within(roster: list[School], apartments: np.recarray,
     """Per school, the number and the summed price per sqm of apartments
     strictly within radius_km.
 
-    Each school tests the band |apartment latitude - its latitude| <= delta.
-    delta is widened by a relative 1e-9 and 1e-12 degrees for round-off, so
-    the band never drops an apartment that the strict haversine test keeps.
-    The schools' and the sorted apartments' coordinates are converted to
+    Each school tests the band |apartment latitude - its latitude| <= delta,
+    and in it only the apartments whose longitude gap, wrapped to at most
+    180 degrees, is at most 2 asin(sin(r / 2R) / sqrt(cos(lat) cos(lat_max))),
+    with r the radius, R the Earth's and lat_max = min(90, |lat| + delta):
+    an apartment at lat' within r has cos(lat) cos(lat') sin^2(dlon / 2)
+    <= h < sin^2(r / 2R), and cos(lat') >= cos(lat_max) in the band. Where
+    the asin's argument reaches 1 the whole band is tested. For round-off,
+    delta, the argument and the bound are widened by a relative 1e-9,
+    cos(lat_max) is lowered by 1e-15, and delta and the bound are widened
+    by 1e-12 degrees, so neither cut drops an apartment that the strict
+    haversine test keeps: the apartments found within r are the band's, in
+    the same order, and the counts and sums are the same bits. The
+    schools' and the sorted apartments' coordinates are converted to
     radians, with the latitudes' cosines, once.
     """
     slat, slon = _latlon_arrays(roster)
@@ -327,13 +338,26 @@ def _apartments_within(roster: list[School], apartments: np.recarray,
     hi = np.searchsorted(alat, slat + delta, side="right")
     slat_r, slon_r, scos = _radians(slat, slon)
     alat_r, alon_r, acos = _radians(alat, alon)
+    # the asin's argument per school; at 1 or more, or NaN or inf where a
+    # cosine is 0 or less, every longitude can lie within radius_km
+    cos_max = np.cos(np.radians(np.minimum(90.0, np.abs(slat) + delta))) - 1e-15
+    with np.errstate(divide="ignore", invalid="ignore"):
+        arg = (np.sin(min(radius_km / (2 * EARTH_RADIUS_KM), np.pi / 2))
+               / np.sqrt(scos * cos_max) * (1 + 1e-9))
+    whole = ~(arg < 1)
+    max_gap = np.degrees(2 * np.arcsin(np.where(whole, 1.0, arg))) * (1 + 1e-9) + 1e-12
     counts = np.zeros(len(roster), dtype=np.int64)
     sums = np.zeros(len(roster))
     for i, band in enumerate(map(slice, lo.tolist(), hi.tolist())):
+        if whole[i]:
+            near = band
+        else:
+            gap = np.abs(alon[band] - slon[i])
+            near = np.flatnonzero(np.minimum(gap, 360 - gap) <= max_gap[i]) + band.start
         within = _haversine_rad(slat_r[i], slon_r[i], scos[i],
-                                alat_r[band], alon_r[band], acos[band]) < radius_km
+                                alat_r[near], alon_r[near], acos[near]) < radius_km
         counts[i] = np.count_nonzero(within)
-        sums[i] = prices[band][within].sum()
+        sums[i] = prices[near][within].sum()
     return counts, sums
 
 

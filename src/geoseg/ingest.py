@@ -12,10 +12,24 @@ newlines inside quoted fields counted):
   apartments: latitude, longitude, price, area  -- or a price_per_sqm column
               (a row needs a price_per_sqm field, or price and area fields)
 
+The students, edges and apartments files, which grow with the city, are
+read by the chunk reader: 16K characters and then the rest of the line at
+a time (`_CHUNK_CHARS`, small so that a chunk's transient field lists
+stay small beside the parsed arrays), each chunk split on newlines and
+commas, its ids coded and its numbers converted a column at a time. A
+file it cannot read exactly as the csv module would (a quote, CR or NUL
+byte, bytes that are not UTF-8, a row wider or narrower than the header,
+an empty required field, a number that does not parse or is out of range)
+is read again from the start by the per-record path (`_records`), the
+reference, which raises every error with its file and line; ids the chunk
+reader coded are dropped first. Quoted and CR-terminated CSV therefore
+takes the per-record path, as does the schools file, one row a school.
+
 Each student id is coded as an int the first time the students or edges
-file names it, and the students stay coded until the school networks are
-built: the filters are counts and masks over the codes, and only the
-surviving students' ids are sorted, for the StudentGraph.
+file names it (within a row, student_id_a before student_id_b), and the
+students stay coded until the school networks are built: the filters are
+counts and masks over the codes, and only the surviving students' ids are
+sorted, for the StudentGraph.
 
 Filtering order is fixed so reports are reproducible: excluded-id and
 oversize schools, then missing-score schools, then multi-school students,
@@ -43,6 +57,12 @@ from .errors import (
 from .model import GeoPoint, School, StudentGraph, _unique_pairs, apartment_table
 
 DEFAULT_MAX_COHORT = 1000
+# the characters the chunk reader reads at a time, then to the end of the
+# line. Small on purpose, as a chunk's field lists are transient: at 256K
+# characters parse_inputs' traced peak on tests/test_ingest.py's 28,622-row
+# city rose from 2.2 to 3.9 MB, and analyze's peak RSS on a 90k-student
+# city from 61.8 to 63.4 MB (61.2 MB before the chunk reader).
+_CHUNK_CHARS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -209,9 +229,117 @@ def _records(path, required, optional=()):
             raise MalformedRow(path, reader.line_num, str(exc)) from None
 
 
+class _Irregular(Exception):
+    """A file the chunk reader cannot read as the csv module would; the
+    per-record path reads it."""
+
+
+def _chunks(path, required, optional=()):
+    """Yield, a chunk of lines at a time, the fields of the required and
+    then the optional columns, each a list of strings (None for an
+    optional column missing from the header), blank lines skipped.
+
+    Raises _Irregular where the file needs the csv module: a header
+    without a required column, a quote, CR or NUL byte, bytes that are not
+    UTF-8, a line longer than the csv field limit, or a non-blank line not
+    as wide as the header. As in _records, a repeated column name reads
+    its last field.
+    """
+    limit = csv.field_size_limit()
+    with open(path, encoding="utf-8-sig", newline="") as f:
+        try:
+            header = f.readline()
+            if '"' in header or "\r" in header or "\0" in header or len(header) > limit:
+                raise _Irregular
+            names = header.removesuffix("\n").split(",")
+            width = len(names)
+            index = {name: i for i, name in enumerate(names)}
+            if not all(c in index for c in required):
+                raise _Irregular
+            picks = [index.get(c) for c in (*required, *optional)]
+            while text := f.read(_CHUNK_CHARS):
+                text += f.readline()  # to the end of its last line
+                if '"' in text or "\r" in text or "\0" in text:
+                    raise _Irregular
+                if text[0] == "\n" or "\n\n" in text:  # blank lines
+                    text = "".join(line + "\n" for line in text.split("\n") if line)
+                if len(text) > limit and max(map(len, text.split("\n"))) > limit:
+                    raise _Irregular
+                n_lines = _lines_as_wide_as(text, width)
+                fields = text.replace("\n", ",").split(",")
+                del fields[n_lines * width:]  # the last newline's empty field
+                yield [None if i is None else fields[i::width] for i in picks]
+        except UnicodeDecodeError:
+            raise _Irregular from None
+
+
+def _lines_as_wide_as(text: str, width: int) -> int:
+    """The number of lines of text, none blank, each holding width - 1
+    commas; _Irregular if one does not."""
+    data = np.frombuffer(text.encode(), np.uint8)
+    commas = np.flatnonzero(data == ord(","))
+    ends = np.flatnonzero(data == ord("\n"))
+    if text and not text.endswith("\n"):
+        ends = np.append(ends, len(data))
+    if np.any(np.diff(np.searchsorted(commas, ends), prepend=0) != width - 1):
+        raise _Irregular
+    return len(ends)
+
+
+def _code(keys: list[str], codes: dict[str, int]) -> np.ndarray:
+    """The keys' codes as int64, each key not yet in codes first added
+    with the next code, in first-seen order. A chunk whose keys are all
+    coded, as most edge chunks are, is looked up alone, at about half the
+    cost of setdefault."""
+    try:
+        return np.fromiter(map(codes.__getitem__, keys), np.int64, len(keys))
+    except KeyError:
+        return np.array([codes.setdefault(key, len(codes)) for key in keys], dtype=np.int64)
+
+
+def _floats(fields: list[str]) -> np.ndarray:
+    """The fields as float64, each read by Python's float as
+    _float_field reads it; _Irregular where _float_field would raise."""
+    try:
+        values = np.fromiter(map(float, fields), float, len(fields))
+    except ValueError:
+        raise _Irregular from None
+    if not np.isfinite(values).all():
+        raise _Irregular
+    return values
+
+
+def _by_chunk_or_record(by_chunk, by_record, path, ids: dict[str, int]):
+    """by_chunk(path, ids), or, where it raises _Irregular, by_record(path,
+    ids) once the ids by_chunk coded are dropped (popitem takes the
+    newest)."""
+    n = len(ids)
+    try:
+        return by_chunk(path, ids)
+    except _Irregular:
+        while len(ids) > n:
+            ids.popitem()
+    return by_record(path, ids)
+
+
 def parse_students(path, ids: dict[str, int]):
     """The (student, school) claims as int64 code arrays and the school ids
     the school codes index; student ids are interned into ids."""
+    return _by_chunk_or_record(_students_by_chunk, _students_by_record, path, ids)
+
+
+def _students_by_chunk(path, ids: dict[str, int]):
+    students, schools = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    school_code: dict[str, int] = {}
+    for student, school in _chunks(path, ("student_id", "school_id")):
+        if "" in student or "" in school:
+            raise _Irregular
+        students.append(_code(student, ids))
+        schools.append(_code(school, school_code))
+    return np.concatenate(students), np.concatenate(schools), list(school_code)
+
+
+def _students_by_record(path, ids: dict[str, int]):
     students, schools = [], []
     school_code: dict[str, int] = {}
     for line_no, (student, school) in _records(path, ("student_id", "school_id")):
@@ -226,6 +354,22 @@ def parse_students(path, ids: dict[str, int]):
 def parse_edges(path, ids: dict[str, int]):
     """The friendship rows as two int64 arrays of student codes, interned
     into ids; self-loops and duplicates are left to RawInputs."""
+    return _by_chunk_or_record(_edges_by_chunk, _edges_by_record, path, ids)
+
+
+def _edges_by_chunk(path, ids: dict[str, int]):
+    ends = [np.empty(0, np.int64)]
+    for a, b in _chunks(path, ("student_id_a", "student_id_b")):
+        row_ends = [None] * (2 * len(a))
+        row_ends[0::2], row_ends[1::2] = a, b
+        if "" in row_ends:
+            raise _Irregular
+        ends.append(_code(row_ends, ids))
+    ends = np.concatenate(ends)
+    return ends[0::2], ends[1::2]
+
+
+def _edges_by_record(path, ids: dict[str, int]):
     ends = []
     for line_no, (a, b) in _records(path, ("student_id_a", "student_id_b")):
         if not a or not b:
@@ -262,6 +406,40 @@ def apartment_prices(path) -> np.recarray:
     """The apartment table (model.apartment_table), price per square meter
     computed from price/area when not given directly. Rows with area <= 0
     are rejected."""
+    try:
+        return _apartments_by_chunk(path)
+    except _Irregular:
+        pass
+    return _apartments_by_record(path)
+
+
+def _apartments_by_chunk(path) -> np.recarray:
+    """A chunk takes its price_per_sqm fields when all are filled, and
+    price / area when that column is missing or all its fields are empty."""
+    columns = [[np.empty(0)] for _ in range(3)]
+    records = _chunks(path, ("latitude", "longitude"), ("price_per_sqm", "price", "area"))
+    for lat, lon, per_sqm, price, area in records:
+        lat, lon = _floats(lat), _floats(lon)
+        if not (np.all(np.abs(lat) <= 90) and np.all(np.abs(lon) <= 180)):
+            raise _Irregular
+        if per_sqm is not None and all(per_sqm):
+            price_per_sqm = _floats(per_sqm)
+        elif price is None or area is None or per_sqm is not None and any(per_sqm):
+            raise _Irregular
+        else:
+            price, area = _floats(price), _floats(area)
+            if not np.all(area > 0):
+                raise _Irregular
+            with np.errstate(over="ignore"):  # an infinite quotient is rejected below
+                price_per_sqm = price / area
+        if not np.all((price_per_sqm > 0) & (price_per_sqm < math.inf)):
+            raise _Irregular
+        for column, values in zip(columns, (lat, lon, price_per_sqm)):
+            column.append(values)
+    return apartment_table(*map(np.concatenate, columns))
+
+
+def _apartments_by_record(path) -> np.recarray:
     rows = []
     records = _records(path, ("latitude", "longitude"), ("price_per_sqm", "price", "area"))
     for line_no, (lat, lon, per_sqm, price, area) in records:

@@ -89,7 +89,7 @@ def reference_haversine_km(lat1, lon1, lat2, lon2):
     lat1, lon1, lat2, lon2 = map(np.radians, (lat1, lon1, lat2, lon2))
     dlat = lat2 - lat1
     dlon = lon2 - lon1
-    a = np.sin(dlat / 2) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2) ** 2
+    a = np.square(np.sin(dlat / 2)) + np.cos(lat1) * np.cos(lat2) * np.square(np.sin(dlon / 2))
     return EARTH_RADIUS_KM * 2 * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
 
 
@@ -646,6 +646,59 @@ class TestAffluenceBandOracle:
                                   (1e-6, 9e5)):
                 dlat = math.degrees((radius_km + offset) / EARTH_RADIUS_KM)
                 rows.append((GeoPoint(lat0 + sign * dlat, 179.99), price))
+        apartments = make_apartments(rows)
+        counts, sums = _apartments_within([school], apartments, radius_km)
+        dense_counts = (school_apartment_distances([school], apartments)
+                        < radius_km).sum(axis=1)
+        assert counts.tolist() == dense_counts.tolist() == [4]
+        assert sums.tolist() == [4e5]
+
+    @pytest.mark.parametrize("lat0", [0.0, 65.0, -70.0, 89.97])
+    def test_radius_edge_due_east_and_west(self, lat0):
+        # along the parallel, across the antimeridian: the longitude bound
+        # keeps the apartments 1e-6 and 1e-9 km inside the radius, and the
+        # strict < drops the one exactly at it and those outside
+        school = make_school(0, lat0, 179.99)
+        cos_lat = math.cos(math.radians(lat0))
+
+        def east_of_school(km, sign):
+            dlon = math.degrees(2 * math.asin(math.sin(km / (2 * EARTH_RADIUS_KM)) / cos_lat))
+            return (179.99 + sign * dlon + 180) % 360 - 180
+
+        edge_lon = east_of_school(3.0, 1)
+        radius_km = float(_haversine_km(lat0, 179.99, lat0, edge_lon))
+        rows = [(GeoPoint(lat0, edge_lon), 5e5)]
+        for sign in (1, -1):
+            for offset, price in ((-1e-6, 1e5), (-1e-9, 1e5), (1e-9, 9e5),
+                                  (1e-6, 9e5)):
+                rows.append((GeoPoint(lat0, east_of_school(radius_km + offset, sign)), price))
+        apartments = make_apartments(rows)
+        counts, sums = _apartments_within([school], apartments, radius_km)
+        dense_counts = (school_apartment_distances([school], apartments)
+                        < radius_km).sum(axis=1)
+        assert counts.tolist() == dense_counts.tolist() == [4]
+        assert sums.tolist() == [4e5]
+
+    @pytest.mark.parametrize("lat0", [0.0, 65.0, -70.0, 89.97])
+    def test_radius_edge_at_widest_longitude(self, lat0):
+        # at the latitude where the circle reaches farthest in longitude,
+        # asin(sin(lat0) / cos(r / R)), poleward of the school: a bound
+        # taken from the school's latitude alone would drop the apartments
+        # just inside the radius there
+        school = make_school(0, lat0, 179.99)
+        radius_km = 3.0
+        lat0_r = math.radians(lat0)
+        widest = math.asin(math.sin(lat0_r) / math.cos(radius_km / EARTH_RADIUS_KM))
+
+        def lon_at(km, sign):
+            h = (math.sin(km / (2 * EARTH_RADIUS_KM)) ** 2
+                 - math.sin((widest - lat0_r) / 2) ** 2)
+            dlon = 2 * math.asin(math.sqrt(h / (math.cos(lat0_r) * math.cos(widest))))
+            return (179.99 + sign * math.degrees(dlon) + 180) % 360 - 180
+
+        rows = [(GeoPoint(math.degrees(widest), lon_at(radius_km + offset, sign)), price)
+                for sign in (1, -1)
+                for offset, price in ((-1e-6, 1e5), (-1e-9, 1e5), (1e-9, 9e5), (1e-6, 9e5))]
         apartments = make_apartments(rows)
         counts, sums = _apartments_within([school], apartments, radius_km)
         dense_counts = (school_apartment_distances([school], apartments)

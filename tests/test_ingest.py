@@ -1,4 +1,7 @@
+import csv
+import io
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geoseg import ingest
 from geoseg.errors import (
     CoordinateOutOfRange,
     DuplicateSchoolId,
@@ -21,9 +25,12 @@ from geoseg.ingest import (
     RawSchool,
     apartment_prices,
     apply_filters,
+    parse_edges,
     parse_inputs,
+    parse_students,
 )
 from geoseg.model import GeoPoint, School, StudentGraph, apartment_table
+from geoseg.synth import SynthConfig, emit_city, generate_apartments, generate_city
 
 
 def write(path, text):
@@ -191,6 +198,84 @@ class TestParse:
         texts = ["student_id,school_id\na,1\nb,1\n",
                  "student_id_a,student_id_b\na,b\n", SCHOOLS_2, APARTMENTS_1]
         texts[which] += "\n" + row + "\n"
+        paths = files(*texts)
+        with pytest.raises(MalformedRow) as exc:
+            parse_inputs(*paths)
+        assert exc.value.path == paths[which]
+        assert exc.value.line_no == texts[which].count("\n")
+
+
+@pytest.fixture(scope="module")
+def synth_city(tmp_path_factory):
+    """The four input files of a 60-school synth city with 150 students a
+    school and 10,000 apartments: 28,622 rows, each file several chunks."""
+    cfg = SynthConfig(n_schools=60, seed=3)
+    roster, net, truth = generate_city(cfg)
+    out = tmp_path_factory.mktemp("city")
+    emit_city(out, roster, net, truth, generate_apartments(cfg, roster, 10_000, 1.0, seed=3),
+              seed=3, students_per_school=150)
+    return [str(out / name) for name in
+            ("students.csv", "edges.csv", "schools.csv", "apartments.csv")]
+
+
+class TestChunkReader:
+    def test_synth_city_is_read_by_chunk(self, synth_city, monkeypatch):
+        # only the schools file takes the per-record path; a silent
+        # fallback would cost the chunk reader's gain
+        read = []
+        records = ingest._records
+        monkeypatch.setattr(ingest, "_records",
+                            lambda path, *columns: read.append(path) or records(path, *columns))
+        raw = parse_inputs(*synth_city)
+        assert read == [synth_city[2]]
+        assert len(raw.student_ids) == 9000 and len(raw.apartments) == 10_000
+
+    def test_edges_fallback_leaves_ids_as_found(self, tmp_path, monkeypatch):
+        # a quoted row two chunks in sends the edges file to the per-record
+        # path after the chunks before it were coded
+        rows = [f"e{i},e{i + 1}\n" for i in range(3000)] + ['"e0",a\n']
+        path = write(tmp_path / "edges.csv", "student_id_a,student_id_b\n" + "".join(rows))
+        code, coded = ingest._code, []
+        monkeypatch.setattr(ingest, "_code",
+                            lambda keys, ids: coded.append(len(keys)) or code(keys, ids))
+        by_record, ids_at_fallback = ingest._edges_by_record, []
+        monkeypatch.setattr(ingest, "_edges_by_record",
+                            lambda path, ids: ids_at_fallback.append(list(ids.items()))
+                            or by_record(path, ids))
+        ids = {"a": 0, "b": 1}
+        got = parse_edges(path, ids)
+        assert len(coded) >= 2
+        assert ids_at_fallback == [[("a", 0), ("b", 1)]]
+        want_ids = {"a": 0, "b": 1}
+        want = by_record(path, want_ids)
+        assert list(ids.items()) == list(want_ids.items())
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_traced_parse_memory_per_row(self, synth_city):
+        # at the parent of the chunk reader, parse_inputs peaked at 114.5
+        # traced bytes a row on this city (3.13 MB over 28,622 rows)
+        rows = sum(sum(1 for _ in open(path)) - 1 for path in synth_city)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            parse_inputs(*synth_city)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert rows == 28_622
+        assert peak / rows < 1.25 * 114.5, f"{peak / rows:.1f} B a row"
+
+
+    @pytest.mark.parametrize("which, rows", [
+        (0, "c,1,x\nd\n"), (1, "c,a,x\nd\n"), (3, "59.9,30.3,1e5,x\n59.9,30.3\n"),
+    ], ids=["students", "edges", "apartments"])
+    def test_long_row_then_short_row(self, files, which, rows):
+        # a field past the header is ignored, and the next row is short:
+        # the two together hold as many fields as two full rows
+        texts = ["student_id,school_id\na,1\nb,1\n",
+                 "student_id_a,student_id_b\na,b\n", SCHOOLS_2,
+                 "latitude,longitude,price_per_sqm\n59.9,30.3,1e5\n"]
+        texts[which] += rows
         paths = files(*texts)
         with pytest.raises(MalformedRow) as exc:
             parse_inputs(*paths)
@@ -573,10 +658,13 @@ def test_apply_filters_matches_reference(raw, excluded, max_cohort):
 
 @st.composite
 def csv_files(draw):
-    """Students, edges and schools files as CSV text, and the claims, edges
-    and schools they hold: repeated and multi-school claims, a claimed
-    school missing from the schools file, duplicate, reversed, self-loop and
-    dangling edges, blank lines and byte-order marks."""
+    """Students, edges, schools and apartments files as CSV text, and the
+    claims, edges and schools they hold: repeated and multi-school claims, a
+    claimed school missing from the schools file, duplicate, reversed,
+    self-loop and dangling edges, apartment prices per sqm given, computed
+    from price and area, or each per row, blank lines and byte-order marks;
+    "\n" or "\r\n" line ends, fields quoted only where needed or all, and
+    files longer than one chunk of the chunk reader."""
     n_students = draw(st.integers(0, 12))
     # shuffled, so the order ids are first met in is not their sorted order;
     # the last two are in no claim and dangle
@@ -589,19 +677,39 @@ def csv_files(draw):
     claim_rows = draw(st.permutations(claim_rows))
     edge_rows = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
                               min_size=n_students, max_size=40))
+    if draw(st.booleans()):
+        # a chain of students at school 3, which the schools file lacks,
+        # spread over several chunks around the drawn rows
+        chain = [f"c{i}" for i in range(2500)]
+        at = draw(st.integers(0, len(claim_rows)))
+        claim_rows[at:at] = [(c, "3") for c in chain]
+        at = draw(st.integers(0, len(edge_rows)))
+        edge_rows[at:at] = list(zip(chain, chain[1:]))
     schools = [RawSchool(str(i), GeoPoint(0.0, 0.01 * i),
                          50.0 if i == 0 else draw(st.sampled_from([None, 60.0])))
                for i in range(3)]
     school_rows = [(s.id, "0.0", repr(s.location.longitude),
                     "" if s.score is None else repr(s.score)) for s in schools]
+    apartment_header, apartment_rows = draw(apartment_files())
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    line_end = draw(st.sampled_from(["\n", "\r\n"]))
 
     def text(header, rows):
-        lines = [",".join(row) + "\n" + "\n" * draw(st.integers(0, 2)) for row in rows]
-        return "\ufeff" * draw(st.booleans()) + header + "\n" + "".join(lines)
+        blank_lines_after = Counter(draw(st.lists(st.integers(0, len(rows)), max_size=10)))
+        out = io.StringIO()
+        out.write("\ufeff" * draw(st.booleans()))
+        writer = csv.writer(out, quoting=quoting, lineterminator=line_end)
+        writer.writerow(header.split(","))
+        out.write(line_end * blank_lines_after[0])
+        for i, row in enumerate(rows, 1):
+            writer.writerow(row)
+            out.write(line_end * blank_lines_after[i])
+        return out.getvalue()
 
     texts = (text("student_id,school_id", claim_rows),
              text("student_id_a,student_id_b", edge_rows),
-             text("school_id,latitude,longitude,score", school_rows))
+             text("school_id,latitude,longitude,score", school_rows),
+             text(apartment_header, apartment_rows))
     claims: dict[str, set[str]] = {}
     for student, school in claim_rows:
         claims.setdefault(student, set()).add(school)
@@ -609,20 +717,53 @@ def csv_files(draw):
     return texts, SimpleNamespace(claims=claims, edges=edges, schools=schools)
 
 
+@st.composite
+def apartment_files(draw):
+    """An apartments header and rows: prices per sqm in their own column,
+    from price and area, or, with both, each row filled one way."""
+    header = draw(st.sampled_from(["latitude,longitude,price_per_sqm",
+                                   "latitude,longitude,price,area",
+                                   "price,latitude,area,longitude,price_per_sqm"]))
+    names = header.split(",")
+    n = draw(st.sampled_from([1, 5, 400]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = {"latitude": rng.uniform(-90, 90, n), "longitude": rng.uniform(-180, 180, n),
+              "price_per_sqm": rng.uniform(5e4, 2e5, n), "price": rng.uniform(1e6, 1e7, n),
+              "area": rng.uniform(20, 200, n)}
+    given = np.ones(n, bool)
+    if "price" in names and "price_per_sqm" in names:
+        given = draw(st.sampled_from([given, ~given, rng.random(n) < 0.5]))
+    rows = [[("" if name == "price_per_sqm" and not given[i] else repr(float(values[name][i])))
+             for name in names] for i in range(n)]
+    return header, rows
+
+
 @given(csv_files(), st.sampled_from([(), ("1",), ("0", "2")]),
        st.sampled_from([1000, 1, 2]))
 @settings(max_examples=300, deadline=None)
 def test_coded_parse_and_filters_match_reference(tmp_path_factory, case, excluded,
                                                  max_cohort):
-    (students, edges, schools), expected_raw = case
+    texts, expected_raw = case
     tmp = tmp_path_factory.mktemp("csv")
-    raw = parse_inputs(write(tmp / "students.csv", students),
-                       write(tmp / "edges.csv", edges),
-                       write(tmp / "schools.csv", schools),
-                       write(tmp / "apartments.csv", APARTMENTS_1))
+    paths = [write(tmp / name, text) for name, text in
+             zip(("students.csv", "edges.csv", "schools.csv", "apartments.csv"), texts)]
+    raw = parse_inputs(*paths)
     assert raw.claims == expected_raw.claims
     assert raw.edges == expected_raw.edges
     assert raw.schools == expected_raw.schools
+    # the chunk reader, where it reads a file, gives what the per-record
+    # path gives: the same ids in the same order and the same codes
+    chunked, by_record = {}, {}
+    got = (*parse_students(paths[0], chunked), *parse_edges(paths[1], chunked))
+    want = (*ingest._students_by_record(paths[0], by_record),
+            *ingest._edges_by_record(paths[1], by_record))
+    assert list(chunked) == list(by_record)
+    assert got[2] == want[2]
+    for g, w in zip(got[:2] + got[3:], want[:2] + want[3:]):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    apartments = ingest._apartments_by_record(paths[3])
+    assert raw.apartments.dtype == apartments.dtype
+    assert raw.apartments.tobytes() == apartments.tobytes()
     config = FilterConfig(max_cohort=max_cohort, excluded_school_ids=excluded)
     try:
         expected = reference_apply_filters(expected_raw, config)
