@@ -20,12 +20,17 @@ stream and the network are those of one draw over all n(n - 1)/2 pairs,
 and only the tied pairs are kept.
 `expected_ties` sums the blocks' sums, so it can differ from one sum over
 all pairs in the last digit. Apartments are priced in blocks of whole
-apartment rows, `model.BLOCK_CELLS` apartment x school cells each, so
-memory stays bounded as the apartment count grows and each row sums its
-schools in the same order as one dense pass would. `emit_city` realises
-a pair's tie weight w as w distinct cross-cohort student pairs: a uniform
-w-subset of the m * m pairs, drawn for all pairs of one weight at once by
-`model.k_subsets`.
+apartment rows, `model.BLOCK_CELLS` apartment x school cells each, in
+three block buffers allocated once, so memory stays bounded as the
+apartment count grows. Each block's local mean is one matrix-vector
+product, and the BLAS kernel's row sums depend on which rows share a
+block: the same block rows give the same bits, but another block size
+(or BLAS kernel) can move a price's last bit when price_coupling != 0.
+`emit_city` realises a pair's tie weight w as w distinct cross-cohort
+student pairs: a uniform w-subset of the m * m pairs, drawn for all pairs
+of one weight at once by `model.k_subsets`. It writes the students,
+edges and apartments files a block of rows at a time, the student ids as
+rows of one byte matrix.
 """
 
 from __future__ import annotations
@@ -55,6 +60,9 @@ _DEG_PER_KM = 180.0 / (math.pi * EARTH_RADIUS_KM)
 CENTER = GeoPoint(0.0, 0.0)
 # apartment price per sqm at the roster's mean local score
 BASE_PRICE_PER_SQM = 100_000.0
+# rows per block that emit_city writes of the students, edges and
+# apartments files
+WRITE_BLOCK_ROWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -184,21 +192,47 @@ def generate_apartments(
     scores = np.array([s.score for s in roster])
     mean, sd = scores.mean(), scores.std()
     sd = sd if sd > 0 else 1.0
-    # whole rows per block, so each row's within @ scores sums its schools
-    # in one order whatever the block size
-    step = max(1, BLOCK_CELLS // len(roster))
+    # whole rows per block; w @ scores on the same block rows gives the
+    # same bits, and the buffers are reused, not mapped afresh per block
+    step = min(max(1, BLOCK_CELLS // len(roster)), n_apartments)
+    d2_buf, sq_buf, w_buf = (np.empty((step, len(roster))) for _ in range(3))
     local_mean = np.empty(n_apartments)
     for lo in range(0, n_apartments, step):
-        rows = slice(lo, lo + step)
-        d2 = (east[rows, None] - s_east) ** 2 + (north[rows, None] - s_north) ** 2
-        within = d2 < local_radius_km**2
-        none_close = ~within.any(axis=1)
-        within[none_close, np.argmin(d2[none_close], axis=1)] = True
-        local_mean[rows] = (within @ scores) / within.sum(axis=1)
+        rows = slice(lo, min(lo + step, n_apartments))
+        d2, sq, w = (buf[:rows.stop - lo] for buf in (d2_buf, sq_buf, w_buf))
+        np.square(np.subtract(east[rows, None], s_east, out=d2), out=d2)
+        np.square(np.subtract(north[rows, None], s_north, out=sq), out=sq)
+        d2 += sq
+        # w is 0/1: the schools within the radius, else the nearest one
+        np.less(d2, local_radius_km**2, out=w)
+        count = np.count_nonzero(w, axis=1)
+        none_close = count == 0
+        w[none_close, np.argmin(d2[none_close], axis=1)] = 1.0
+        count[none_close] = 1
+        local_mean[rows] = (w @ scores) / count
     z = (local_mean - mean) / sd
     price = BASE_PRICE_PER_SQM * (1.0 + price_coupling * z)
     price = price + BASE_PRICE_PER_SQM * noise_sd * rng.standard_normal(n_apartments)
     return apartment_table(lat, lon, np.maximum(price, 1.0))
+
+
+def _byte_rows(strings) -> np.ndarray:
+    """The strings' UTF-8 bytes as the rows of a NUL-padded uint8 matrix."""
+    padded = np.array([s.encode() for s in strings], dtype=bytes)
+    return padded.view(np.uint8).reshape(len(padded), padded.itemsize)
+
+
+def _write_pairs(path, header: str, n_rows: int, fields) -> None:
+    """The header line, then n_rows lines `first,second`, a block of
+    WRITE_BLOCK_ROWS at a time: fields(rows) gives the block's two fields
+    as NUL-padded uint8 matrices, and the padding is dropped."""
+    with open(path, "wb") as f:
+        f.write(f"{header}\n".encode())
+        for lo in range(0, n_rows, WRITE_BLOCK_ROWS):
+            first, second = fields(slice(lo, min(lo + WRITE_BLOCK_ROWS, n_rows)))
+            comma, newline = (np.full((len(first), 1), ord(c), dtype=np.uint8) for c in ",\n")
+            rows = np.hstack((first, comma, second, newline))
+            f.write(rows[rows != 0].tobytes())
 
 
 def emit_city(
@@ -218,8 +252,13 @@ def emit_city(
     cross-cohort student pairs: one k_subsets call per distinct weight w
     draws a w-subset of range(m * m) for every pair of that weight, pick p
     joining student p // m of school a to student p % m of school b. The
-    cycle rows come first, then each pair's rows in (a, b) order. Rows are
-    built as student codes and written through one list of student ids.
+    cycle rows come first, then each pair's rows in (a, b) order.
+
+    Rows are built as student codes. The students and edges files are
+    written a block of rows at a time from one byte matrix of student ids,
+    `{school}_u{j:03d}`, and the apartments file from each block's columns
+    as float reprs: the bytes csv.writer writes. A school id that
+    csv.writer would quote, or that holds a NUL, raises InvalidConfig.
     """
     rng = np.random.default_rng(seed)
     m = students_per_school
@@ -231,9 +270,11 @@ def emit_city(
             f"max weight {max_w} exceeds {m}x{m} cross pairs; "
             f"raise students_per_school"
         )
+    bad = next((s for s in net.schools if any(c in s for c in ',"\r\n\0')), None)
+    if bad is not None:
+        raise InvalidConfig(f"school id {bad!r} holds a comma, quote, line break or NUL")
     # student code school * m + j; its cycle successor is j + 1 mod m
-    ids = [f"{school}_u{j:03d}" for school in net.schools for j in range(m)]
-    codes = np.arange(len(ids))
+    codes = np.arange(len(net.schools) * m)
     ring = codes - codes % m + (codes + 1) % m
     # each pair's cross picks fill its run of weight rows, in pair order
     starts = np.cumsum(net.weight) - net.weight
@@ -243,17 +284,30 @@ def emit_city(
         picks[starts[pairs] + np.arange(w)[:, None]] = k_subsets(
             np.full(len(pairs), m * m), w, rng)
     pair = np.repeat(np.arange(len(net.weight)), net.weight)
-    src = np.concatenate((codes, net.a[pair] * m + picks // m)).tolist()
-    dst = np.concatenate((ring, net.b[pair] * m + picks % m)).tolist()
+    src = np.concatenate((codes, net.a[pair] * m + picks // m))
+    dst = np.concatenate((ring, net.b[pair] * m + picks % m))
+
+    # ids[code] is the student's id: its school's bytes, then its suffix's
+    schools = _byte_rows(net.schools)
+    suffixes = _byte_rows([f"_u{j:03d}" for j in range(m)])
+    ids = np.empty((len(schools), m, schools.shape[1] + suffixes.shape[1]), dtype=np.uint8)
+    ids[:, :, :schools.shape[1]] = schools[:, None]
+    ids[:, :, schools.shape[1]:] = suffixes
+    ids = ids.reshape(len(codes), ids.shape[2])
 
     os.makedirs(out_dir, exist_ok=True)
-    write_csv(os.path.join(out_dir, "students.csv"), ["student_id", "school_id"],
-              zip(ids, (school for school in net.schools for _ in range(m))))
-    write_csv(os.path.join(out_dir, "edges.csv"), ["student_id_a", "student_id_b"],
-              zip(map(ids.__getitem__, src), map(ids.__getitem__, dst)))
+    _write_pairs(os.path.join(out_dir, "students.csv"), "student_id,school_id",
+                 len(codes), lambda rows: (ids[rows], schools[codes[rows] // m]))
+    _write_pairs(os.path.join(out_dir, "edges.csv"), "student_id_a,student_id_b",
+                 len(src), lambda rows: (ids[src[rows]], ids[dst[rows]]))
     write_csv(os.path.join(out_dir, "schools.csv"),
               ["school_id", "latitude", "longitude", "score"],
               ([s.id, s.location.latitude, s.location.longitude, s.score] for s in roster))
-    write_csv(os.path.join(out_dir, "apartments.csv"),
-              ["latitude", "longitude", "price_per_sqm"], apartments.tolist())
+    with open(os.path.join(out_dir, "apartments.csv"), "w", newline="") as f:
+        f.write("latitude,longitude,price_per_sqm\n")
+        for lo in range(0, len(apartments), WRITE_BLOCK_ROWS):
+            block = apartments[lo:lo + WRITE_BLOCK_ROWS]
+            f.write("".join([f"{lat!r},{lon!r},{price!r}\n" for lat, lon, price in zip(
+                block["latitude"].tolist(), block["longitude"].tolist(),
+                block["price_per_sqm"].tolist())]))
     write_json(os.path.join(out_dir, "ground_truth.json"), truth)

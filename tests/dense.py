@@ -4,12 +4,19 @@ geoseg keeps a school network as its tied pairs (`SchoolNetwork`). These
 helpers convert between that form and a symmetric zero-diagonal weight
 matrix, and keep the dense constructions that the pair builders replaced
 as their oracles. `dense_generate_apartments` is the apartments x schools
-pricing that the blocked `synth.generate_apartments` replaced, and
+pricing that the blocked `synth.generate_apartments` replaced (a row's
+matrix-vector sum can differ from the blocked one in the last bit), and
 `dense_pairs_by_bin` and `dense_generate_city` are the all-pairs forms of
 `DistanceMatrix.pairs_by_bin` and `synth.generate_city`, which build their
 school pairs a block of rows at a time. `dense_distances` is the n x n
 distance matrix that `DistanceMatrix` never holds: its readers compute
 the distances they need from the schools' coordinates.
+
+`reference_generate_apartments` and `reference_emit_city` are the writers
+of `synth` before it priced apartments in reused block buffers and wrote
+its files from byte arrays: a fresh array per block, and a Python string
+per student id written through csv.writer. The new code gives the same
+bytes.
 
 `haversine`, `degree_centrality` and `generate_null_graph` are the
 one-pair distance, the per-school degree and one null-model graph as
@@ -17,12 +24,24 @@ their own functions; the pipeline computes each inside a larger step.
 """
 
 import math
+import os
 from dataclasses import asdict
 
 import numpy as np
 
+from geoseg import synth
+from geoseg.errors import InvalidConfig
 from geoseg.geo import _haversine_km, _latlon_arrays, upper_triangle_blocks
-from geoseg.model import EARTH_RADIUS_KM, GeoPoint, School, SchoolNetwork, apartment_table
+from geoseg.model import (
+    EARTH_RADIUS_KM,
+    GeoPoint,
+    School,
+    SchoolNetwork,
+    apartment_table,
+    k_subsets,
+    write_csv,
+    write_json,
+)
 from geoseg.nullmodel import _draw_ties, _pair_table
 from geoseg.synth import BASE_PRICE_PER_SQM, CENTER, _disc_points, _to_geopoints
 
@@ -127,6 +146,71 @@ def dense_generate_apartments(cfg, roster, n_apartments, price_coupling, seed,
     price = BASE_PRICE_PER_SQM * (1.0 + price_coupling * z)
     price = price + BASE_PRICE_PER_SQM * noise_sd * rng.standard_normal(n_apartments)
     return apartment_table(lat, lon, np.maximum(price, 1.0))
+
+
+def reference_generate_apartments(cfg, roster, n_apartments, price_coupling, seed,
+                                  noise_sd=0.05, local_radius_km=3.0):
+    """synth.generate_apartments with fresh bool arrays per block of
+    synth.BLOCK_CELLS apartment x school cells."""
+    rng = np.random.default_rng(seed)
+    east, north = _disc_points(rng, n_apartments, cfg.city_radius_km)
+    lat, lon = _to_geopoints(east, north)
+    s_lat, s_lon = _latlon_arrays(roster)
+    s_east = EARTH_RADIUS_KM * np.radians(s_lon - CENTER.longitude)
+    s_north = EARTH_RADIUS_KM * np.radians(s_lat - CENTER.latitude)
+    scores = np.array([s.score for s in roster])
+    mean, sd = scores.mean(), scores.std()
+    sd = sd if sd > 0 else 1.0
+    step = max(1, synth.BLOCK_CELLS // len(roster))
+    local_mean = np.empty(n_apartments)
+    for lo in range(0, n_apartments, step):
+        rows = slice(lo, lo + step)
+        d2 = (east[rows, None] - s_east) ** 2 + (north[rows, None] - s_north) ** 2
+        within = d2 < local_radius_km**2
+        none_close = ~within.any(axis=1)
+        within[none_close, np.argmin(d2[none_close], axis=1)] = True
+        local_mean[rows] = (within @ scores) / within.sum(axis=1)
+    z = (local_mean - mean) / sd
+    price = BASE_PRICE_PER_SQM * (1.0 + price_coupling * z)
+    price = price + BASE_PRICE_PER_SQM * noise_sd * rng.standard_normal(n_apartments)
+    return apartment_table(lat, lon, np.maximum(price, 1.0))
+
+
+def reference_emit_city(out_dir, roster, net, truth, apartments, seed=0,
+                        students_per_school=12):
+    """synth.emit_city through one list of student id strings and
+    csv.writer (`model.write_csv`) for every file."""
+    rng = np.random.default_rng(seed)
+    m = students_per_school
+    if m < 2:
+        raise InvalidConfig(f"students_per_school {m} < 2: a cohort cycle needs two")
+    max_w = int(net.weight.max(initial=0))
+    if max_w > m * m:
+        raise InvalidConfig(f"max weight {max_w} exceeds {m}x{m} cross pairs")
+    ids = [f"{school}_u{j:03d}" for school in net.schools for j in range(m)]
+    codes = np.arange(len(ids))
+    ring = codes - codes % m + (codes + 1) % m
+    starts = np.cumsum(net.weight) - net.weight
+    picks = np.empty(int(net.weight.sum()), dtype=np.int64)
+    for w in np.unique(net.weight).tolist():
+        pairs = np.flatnonzero(net.weight == w)
+        picks[starts[pairs] + np.arange(w)[:, None]] = k_subsets(
+            np.full(len(pairs), m * m), w, rng)
+    pair = np.repeat(np.arange(len(net.weight)), net.weight)
+    src = np.concatenate((codes, net.a[pair] * m + picks // m)).tolist()
+    dst = np.concatenate((ring, net.b[pair] * m + picks % m)).tolist()
+
+    os.makedirs(out_dir, exist_ok=True)
+    write_csv(os.path.join(out_dir, "students.csv"), ["student_id", "school_id"],
+              zip(ids, (school for school in net.schools for _ in range(m))))
+    write_csv(os.path.join(out_dir, "edges.csv"), ["student_id_a", "student_id_b"],
+              zip(map(ids.__getitem__, src), map(ids.__getitem__, dst)))
+    write_csv(os.path.join(out_dir, "schools.csv"),
+              ["school_id", "latitude", "longitude", "score"],
+              ([s.id, s.location.latitude, s.location.longitude, s.score] for s in roster))
+    write_csv(os.path.join(out_dir, "apartments.csv"),
+              ["latitude", "longitude", "price_per_sqm"], apartments.tolist())
+    write_json(os.path.join(out_dir, "ground_truth.json"), truth)
 
 
 def dense_distances(roster) -> np.ndarray:

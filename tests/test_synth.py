@@ -10,12 +10,18 @@ from geoseg.decay import fit_power_law, tie_probability_curve
 from geoseg.errors import InvalidConfig
 from geoseg.geo import neighborhood_affluence_segregation, school_distance_matrix
 from geoseg.ingest import apply_filters, parse_inputs
-from geoseg.model import SchoolNetwork
+from geoseg.model import School, SchoolNetwork
 from geoseg import geo, synth
 from geoseg.network import binarize, build_count_network
 from geoseg.synth import SynthConfig, emit_city, generate_apartments, generate_city
 
-from dense import dense_generate_apartments, dense_generate_city, dense_weights
+from dense import (
+    dense_generate_apartments,
+    dense_generate_city,
+    dense_weights,
+    reference_emit_city,
+    reference_generate_apartments,
+)
 
 
 class TestConfig:
@@ -276,3 +282,108 @@ class TestEmitCityPairs:
         with pytest.raises(InvalidConfig, match="max weight"):
             emit_city(tmp_path, roster, heavy, truth, apartments,
                       students_per_school=self.M)
+
+
+SYNTH_FILES = ("students.csv", "edges.csv", "schools.csv", "apartments.csv",
+               "ground_truth.json")
+
+
+def _assert_same_files(got, want):
+    for name in SYNTH_FILES:
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+
+class TestWritersMatchReference:
+    """emit_city's byte-array writer and generate_apartments' reused block
+    buffers give the bytes of the csv.writer and fresh-array code they
+    replaced (dense.reference_emit_city, reference_generate_apartments)."""
+
+    @pytest.fixture(scope="class")
+    def ingest_city(self):
+        # 90,000 students: 11 write blocks of students rows and 13 of edges
+        # rows, and 30,000 apartments in 138 pricing blocks of up to 218 rows
+        cfg = SynthConfig(n_schools=600, homophily_scale=5.0, seed=3)
+        roster, net, truth = generate_city(cfg)
+        apartments = generate_apartments(cfg, roster, 30_000, 1.0, seed=3)
+        return cfg, roster, net, truth, apartments
+
+    def test_ingest_city_pricing(self, ingest_city):
+        cfg, roster, _, _, apartments = ingest_city
+        want = reference_generate_apartments(cfg, roster, 30_000, 1.0, seed=3)
+        assert apartments.tobytes() == want.tobytes()
+
+    def test_ingest_city_files(self, ingest_city, tmp_path):
+        _, roster, net, truth, apartments = ingest_city
+        emit_city(tmp_path / "got", roster, net, truth, apartments, seed=3,
+                  students_per_school=150)
+        reference_emit_city(tmp_path / "want", roster, net, truth, apartments, seed=3,
+                            students_per_school=150)
+        _assert_same_files(tmp_path / "got", tmp_path / "want")
+
+    def test_traced_memory_per_written_row(self, ingest_city, tmp_path):
+        # SynthConfig(n_schools=600, homophily_scale=5, seed=3), 150
+        # students a school and 30,000 apartments: 223,785 rows of
+        # students, edges and apartments. Here the csv.writer version peaks
+        # at 21.6 MB (96 B a row; 20.5 MB, 91 B, in a bare process) and the
+        # byte-array writer at 7.0 MB (31 B a row) in blocks of 8K rows; in
+        # blocks of 32K rows it peaked at 10.1 MB (45 B a row)
+        _, roster, net, truth, apartments = ingest_city
+        tracemalloc.start()
+        try:
+            emit_city(tmp_path, roster, net, truth, apartments, seed=3,
+                      students_per_school=150)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = sum(len((tmp_path / name).read_bytes().splitlines()) - 1
+                   for name in ("students.csv", "edges.csv", "apartments.csv"))
+        assert peak / rows <= 60, f"{peak / 1e6:.1f} MB, {peak / rows:.0f} B a row of {rows}"
+
+    @pytest.mark.parametrize("m", [2, 1001])
+    def test_cohort_sizes(self, tmp_path, m):
+        # 1001 students a school give the 4-digit suffix _u1000
+        cfg = SynthConfig(n_schools=30, seed=5)
+        roster, net, truth = generate_city(cfg)
+        net = SchoolNetwork(net.schools, net.a, net.b, np.minimum(net.weight, m * m))
+        apartments = generate_apartments(cfg, roster, 50, 0.5, seed=5)
+        emit_city(tmp_path / "got", roster, net, truth, apartments, seed=5,
+                  students_per_school=m)
+        reference_emit_city(tmp_path / "want", roster, net, truth, apartments, seed=5,
+                            students_per_school=m)
+        _assert_same_files(tmp_path / "got", tmp_path / "want")
+
+    def test_mixed_width_school_ids(self, tmp_path):
+        cfg = SynthConfig(n_schools=10, seed=2)
+        roster, _, truth = generate_city(cfg)
+        ids = ["s9999", "s10000", "x", *(s.id for s in roster[3:])]
+        roster = [School(i, s.location, s.score) for i, s in zip(ids, roster)]
+        net = SchoolNetwork(ids, [0, 0, 1, 2, 6], [1, 2, 2, 9, 7], [3, 1, 9, 2, 4])
+        apartments = generate_apartments(cfg, roster, 20, 0.0, seed=2)
+        emit_city(tmp_path / "got", roster, net, truth, apartments, seed=4,
+                  students_per_school=3)
+        reference_emit_city(tmp_path / "want", roster, net, truth, apartments, seed=4,
+                            students_per_school=3)
+        _assert_same_files(tmp_path / "got", tmp_path / "want")
+        assert _rows(tmp_path / "got" / "students.csv")[3:6] == [
+            ["s10000_u000", "s10000"], ["s10000_u001", "s10000"], ["s10000_u002", "s10000"]]
+
+    def test_utf8_school_ids(self, tmp_path):
+        cfg = SynthConfig(n_schools=10, seed=2)
+        roster, net, truth = generate_city(cfg)
+        ids = ["школа", *net.schools[1:]]
+        net = SchoolNetwork(ids, net.a, net.b, np.minimum(net.weight, 4))
+        apartments = generate_apartments(cfg, roster, 20, 0.0, seed=2)
+        emit_city(tmp_path, roster, net, truth, apartments, students_per_school=2)
+        with open(tmp_path / "students.csv", encoding="utf-8", newline="") as f:
+            assert list(csv.reader(f))[1:3] == [["школа_u000", "школа"],
+                                                ["школа_u001", "школа"]]
+
+    @pytest.mark.parametrize("bad", ["s,1", 's"1', "s\r1", "s\n1", "s\x001"],
+                             ids=["comma", "quote", "cr", "lf", "nul"])
+    def test_id_csv_would_quote_invalid(self, tmp_path, bad):
+        cfg = SynthConfig(n_schools=10, seed=2)
+        roster, net, truth = generate_city(cfg)
+        net = SchoolNetwork([bad, *net.schools[1:]], net.a, net.b, net.weight)
+        apartments = generate_apartments(cfg, roster, 20, 0.0, seed=2)
+        with pytest.raises(InvalidConfig, match="school id"):
+            emit_city(tmp_path, roster, net, truth, apartments, students_per_school=3)
