@@ -42,7 +42,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 from operator import itemgetter
 
 import numpy as np
@@ -80,30 +79,10 @@ class RawInputs:
     dangles). claim_student and claim_school are the distinct (student,
     school) claims, the school as an index into school_ids. edge_a < edge_b
     are the distinct friendships as student codes, self-loops dropped.
-    The constructor takes ids; `claims` and `edges` are id views built on
-    first use.
     """
 
-    def __init__(self, claims: dict[str, set[str]], edges, schools: list[RawSchool],
-                 apartments: np.recarray):
-        ids: dict[str, int] = {}
-        school_code: dict[str, int] = {}
-        pairs = [(ids.setdefault(s, len(ids)), school_code.setdefault(c, len(school_code)))
-                 for s, claimed in claims.items() for c in claimed]
-        ends = [(ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids))) for a, b in edges]
-        self._set(list(ids), list(school_code),
-                  *np.array(pairs, dtype=np.int64).reshape(-1, 2).T,
-                  *np.array(ends, dtype=np.int64).reshape(-1, 2).T, schools, apartments)
-
-    @classmethod
-    def _coded(cls, *fields) -> RawInputs:
-        """From already coded fields, in the order _set takes them."""
-        raw = cls.__new__(cls)
-        raw._set(*fields)
-        return raw
-
-    def _set(self, student_ids, school_ids, claim_student, claim_school, edge_a, edge_b,
-             schools, apartments) -> None:
+    def __init__(self, student_ids, school_ids, claim_student, claim_school, edge_a, edge_b,
+                 schools, apartments):
         self.student_ids, self.school_ids = student_ids, school_ids
         self.schools, self.apartments = schools, apartments
         self.claim_student, self.claim_school = _unique_pairs(
@@ -111,26 +90,6 @@ class RawInputs:
         lo, hi = np.minimum(edge_a, edge_b), np.maximum(edge_a, edge_b)
         loop = lo == hi  # a self-friendship carries no information
         self.edge_a, self.edge_b = _unique_pairs(lo[~loop], hi[~loop], len(student_ids))
-
-    @cached_property
-    def claims(self) -> dict[str, set[str]]:
-        """Each listed student's claimed school ids."""
-        claims: dict[str, set[str]] = {}
-        for i, c in zip(self.claim_student.tolist(), self.claim_school.tolist()):
-            claims.setdefault(self.student_ids[i], set()).add(self.school_ids[c])
-        return claims
-
-    @cached_property
-    def edges(self) -> set[tuple[str, str]]:
-        """The friendships as sorted id tuples."""
-        ids = self.student_ids
-        pairs = ((ids[i], ids[j]) for i, j in zip(self.edge_a.tolist(), self.edge_b.tolist()))
-        return {(a, b) if a < b else (b, a) for a, b in pairs}
-
-    def __eq__(self, other):
-        return (isinstance(other, RawInputs) and self.claims == other.claims
-                and self.edges == other.edges and self.schools == other.schools
-                and np.array_equal(self.apartments, other.apartments))
 
 
 @dataclass
@@ -470,7 +429,7 @@ def parse_inputs(students_file, edges_file, schools_file,
     ids: dict[str, int] = {}
     claim_student, claim_school, school_ids = parse_students(students_file, ids)
     edge_a, edge_b = parse_edges(edges_file, ids)
-    return RawInputs._coded(
+    return RawInputs(
         list(ids), school_ids, claim_student, claim_school, edge_a, edge_b,
         parse_schools(schools_file), apartment_prices(apartments_file),
     )
@@ -541,6 +500,6 @@ def apply_filters(raw: RawInputs, config: FilterConfig | None = None):
     position = np.full(len(school_of), -1, dtype=np.int64)
     position[alive] = np.arange(len(alive))
     kept = (position[a] >= 0) & (position[b] >= 0)
-    graph = StudentGraph._coded([ids[i] for i in order], [s.id for s in roster],
-                                school_of[alive], position[a[kept]], position[b[kept]])
+    graph = StudentGraph([ids[i] for i in order], [s.id for s in roster],
+                         school_of[alive], position[a[kept]], position[b[kept]])
     return graph, roster, report

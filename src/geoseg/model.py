@@ -124,42 +124,26 @@ class StudentGraph:
     """Undirected binary friendship relation plus student -> school map.
 
     Students are positions in the sorted `students`; `school` holds each
-    student's index into `school_ids`, and the friendships are int64
-    arrays a < b of student positions, each pair once. Construction
-    rejects self-loops and edges whose endpoints are not assigned to a
-    school. `assignment` and `edges` are id views built on first use.
+    student's index into `school_ids`, and a, b are the friendships as
+    student positions, stored as int64 arrays a < b with each pair once.
+    The constructor raises ValueError for a school code outside
+    school_ids, an endpoint outside students, or a self-loop.
+    `assignment` and `edges`, id views built on first use, stay only
+    because bench/run.py counts them; ROADMAP item 2 removes them.
     """
 
-    def __init__(self, assignment: dict[str, str], edges):
-        students = sorted(assignment)
-        school_ids = sorted(set(assignment.values()))
-        code = {s: i for i, s in enumerate(school_ids)}
-        position = {s: i for i, s in enumerate(students)}
-        ends = []
-        for a, b in edges:
-            if a == b:
-                raise ValueError(f"self-loop edge on student {a!r}")
-            if a not in position or b not in position:
-                raise ValueError(f"edge ({a!r}, {b!r}) has unassigned endpoint")
-            ends.append((position[a], position[b]))
-        school = np.array([code[assignment[s]] for s in students], dtype=np.int64)
-        self._set(students, school_ids, school,
-                  *np.array(ends, dtype=np.int64).reshape(-1, 2).T)
-
-    @classmethod
-    def _coded(cls, students: list[str], school_ids: list[str], school, a, b) -> StudentGraph:
-        """Skips the id checks: students are sorted, school indexes
-        school_ids per student, and a, b are the friendships as positions
-        in students, none a self-loop."""
-        graph = cls.__new__(cls)
-        graph._set(students, school_ids, school, a, b)
-        return graph
-
-    def _set(self, students, school_ids, school, a, b) -> None:
+    def __init__(self, students: list[str], school_ids: list[str], school, a, b):
         n = len(students)
-        self.students, self.school_ids = students, school_ids
-        self.school = np.asarray(school, dtype=np.int64)
-        self.a, self.b = _unique_pairs(np.minimum(a, b), np.maximum(a, b), n)
+        school, a, b = (np.asarray(x, dtype=np.int64) for x in (school, a, b))
+        if school.shape != (n,) or np.any((school < 0) | (school >= len(school_ids))):
+            raise ValueError(f"school must hold {n} codes in [0, {len(school_ids)})")
+        if a.ndim != 1 or a.shape != b.shape:
+            raise ValueError(f"edge ends of shapes {a.shape}, {b.shape}")
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        if np.any((lo < 0) | (hi >= n) | (lo == hi)):
+            raise ValueError(f"edge ends must be two distinct students in [0, {n})")
+        self.students, self.school_ids, self.school = students, school_ids, school
+        self.a, self.b = _unique_pairs(lo, hi, n)
         for array in (self.school, self.a, self.b):
             array.flags.writeable = False
 
@@ -174,14 +158,6 @@ class StudentGraph:
         """The friendships as sorted id tuples."""
         s = self.students
         return frozenset((s[i], s[j]) for i, j in zip(self.a.tolist(), self.b.tolist()))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, StudentGraph)
-            and self.assignment == other.assignment
-            and np.array_equal(self.a, other.a)
-            and np.array_equal(self.b, other.b)
-        )
 
 
 def group_arcs(src, n: int):

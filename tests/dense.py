@@ -21,6 +21,12 @@ bytes.
 `haversine`, `degree_centrality` and `generate_null_graph` are the
 one-pair distance, the per-school degree and one null-model graph as
 their own functions; the pipeline computes each inside a larger step.
+
+`student_graph` and `raw_from_ids` build the two student containers from
+ids, which the pipeline never holds: it codes each id once while parsing
+and builds `RawInputs` and `StudentGraph` from the codes. `claims_of` and
+`edges_of` read a RawInputs back as ids, and `same_graph` and `same_raw`
+compare two containers by what they hold.
 """
 
 import math
@@ -32,11 +38,13 @@ import numpy as np
 from geoseg import synth
 from geoseg.errors import InvalidConfig
 from geoseg.geo import _haversine_km, _latlon_arrays, upper_triangle_blocks
+from geoseg.ingest import RawInputs
 from geoseg.model import (
     EARTH_RADIUS_KM,
     GeoPoint,
     School,
     SchoolNetwork,
+    StudentGraph,
     apartment_table,
     k_subsets,
     write_csv,
@@ -84,6 +92,61 @@ def network_from_dense(schools, w) -> SchoolNetwork:
         raise ValueError("weight matrix must be symmetric with a zero diagonal")
     a, b = np.nonzero(np.triu(w, k=1))
     return SchoolNetwork(list(schools), a, b, w[a, b])
+
+
+def student_graph(assignment: dict[str, str], edges) -> StudentGraph:
+    """The graph of each student's school id and the friendships as id
+    pairs, students and school ids sorted. An endpoint that is not an
+    assigned student is coded n, which the constructor rejects."""
+    students = sorted(assignment)
+    school_ids = sorted(set(assignment.values()))
+    code = {s: i for i, s in enumerate(school_ids)}
+    position = {s: i for i, s in enumerate(students)}
+    n = len(students)
+    ends = [(position.get(a, n), position.get(b, n)) for a, b in edges]
+    return StudentGraph(students, school_ids, [code[assignment[s]] for s in students],
+                        *np.array(ends, dtype=np.int64).reshape(-1, 2).T)
+
+
+def raw_from_ids(claims: dict[str, set[str]], edges, schools, apartments) -> RawInputs:
+    """The RawInputs of each student's claimed school ids and the
+    friendships as id pairs, coding ids in first-seen order over the claims
+    and then the edges, as parse_inputs does over the files."""
+    ids: dict[str, int] = {}
+    school_code: dict[str, int] = {}
+    pairs = [(ids.setdefault(s, len(ids)), school_code.setdefault(c, len(school_code)))
+             for s, claimed in claims.items() for c in claimed]
+    ends = [(ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids))) for a, b in edges]
+    return RawInputs(list(ids), list(school_code),
+                     *np.array(pairs, dtype=np.int64).reshape(-1, 2).T,
+                     *np.array(ends, dtype=np.int64).reshape(-1, 2).T, schools, apartments)
+
+
+def claims_of(raw: RawInputs) -> dict[str, set[str]]:
+    """Each listed student's claimed school ids."""
+    claims: dict[str, set[str]] = {}
+    for i, c in zip(raw.claim_student.tolist(), raw.claim_school.tolist()):
+        claims.setdefault(raw.student_ids[i], set()).add(raw.school_ids[c])
+    return claims
+
+
+def edges_of(raw: RawInputs) -> set[tuple[str, str]]:
+    """The friendships as sorted id tuples."""
+    ids = raw.student_ids
+    pairs = ((ids[i], ids[j]) for i, j in zip(raw.edge_a.tolist(), raw.edge_b.tolist()))
+    return {(a, b) if a < b else (b, a) for a, b in pairs}
+
+
+def same_graph(g: StudentGraph, h: StudentGraph) -> bool:
+    """The same students at the same schools, with the same friendships."""
+    return (g.assignment == h.assignment and np.array_equal(g.a, h.a)
+            and np.array_equal(g.b, h.b))
+
+
+def same_raw(r: RawInputs, s: RawInputs) -> bool:
+    """The same claims, friendships, schools and apartments."""
+    return (claims_of(r) == claims_of(s) and edges_of(r) == edges_of(s)
+            and r.schools == s.schools and np.array_equal(r.apartments, s.apartments))
 
 
 def _edge_schools(g, roster):

@@ -19,7 +19,7 @@ from geoseg.cli import main as cli_main
 from geoseg.decay import fit_power_law, tie_probability_curve
 from geoseg.geo import school_distance_matrix
 from geoseg.ingest import FilterConfig, apply_filters, parse_inputs
-from geoseg.model import GeoPoint, School, StudentGraph, pearson
+from geoseg.model import GeoPoint, School, pearson
 from geoseg.network import (
     binarize,
     build_count_network,
@@ -29,7 +29,8 @@ from geoseg.nullmodel import null_distribution_s_d
 from geoseg.segregation import digital_segregation
 from geoseg.synth import SynthConfig, emit_city, generate_apartments, generate_city
 
-from dense import dense_weights, generate_null_graph, network_from_dense
+from dense import (dense_weights, generate_null_graph, network_from_dense, raw_from_ids,
+                   same_graph, student_graph)
 
 N_SEEDS = 20
 
@@ -159,7 +160,7 @@ def random_student_graph(rng):
     roster = [
         School(str(k), GeoPoint(0.0, k * 0.01), 50.0) for k in range(1, n_schools + 1)
     ]
-    return StudentGraph(assignment, edges), roster
+    return student_graph(assignment, edges), roster
 
 
 def brute_force_networks(g, roster):
@@ -387,16 +388,14 @@ def test_criterion_7_filter_correctness(tmp_path):
     actual = {k: getattr(rep, k) for k in expected}
     counts_ok = actual == expected and set(graph.assignment) == {"b", "c", "x", "z", "w"}
 
-    from geoseg.ingest import RawInputs
-
-    again = RawInputs(
+    again = raw_from_ids(
         claims={s: {g} for s, g in graph.assignment.items()},
         edges=set(graph.edges),
         schools=raw.schools,
         apartments=raw.apartments,
     )
     graph2, _, rep2 = apply_filters(again)
-    idempotent = graph2 == graph and (
+    idempotent = same_graph(graph2, graph) and (
         rep2.students_removed_no_same_school_friend == 0
         and rep2.students_removed_multi_school == 0
     )

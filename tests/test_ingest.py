@@ -1,9 +1,9 @@
 import csv
 import io
+import shutil
 import tracemalloc
 from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,8 +29,10 @@ from geoseg.ingest import (
     parse_inputs,
     parse_students,
 )
-from geoseg.model import GeoPoint, School, StudentGraph, apartment_table
+from geoseg.model import GeoPoint, School, apartment_table
 from geoseg.synth import SynthConfig, emit_city, generate_apartments, generate_city
+
+from dense import claims_of, edges_of, raw_from_ids, same_graph, same_raw, student_graph
 
 
 def write(path, text):
@@ -68,8 +70,8 @@ class TestParse:
             APARTMENTS_1,
         )
         raw = parse_inputs(*paths)
-        assert raw.edges == set()
-        assert raw.claims == {"a": {"1"}, "b": {"2"}}
+        assert edges_of(raw) == set()
+        assert claims_of(raw) == {"a": {"1"}, "b": {"2"}}
 
     def test_latitude_out_of_range(self, files):
         paths = files(
@@ -131,7 +133,7 @@ class TestParse:
             APARTMENTS_1,
         )
         raw = parse_inputs(*paths)
-        assert raw.edges == {("a", "b")}
+        assert edges_of(raw) == {("a", "b")}
 
     def test_fixture_roundtrip(self, files, tmp_path):
         # write-then-read identity for the 4-student network fixture
@@ -144,7 +146,7 @@ class TestParse:
             APARTMENTS_1,
         )
         raw = parse_inputs(*paths)
-        assert raw.edges == edge_set
+        assert edges_of(raw) == edge_set
 
     @pytest.mark.parametrize("with_bom", range(4))
     def test_utf8_bom_accepted(self, files, with_bom):
@@ -157,7 +159,7 @@ class TestParse:
         ]
         plain = parse_inputs(*files(*texts))
         texts[with_bom] = "\ufeff" + texts[with_bom]
-        assert parse_inputs(*files(*texts)) == plain
+        assert same_raw(parse_inputs(*files(*texts)), plain)
 
 
     @pytest.mark.parametrize("which, raw, line_no", [
@@ -477,7 +479,7 @@ class TestFilters:
             + report.students_removed_multi_school
             + report.students_removed_school_filtered
         )
-        assert removed_students == len(raw.claims) - len(graph.assignment)
+        assert removed_students == len(claims_of(raw)) - len(graph.assignment)
         removed_schools = (
             report.schools_removed_oversize
             + report.schools_removed_missing_score
@@ -492,14 +494,14 @@ class TestFilters:
             "student_id_a,student_id_b\na,b\nc,d\nx,c\n",
         )
         graph1, roster1, _ = apply_filters(raw)
-        again = RawInputs(
+        again = raw_from_ids(
             claims={s: {g} for s, g in graph1.assignment.items()},
             edges=set(graph1.edges),
             schools=[s for s in raw.schools if s.id in {r.id for r in roster1}],
             apartments=raw.apartments,
         )
         graph2, roster2, report2 = apply_filters(again)
-        assert graph2 == graph1
+        assert same_graph(graph2, graph1)
         assert [s.id for s in roster2] == [s.id for s in roster1]
         assert report2.students_removed_no_same_school_friend == 0
 
@@ -546,8 +548,8 @@ def raw_inputs(draw):
         for a, b in draw(st.sets(st.tuples(ends, ends), max_size=40))
         if a != b
     }
-    return RawInputs(claims=claims, edges=edges, schools=schools,
-                     apartments=apartment_table([], [], []))
+    return raw_from_ids(claims=claims, edges=edges, schools=schools,
+                        apartments=apartment_table([], [], []))
 
 
 @given(raw_inputs())
@@ -577,8 +579,9 @@ def reference_apply_filters(raw: RawInputs, config: FilterConfig | None = None):
         "excluded_school_ids": sorted(config.excluded_school_ids),
     })
 
+    claims = claims_of(raw)
     cohort: dict[str, int] = {}
-    for schools in raw.claims.values():
+    for schools in claims.values():
         for school in schools:
             cohort[school] = cohort.get(school, 0) + 1
 
@@ -599,7 +602,7 @@ def reference_apply_filters(raw: RawInputs, config: FilterConfig | None = None):
     roster_ids = {s.id for s in roster}
 
     assignment: dict[str, str] = {}
-    for student, schools in raw.claims.items():
+    for student, schools in claims.items():
         if len(schools) > 1:
             report.students_removed_multi_school += 1
         elif next(iter(schools)) not in roster_ids:
@@ -607,9 +610,9 @@ def reference_apply_filters(raw: RawInputs, config: FilterConfig | None = None):
         else:
             assignment[student] = next(iter(schools))
 
-    listed = set(raw.claims)
+    listed = set(claims)
     edges = set()
-    for a, b in raw.edges:
+    for a, b in edges_of(raw):
         if a not in listed or b not in listed:
             report.edges_dropped_dangling += 1
         else:
@@ -634,7 +637,7 @@ def reference_apply_filters(raw: RawInputs, config: FilterConfig | None = None):
     report.intra_school_edges = sum(
         1 for a, b in edges if assignment[a] == assignment[b]
     )
-    graph = StudentGraph(assignment, edges)
+    graph = student_graph(assignment, edges)
     return graph, roster, report
 
 
@@ -650,10 +653,37 @@ def test_apply_filters_matches_reference(raw, excluded, max_cohort):
             apply_filters(raw, config)
         return
     graph, roster, report = apply_filters(raw, config)
-    assert graph == expected[0]
+    assert same_graph(graph, expected[0])
     assert graph.students == expected[0].students
     assert roster == expected[1]
     assert report.to_dict() == expected[2].to_dict()
+
+
+def test_kept_counts_on_dirty_city(synth_city, tmp_path):
+    # bench/run.py reports len(graph.assignment) and len(graph.edges) as
+    # ingest.students_kept and ingest.edges_kept: they must count the coded
+    # survivors, and agree with the id-keyed filter loop
+    paths = [shutil.copy(path, tmp_path) for path in synth_city]
+    a, b = "s0000_u000", "s0001_u000"
+    dirt = [
+        # a multi-school student and the tail it strands, and a score-less
+        # school with a cohort of two
+        "xm,s0000\nxm,s0001\nxt,s0000\nz0,xz\nz1,xz\n",
+        # a dangling edge both ways, a self-loop, a reversed duplicate and
+        # the dropped students' edges
+        f"{a},ghost\nghost,{a}\n{a},{a}\ns0000_u001,{a}\n"
+        f"xm,{a}\nxm,{b}\nxm,xt\nz0,z1\nz0,{a}\n",
+        "xz,0.0,0.0,\n",
+    ]
+    for path, rows in zip(paths, dirt):
+        with open(path, "a") as f:
+            f.write(rows)
+    raw = parse_inputs(*paths)
+    graph, _, report = apply_filters(raw)
+    expected = reference_apply_filters(raw)[0]
+    assert len(raw.student_ids) == 9005 and report.edges_dropped_dangling == 1
+    assert len(graph.assignment) == len(graph.students) == len(expected.students) == 9000
+    assert len(graph.edges) == len(graph.a) == len(expected.a)
 
 
 @st.composite
@@ -714,7 +744,7 @@ def csv_files(draw):
     for student, school in claim_rows:
         claims.setdefault(student, set()).add(school)
     edges = {(min(a, b), max(a, b)) for a, b in edge_rows if a != b}
-    return texts, SimpleNamespace(claims=claims, edges=edges, schools=schools)
+    return texts, raw_from_ids(claims, edges, schools, apartment_table([], [], []))
 
 
 @st.composite
@@ -748,8 +778,8 @@ def test_coded_parse_and_filters_match_reference(tmp_path_factory, case, exclude
     paths = [write(tmp / name, text) for name, text in
              zip(("students.csv", "edges.csv", "schools.csv", "apartments.csv"), texts)]
     raw = parse_inputs(*paths)
-    assert raw.claims == expected_raw.claims
-    assert raw.edges == expected_raw.edges
+    assert claims_of(raw) == claims_of(expected_raw)
+    assert edges_of(raw) == edges_of(expected_raw)
     assert raw.schools == expected_raw.schools
     # the chunk reader, where it reads a file, gives what the per-record
     # path gives: the same ids in the same order and the same codes
@@ -772,7 +802,7 @@ def test_coded_parse_and_filters_match_reference(tmp_path_factory, case, exclude
             apply_filters(raw, config)
         return
     graph, roster, report = apply_filters(raw, config)
-    assert graph == expected[0]
+    assert same_graph(graph, expected[0])
     assert graph.students == expected[0].students
     assert roster == expected[1]
     assert report.to_dict() == expected[2].to_dict()

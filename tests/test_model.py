@@ -21,6 +21,8 @@ from geoseg.model import (
 )
 from geoseg.errors import CoordinateOutOfRange, GeosegError
 
+from dense import same_graph, student_graph
+
 
 def oracle_pearson(x, y):
     """Direct covariance/sigma formula, independent of the implementation."""
@@ -221,20 +223,36 @@ class TestTypes:
 
     def test_student_graph_rejects_self_loop(self):
         with pytest.raises(ValueError):
-            StudentGraph({"a": "1", "b": "1"}, [("a", "a")])
+            student_graph({"a": "1", "b": "1"}, [("a", "a")])
 
     def test_student_graph_rejects_dangling_edge(self):
         with pytest.raises(ValueError):
-            StudentGraph({"a": "1"}, [("a", "zzz")])
+            student_graph({"a": "1"}, [("a", "zzz")])
+
+    @pytest.mark.parametrize("school, a, b", [
+        ([0, 0], [1], [1]),
+        ([0, 0], [-1], [1]),
+        ([0, 0], [0], [2]),
+        ([0, 0], [0, 1], [1]),
+        ([0, -1], [0], [1]),
+        ([0, 1], [0], [1]),
+        ([0], [0], [1]),
+    ], ids=["self-loop", "endpoint--1", "endpoint-n", "unequal-ends", "school--1",
+            "school-beyond-ids", "school-short"])
+    def test_student_graph_checks_codes(self, school, a, b):
+        # two students, one school id: every case breaks one invariant the
+        # coded views rely on
+        with pytest.raises(ValueError):
+            StudentGraph(["a", "b"], ["1"], school, a, b)
 
     def test_student_graph_normalizes_pairs(self):
-        g1 = StudentGraph({"a": "1", "b": "1"}, [("a", "b")])
-        g2 = StudentGraph({"a": "1", "b": "1"}, [("b", "a")])
-        assert g1 == g2
+        g1 = student_graph({"a": "1", "b": "1"}, [("a", "b")])
+        g2 = student_graph({"a": "1", "b": "1"}, [("b", "a")])
+        assert same_graph(g1, g2)
         # duplicate and reversed pairs collapse to one coded pair a < b of
         # positions in the sorted students
-        g = StudentGraph({"c": "2", "a": "1", "b": "1"},
-                         [("c", "a"), ("a", "c"), ("b", "a"), ("a", "b"), ("c", "b")])
+        g = student_graph({"c": "2", "a": "1", "b": "1"},
+                          [("c", "a"), ("a", "c"), ("b", "a"), ("a", "b"), ("c", "b")])
         assert g.students == ["a", "b", "c"]
         assert g.a.dtype == g.b.dtype == np.int64
         assert g.a.tolist() == [0, 0, 1] and g.b.tolist() == [1, 2, 2]
@@ -242,9 +260,9 @@ class TestTypes:
         # each student's school is an index into school_ids
         assert g.school_ids == ["1", "2"] and g.school.tolist() == [0, 0, 1]
         assert g.assignment == {"a": "1", "b": "1", "c": "2"}
-        assert g != StudentGraph({"c": "2", "a": "1", "b": "1"}, [("a", "b")])
-        assert g != StudentGraph({"c": "1", "a": "1", "b": "1"}, g.edges)
-        empty = StudentGraph({"a": "1"}, [])
+        assert not same_graph(g, student_graph({"c": "2", "a": "1", "b": "1"}, [("a", "b")]))
+        assert not same_graph(g, student_graph({"c": "1", "a": "1", "b": "1"}, g.edges))
+        empty = student_graph({"a": "1"}, [])
         assert empty.a.dtype == empty.b.dtype == np.int64
         assert len(empty.a) == len(empty.b) == 0
         assert empty.edges == frozenset()

@@ -13,7 +13,7 @@ from geoseg.network import (
 )
 
 from dense import (degree_centrality, dense_count_network, dense_min_symmetrized_network,
-                   dense_weights)
+                   dense_weights, student_graph)
 
 
 def make_roster(n):
@@ -24,7 +24,7 @@ def make_roster(n):
 def fixture_graph():
     # a, b in school 1; c, d in school 2; edges a-c, b-c, a-b
     assignment = {"a": "1", "b": "1", "c": "2", "d": "2"}
-    return StudentGraph(assignment, [("a", "c"), ("b", "c"), ("a", "b")])
+    return student_graph(assignment, [("a", "c"), ("b", "c"), ("a", "b")])
 
 
 def brute_force_count(g, roster):
@@ -79,12 +79,12 @@ def random_graph(rng, n_students, n_schools, p):
         for j in range(i + 1, n_students):
             if rng.random() < p:
                 edges.append((students[i], students[j]))
-    return StudentGraph(assignment, edges)
+    return student_graph(assignment, edges)
 
 
 class TestCountNetwork:
     def test_empty(self):
-        g = StudentGraph({"a": "1", "b": "2"}, [])
+        g = student_graph({"a": "1", "b": "2"}, [])
         net, intra = build_count_network(g, make_roster(2))
         assert np.all(dense_weights(net) == 0)
         assert intra == {}
@@ -129,7 +129,7 @@ class TestMinSymmetrized:
         assert dense_weights(net)[0, 1] == 1
 
     def test_single_cross_edge(self):
-        g = StudentGraph({"a": "1", "c": "2"}, [("a", "c")])
+        g = student_graph({"a": "1", "c": "2"}, [("a", "c")])
         roster = make_roster(2)
         net_a, _ = build_count_network(g, roster)
         net_hat = build_min_symmetrized_network(g, roster)
@@ -167,7 +167,7 @@ class TestBinarizeAndDegree:
         roster = make_roster(5)
         assignment = {f"u{i}": str(i + 1) for i in range(5)}
         edges = [("u0", f"u{i}") for i in range(1, 5)]
-        net, _ = build_count_network(StudentGraph(assignment, edges), roster)
+        net, _ = build_count_network(student_graph(assignment, edges), roster)
         degrees = degree_centrality(net)
         assert degrees["1"] == 4
         assert all(degrees[str(i)] == 1 for i in range(2, 6))
@@ -223,7 +223,7 @@ def test_network_stage_memory_below_one_dense_matrix():
     b = np.concatenate((cycle - cycle % m + (cycle + 1) % m, rng.integers(0, n * m, 60_000)))
     keep = school[a] != school[b]
     keep[:n * m] = True
-    g = StudentGraph._coded(students, [f"{i:04d}" for i in range(n)], school, a[keep], b[keep])
+    g = StudentGraph(students, [f"{i:04d}" for i in range(n)], school, a[keep], b[keep])
     roster = [School(f"{i:04d}", GeoPoint(0.0, 0.0), 50.0) for i in range(n)]
     tracemalloc.start()
     try:
