@@ -19,9 +19,16 @@ import sys
 import tempfile
 import traceback
 
-from . import decay, geo, ingest, network, nullmodel, segregation, synth
-from .errors import DegenerateFit, GeosegError, KOutOfRange, TooFewBins
-from .model import GeoPoint, write_json
+# When numpy loads OpenBLAS, OpenBLAS starts a worker thread per extra
+# core, and each spins for about 0.1 s of CPU before it sleeps. analyze's
+# BLAS calls are 1-D dot products, which run on the calling thread, so
+# the workers would never get work. This must run before numpy is first
+# imported, which the imports below do; a value the caller set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import decay, geo, ingest, network, nullmodel, segregation, synth  # noqa: E402
+from .errors import DegenerateFit, GeosegError, KOutOfRange, TooFewBins  # noqa: E402
+from .model import GeoPoint, write_json  # noqa: E402
 
 REPORT_SCHEMA_VERSION = 2
 

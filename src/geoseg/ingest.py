@@ -78,16 +78,32 @@ class RawInputs:
     students file and then the edges file (an id only in the edges file
     dangles). claim_student and claim_school are the distinct (student,
     school) claims, the school as an index into school_ids. edge_a < edge_b
-    are the distinct friendships as student codes, self-loops dropped.
+    are the distinct friendships as student codes, self-loops dropped. The
+    constructor raises ValueError for a claim's student or school code out
+    of range, an edge end outside student_ids, or unequal code arrays.
     """
 
     def __init__(self, student_ids, school_ids, claim_student, claim_school, edge_a, edge_b,
                  schools, apartments):
+        n = len(student_ids)
+        claim_student, claim_school, edge_a, edge_b = (
+            np.asarray(x, dtype=np.int64) for x in (claim_student, claim_school, edge_a, edge_b))
+        if claim_student.ndim != 1 or claim_student.shape != claim_school.shape:
+            raise ValueError(f"claim codes of shapes {claim_student.shape}, "
+                             f"{claim_school.shape}")
+        if np.any((claim_student < 0) | (claim_student >= n)
+                  | (claim_school < 0) | (claim_school >= len(school_ids))):
+            raise ValueError(f"claims must be student codes in [0, {n}) with school "
+                             f"codes in [0, {len(school_ids)})")
+        if edge_a.ndim != 1 or edge_a.shape != edge_b.shape:
+            raise ValueError(f"edge ends of shapes {edge_a.shape}, {edge_b.shape}")
+        lo, hi = np.minimum(edge_a, edge_b), np.maximum(edge_a, edge_b)
+        if np.any((lo < 0) | (hi >= n)):
+            raise ValueError(f"edge ends must be student codes in [0, {n})")
         self.student_ids, self.school_ids = student_ids, school_ids
         self.schools, self.apartments = schools, apartments
         self.claim_student, self.claim_school = _unique_pairs(
             claim_student, claim_school, len(school_ids))
-        lo, hi = np.minimum(edge_a, edge_b), np.maximum(edge_a, edge_b)
         loop = lo == hi  # a self-friendship carries no information
         self.edge_a, self.edge_b = _unique_pairs(lo[~loop], hi[~loop], len(student_ids))
 

@@ -161,12 +161,22 @@ class StudentGraph:
 
 
 def group_arcs(src, n: int):
-    """Arcs grouped by source school: (order, indptr), the stable argsort
-    of the sources src (a radix sort for 16-bit ints) and their cumulative
-    bincount over n schools, so school i's arcs are
-    order[indptr[i]:indptr[i + 1]], in their given order."""
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
-    return np.argsort(src, kind="stable"), indptr
+    """Arcs grouped by source school: (order, indptr), school i's arcs
+    being order[indptr[i]:indptr[i + 1]], in their given order. One sort of
+    the packed keys src << shift | arc index (int32 when n << shift fits,
+    else int64): the keys are distinct, so their order is the stable
+    argsort of src. indptr is where each school's first key would go, and
+    the order is the keys with src masked off."""
+    src = np.asarray(src)
+    shift = max(len(src) - 1, 0).bit_length()
+    dtype = np.int32 if n << shift < 2**31 else np.int64
+    keys = src.astype(dtype)
+    keys <<= shift
+    keys |= np.arange(len(src), dtype=dtype)
+    keys.sort()
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=dtype) << shift)
+    keys &= (1 << shift) - 1
+    return keys, indptr
 
 
 def k_subsets(sizes: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

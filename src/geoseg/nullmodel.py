@@ -25,12 +25,12 @@ exact. A p = 0 bin has no ties and a p = 1 bin ties every pair.
 Generated graphs are binary, so every neighbor is equidistant and the k
 digital neighbors of a school are a uniform random k-subset of its graph
 neighbors. The arcs are grouped by school by `model.group_arcs`, the
-function behind `SchoolNetwork.arcs`: a stable sort of their small-int
-sources (a radix sort), in draw order. Each school of degree >= k takes
-a uniform k-subset of its arc range by Floyd's algorithm (Bentley &
-Floyd 1987), `model.k_subsets`, in k vectorised rounds; no comparison
-sort is needed, and only the picked arcs are gathered. At k = 1 that is
-arc first + floor(u * degree).
+function behind `SchoolNetwork.arcs`: one sort of keys that pack each
+arc's source school above its index, so each school's arcs stay in draw
+order. Each school of degree >= k takes a uniform k-subset of its arc
+range by Floyd's algorithm (Bentley & Floyd 1987), `model.k_subsets`, in
+k vectorised rounds; the pick sorts no random keys, and only the picked
+arcs are gathered. At k = 1 that is arc first + floor(u * degree).
 """
 
 from __future__ import annotations

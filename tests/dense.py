@@ -21,6 +21,8 @@ bytes.
 `haversine`, `degree_centrality` and `generate_null_graph` are the
 one-pair distance, the per-school degree and one null-model graph as
 their own functions; the pipeline computes each inside a larger step.
+`argsort_group_arcs` is the stable-argsort grouping of arcs by school
+that `model.group_arcs`' one sort of packed keys replaced.
 
 `student_graph` and `raw_from_ids` build the two student containers from
 ids, which the pipeline never holds: it codes each id once while parsing
@@ -72,6 +74,13 @@ def generate_null_graph(curve, dm, seed: int) -> SchoolNetwork:
     n = len(dm.ids)
     a, b = np.divmod(np.sort(a.astype(np.int64) * n + b), n)
     return SchoolNetwork(list(dm.ids), a, b, np.ones(len(a), dtype=np.int64))
+
+
+def argsort_group_arcs(src, n: int):
+    """model.group_arcs as the stable argsort of the sources and their
+    cumulative bincount over n schools."""
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    return np.argsort(src, kind="stable"), indptr
 
 
 def dense_weights(net: SchoolNetwork) -> np.ndarray:

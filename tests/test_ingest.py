@@ -206,6 +206,28 @@ class TestParse:
         assert exc.value.path == paths[which]
         assert exc.value.line_no == texts[which].count("\n")
 
+    @pytest.mark.parametrize("student, school", [
+        ([3], [0]), ([-1], [0]), ([0], [1]), ([0], [-1]), ([0, 0], [0]),
+    ], ids=["student-n", "student--1", "school-beyond-ids", "school--1", "unequal"])
+    def test_raw_inputs_checks_claim_codes(self, student, school):
+        # one student, one school id: before the check, student code 3
+        # came out of the pair coding as a claim by a student that is not
+        # there
+        with pytest.raises(ValueError):
+            RawInputs(["a"], ["1"], student, school, [], [], [], apartment_table([], [], []))
+
+    @pytest.mark.parametrize("a, b", [
+        ([0], [2]), ([2], [0]), ([-1], [0]), ([0, 1], [1]),
+    ], ids=["end-n", "end-n-first", "end--1", "unequal"])
+    def test_raw_inputs_checks_edge_codes(self, a, b):
+        with pytest.raises(ValueError):
+            RawInputs(["a", "b"], ["1"], [0, 1], [0, 0], a, b, [],
+                      apartment_table([], [], []))
+        # a self-loop is dropped, not rejected
+        raw = RawInputs(["a", "b"], ["1"], [0, 1], [0, 0], [1, 0], [1, 1], [],
+                        apartment_table([], [], []))
+        assert raw.edge_a.tolist() == [0] and raw.edge_b.tolist() == [1]
+
 
 @pytest.fixture(scope="module")
 def synth_city(tmp_path_factory):

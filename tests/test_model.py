@@ -15,13 +15,14 @@ from geoseg.model import (
     _unique_keys,
     apartment_table,
     correlation_report,
+    group_arcs,
     k_subsets,
     pearson,
     permutation_p_value,
 )
 from geoseg.errors import CoordinateOutOfRange, GeosegError
 
-from dense import same_graph, student_graph
+from dense import argsort_group_arcs, same_graph, student_graph
 
 
 def oracle_pearson(x, y):
@@ -329,3 +330,40 @@ class TestKSubsets:
     def test_k_equal_to_population_takes_every_element(self):
         picks = k_subsets(np.full(50, 7), 7, np.random.default_rng(13))
         assert np.array_equal(np.sort(picks, axis=0), np.tile(np.arange(7)[:, None], 50))
+
+
+class TestGroupArcs:
+    @pytest.mark.parametrize("src, n", [
+        (np.empty(0, np.int16), 4),
+        (np.empty(0, np.int64), 0),
+        (np.zeros(5, np.int16), 1),
+        (np.full(7, 3, np.int16), 6),
+        (np.array([2, 0, 2, 1, 0, 2], np.int16), 3),
+        (np.array([5, 5, 0, 4, 1, 5, 0], np.int64), 8),
+    ], ids=["empty", "empty-no-schools", "one-school", "one-busy-school", "int16", "int64"])
+    def test_matches_stable_argsort(self, src, n):
+        order, indptr = group_arcs(src, n)
+        ref_order, ref_indptr = argsort_group_arcs(src, n)
+        assert np.array_equal(order, ref_order) and np.array_equal(indptr, ref_indptr)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    def test_random_sources(self, dtype):
+        rng = np.random.default_rng(5)
+        for n, m in ((1, 1), (2, 2), (3, 1000), (600, 9000), (2000, 2**15 + 1)):
+            src = rng.integers(0, n, m).astype(dtype)
+            order, indptr = group_arcs(src, n)
+            ref_order, ref_indptr = argsort_group_arcs(src, n)
+            assert np.array_equal(order, ref_order) and np.array_equal(indptr, ref_indptr)
+
+    def test_keys_widen_past_int32(self):
+        # 2^11 arcs take 11 index bits: n = 2^20 schools would put the last
+        # school's keys at 2^31, so they are packed as int64
+        n, m = 2**20, 2**11
+        src = np.random.default_rng(6).integers(0, n, m)
+        src[:2] = n - 1, 0
+        order, indptr = group_arcs(src, n)
+        assert order.dtype == np.int64
+        ref_order, ref_indptr = argsort_group_arcs(src, n)
+        assert np.array_equal(order, ref_order) and np.array_equal(indptr, ref_indptr)
+        # one school fewer still packs into int32
+        assert group_arcs(src % (n - 1), n - 1)[0].dtype == np.int32
