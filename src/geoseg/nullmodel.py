@@ -31,11 +31,30 @@ order. Each school of degree >= k takes a uniform k-subset of its arc
 range by Floyd's algorithm (Bentley & Floyd 1987), `model.k_subsets`, in
 k vectorised rounds; the pick sorts no random keys, and only the picked
 arcs are gathered. At k = 1 that is arc first + floor(u * degree).
+
+Workers: simulation i is seeded from (seed, i) alone, so simulations can
+run anywhere. The first max(1, simulations // 50) run in-process and are
+timed. The rest, and any re-draws after discards, come in batches of the
+values still missing; a batch predicted to give each of at least two
+workers MIN_WORKER_S is split into contiguous index ranges, one forked
+process per CPU of the affinity mask, the caller taking the last range.
+Children send their values back through pipes as float64 bytes, and the
+caller consumes every value in index order with the serial loop's
+discard and DegenerateNull rules, so samples, discard counts and errors
+do not depend on the worker count. It forks only where os.fork exists
+and /proc/self/task shows one thread (the CLI runs one BLAS thread);
+elsewhere, as in a threaded library caller, it runs serially. Fork, not
+a spawned pool: a spawned worker would import numpy and rebuild the pair
+table, which costs about as much as the work it takes over.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import signal
+import time
+import traceback
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -44,6 +63,13 @@ from .errors import DegenerateNull, InvalidValue, KOutOfRange, TooFewSamples, Ze
 from .geo import DistanceMatrix
 from .model import (DecayCurve, School, check_roster, group_arcs, k_subsets, pearson,
                     write_csv)
+
+# A batch of simulations is split over forked workers only while each is
+# predicted at least this many seconds of work: a fork costs a few ms of
+# CPU, and two busy CPUs each run a simulation more slowly than one does,
+# so a split of 0.16 s over two workers (a 1,200-school city at 100
+# simulations and k = 5) measured no faster than running it here.
+MIN_WORKER_S = 0.14
 
 
 @dataclass(frozen=True)
@@ -193,6 +219,113 @@ def _s_d_on_edges(a: np.ndarray, b: np.ndarray, n: int, scores: np.ndarray,
         return None
 
 
+def _simulated(simulate, simulations: int):
+    """simulate(0), simulate(1), ... in index order, in batches, until
+    `simulations` of them are not NaN. The first max(1, simulations // 50)
+    run here and are timed; each later batch holds as many indices as
+    values are still missing, and `_batch` may split it over workers."""
+    values, seconds = np.empty(max(1, simulations // 50)), []
+    for i in range(len(values)):
+        start = time.perf_counter()
+        values[i] = simulate(i)
+        seconds.append(time.perf_counter() - start)
+    # the fastest: the first simulations also pay for warming caches
+    per_simulation = min(seconds)
+    index, missing = 0, simulations
+    while True:
+        yield from values.tolist()
+        index += len(values)
+        missing -= np.count_nonzero(~np.isnan(values))
+        if missing == 0:
+            return
+        values = _batch(simulate, index, index + missing, per_simulation * missing)
+
+
+def _batch(simulate, start: int, stop: int, predicted_s: float) -> np.ndarray:
+    """simulate(i) for i in [start, stop), split over one process per CPU
+    of the affinity mask, but no more than give each MIN_WORKER_S of the
+    predicted work, and only where forking is safe."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, stop - start)
+    if MIN_WORKER_S > 0:
+        workers = min(workers, int(predicted_s / MIN_WORKER_S))
+    if workers > 1 and _can_fork():
+        return _forked(simulate, np.linspace(start, stop, workers + 1).astype(int))
+    return np.array([simulate(i) for i in range(start, stop)])
+
+
+def _can_fork() -> bool:
+    """True where os.fork exists and /proc/self/task lists one thread: a
+    child forked from a process with other threads can deadlock on a lock
+    one of them held (and Python 3.12 warns)."""
+    if not hasattr(os, "fork"):
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _forked(simulate, bounds: np.ndarray) -> np.ndarray:
+    """simulate(i) for i in [bounds[0], bounds[-1]): each range
+    [bounds[j], bounds[j + 1]) but the last in a forked child, which sends
+    its values back through a pipe, and the last range here. RuntimeError
+    when a child exits non-zero or sends a short payload. Every child is
+    reaped before this returns or raises; one not yet reaped (after an
+    error or an interrupt here) is killed first."""
+    ranges = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    children = []  # (pid, read end of its pipe, lo, hi), not yet reaped
+    try:
+        for lo, hi in ranges[:-1]:
+            read, write = os.pipe()
+            pipe = open(read, "rb")
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(simulate, lo, hi, write)
+            except BaseException:
+                pipe.close()
+                raise
+            finally:
+                os.close(write)
+            children.append((pid, pipe, lo, hi))
+        lo, hi = ranges[-1]
+        own = np.array([simulate(i) for i in range(lo, hi)])
+        parts = []
+        while children:
+            pid, pipe, lo, hi = children[0]
+            with pipe:
+                payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if code != 0 or len(payload) != 8 * (hi - lo):
+                raise RuntimeError(f"null model worker for simulations {lo}-{hi - 1} "
+                                   f"exited {code} after sending {len(payload)} bytes")
+            parts.append(np.frombuffer(payload))
+    finally:
+        for pid, pipe, _, _ in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return np.concatenate([*parts, own])
+
+
+def _worker(simulate, lo: int, hi: int, fd: int):
+    """A forked child's whole body: send simulate(lo..hi-1) to fd as
+    float64 bytes, then exit. It never returns into the caller's frames,
+    flushes no inherited buffer and runs no exit handler."""
+    status = 1
+    try:
+        values = np.array([simulate(i) for i in range(lo, hi)], dtype=np.float64)
+        with open(fd, "wb") as out:
+            out.write(values.tobytes())
+        status = 0
+    except Exception:
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(status)
+
+
 def null_distribution_s_d(
     roster: list[School],
     dm: DistanceMatrix,
@@ -206,7 +339,8 @@ def null_distribution_s_d(
     preserving random graph, compared against the observed value.
 
     Per-simulation seeds derive from (master seed, simulation index), so
-    execution order cannot change the result. A simulation whose S_d is
+    neither execution order nor the number of forked workers (module
+    docstring) can change the result. A simulation whose S_d is
     undefined is discarded and re-drawn; DegenerateNull if more than half
     are discarded. KOutOfRange unless 1 <= k <= n - 1.
     """
@@ -217,20 +351,23 @@ def null_distribution_s_d(
         raise KOutOfRange(f"k={k} outside [1, {len(roster) - 1}]")
     table = _pair_table(curve, dm)
     scores = np.array([s.score for s in roster])
+
+    def simulate(index: int) -> float:
+        """S_d of simulation `index`, or NaN where it is undefined."""
+        rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+        a, b = _draw_ties(table, rng)
+        value = _s_d_on_edges(a, b, len(roster), scores, k, rng)
+        return math.nan if value is None else value
+
     samples = np.empty(simulations)
     collected = 0
     discarded = 0
-    index = 0
-    while collected < simulations:
+    for value in _simulated(simulate, simulations):
         if discarded > simulations // 2:
             raise DegenerateNull(
                 f"{discarded} of {collected + discarded} simulations discarded"
             )
-        rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-        index += 1
-        a, b = _draw_ties(table, rng)
-        value = _s_d_on_edges(a, b, len(roster), scores, k, rng)
-        if value is None:
+        if math.isnan(value):
             discarded += 1
             continue
         samples[collected] = value

@@ -26,6 +26,8 @@ apartment count grows. Each block's local mean is one matrix-vector
 product, and the BLAS kernel's row sums depend on which rows share a
 block: the same block rows give the same bits, but another block size
 (or BLAS kernel) can move a price's last bit when price_coupling != 0.
+At price_coupling 0 a price does not read the local mean, and no block
+is computed.
 `emit_city` realises a pair's tie weight w as w distinct cross-cohort
 student pairs: a uniform w-subset of the m * m pairs, drawn for all pairs
 of one weight at once by `model.k_subsets`. It writes the students,
@@ -186,6 +188,19 @@ def generate_apartments(
     rng = np.random.default_rng(seed)
     east, north = _disc_points(rng, n_apartments, cfg.city_radius_km)
     lat, lon = _to_geopoints(east, north)
+    # a price reads the local means only through the coupling, so at 0,
+    # the default, their apartments x schools blocks are skipped
+    z = _local_score_z(roster, east, north, local_radius_km) if price_coupling != 0 else 0.0
+    price = BASE_PRICE_PER_SQM * (1.0 + price_coupling * z)
+    price = price + BASE_PRICE_PER_SQM * noise_sd * rng.standard_normal(n_apartments)
+    return apartment_table(lat, lon, np.maximum(price, 1.0))
+
+
+def _local_score_z(roster: list[School], east: np.ndarray, north: np.ndarray,
+                   local_radius_km: float) -> np.ndarray:
+    """Each apartment's local mean score, the mean over the schools within
+    local_radius_km (the nearest school when none is), standardized by the
+    roster's score mean and spread (1 when the spread is 0)."""
     s_lat, s_lon = _latlon_arrays(roster)
     s_east = EARTH_RADIUS_KM * np.radians(s_lon - CENTER.longitude)
     s_north = EARTH_RADIUS_KM * np.radians(s_lat - CENTER.latitude)
@@ -194,11 +209,12 @@ def generate_apartments(
     sd = sd if sd > 0 else 1.0
     # whole rows per block; w @ scores on the same block rows gives the
     # same bits, and the buffers are reused, not mapped afresh per block
-    step = min(max(1, BLOCK_CELLS // len(roster)), n_apartments)
+    n = len(east)
+    step = min(max(1, BLOCK_CELLS // len(roster)), n)
     d2_buf, sq_buf, w_buf = (np.empty((step, len(roster))) for _ in range(3))
-    local_mean = np.empty(n_apartments)
-    for lo in range(0, n_apartments, step):
-        rows = slice(lo, min(lo + step, n_apartments))
+    local_mean = np.empty(n)
+    for lo in range(0, n, step):
+        rows = slice(lo, min(lo + step, n))
         d2, sq, w = (buf[:rows.stop - lo] for buf in (d2_buf, sq_buf, w_buf))
         np.square(np.subtract(east[rows, None], s_east, out=d2), out=d2)
         np.square(np.subtract(north[rows, None], s_north, out=sq), out=sq)
@@ -210,10 +226,7 @@ def generate_apartments(
         w[none_close, np.argmin(d2[none_close], axis=1)] = 1.0
         count[none_close] = 1
         local_mean[rows] = (w @ scores) / count
-    z = (local_mean - mean) / sd
-    price = BASE_PRICE_PER_SQM * (1.0 + price_coupling * z)
-    price = price + BASE_PRICE_PER_SQM * noise_sd * rng.standard_normal(n_apartments)
-    return apartment_table(lat, lon, np.maximum(price, 1.0))
+    return (local_mean - mean) / sd
 
 
 def _byte_rows(strings) -> np.ndarray:

@@ -1,6 +1,9 @@
 import itertools
 import math
+import os
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from geoseg.segregation import digital_segregation, geographic_means
 from geoseg.synth import SynthConfig, generate_city
 
 from dense import dense_weights, generate_null_graph, network_from_dense
+from test_imports import run_fresh
 
 
 # The dense kernels the edge-list null model and the binned tie draw
@@ -548,6 +552,147 @@ class TestNullDistribution:
         assert lines[0] == "s_d_null"
         assert len(lines) == 101
         assert np.allclose([float(v) for v in lines[1:]], result.samples)
+
+
+# The forked path runs in a fresh interpreter on one BLAS thread, so the
+# process has one thread and may fork. FRESH_CITY sets up the 120-school
+# city (or, given p, one flat bin over every pair) and widens the affinity
+# mask to `workers` CPUs; MIN_WORKER_S 0 then lets every batch fork.
+FRESH_CITY = """
+import json, math, os, time
+import numpy as np
+from geoseg import nullmodel
+from geoseg.decay import tie_probability_curve
+from geoseg.geo import school_distance_matrix
+from geoseg.model import DecayCurve
+from geoseg.network import binarize
+from geoseg.synth import SynthConfig, generate_city
+
+roster, net, _ = generate_city(SynthConfig(n_schools=120, seed=0))
+dm = school_distance_matrix(roster)
+curve = tie_probability_curve(binarize(net), dm, 1.0)
+if {p!r} is not None:
+    max_d = float(dm.block(slice(0, len(dm.ids))).max()) + 1.0
+    curve = DecayCurve(np.array([0.0, max_d]), np.array([{p!r}]), np.array([1000]))
+os.sched_getaffinity = lambda pid: set(range({workers}))
+
+def outcome(min_worker_s):
+    nullmodel.MIN_WORKER_S = min_worker_s
+    try:
+        result = nullmodel.null_distribution_s_d(roster, dm, curve, {k}, 100, 7, 0.0)
+    except (Exception, KeyboardInterrupt) as exc:
+        return {{"error": f"{{type(exc).__name__}}: {{exc}}"}}
+    return {{"samples": result.samples.tolist(), "result": result.to_dict()}}
+"""
+
+# the serial outcome, then the forked one, counting the forks
+SERIAL_AND_FORKED = """
+serial = outcome(math.inf)
+real_fork, forks = os.fork, []
+
+def counted_fork():
+    forks.append(1)
+    return real_fork()
+
+os.fork = counted_fork
+forked = outcome(0)
+print(json.dumps({"serial": serial, "forked": forked, "forks": len(forks)}))
+"""
+
+# the forked outcome with _s_d_on_edges failing as asked in a child, and
+# in the parent after its first 10 calls, then whether a child is left
+WITH_FAILURE = """
+parent, real, calls = os.getpid(), nullmodel._s_d_on_edges, []
+
+def failing(*args):
+    calls.append(1)
+    if os.getpid() != parent:
+        {in_child}
+    elif len(calls) > 10:
+        {in_parent}
+    return real(*args)
+
+nullmodel._s_d_on_edges = failing
+seen = outcome(0)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+print(json.dumps([seen["error"], left]))
+"""
+
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+
+
+def fresh(code: str, k=1, workers=2, p=None):
+    return run_fresh(FRESH_CITY.format(k=k, workers=workers, p=p) + code,
+                     OPENBLAS_NUM_THREADS="1")
+
+
+@needs_proc
+class TestForkedWorkers:
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_same_samples_as_serial(self, k, workers):
+        seen = fresh(SERIAL_AND_FORKED, k, workers)
+        # the first 2 simulations run here, the other 98 in one batch
+        assert seen["forks"] == workers - 1
+        assert seen["forked"] == seen["serial"]
+        assert len(seen["forked"]["samples"]) == 100
+
+    def test_same_discards_as_serial(self):
+        # about a third of the simulations tie fewer than two pairs; their
+        # replacements come in further batches, each forked again
+        seen = fresh(SERIAL_AND_FORKED, p=0.0004)
+        assert seen["forks"] > 1
+        assert seen["forked"] == seen["serial"]
+        assert 10 <= seen["forked"]["result"]["discarded"] <= 50
+
+    def test_same_degenerate_null_as_serial(self):
+        seen = fresh(SERIAL_AND_FORKED, p=0.0)
+        assert seen["forks"] == 1
+        assert seen["forked"] == seen["serial"] == {
+            "error": "DegenerateNull: 51 of 51 simulations discarded"}
+
+    @pytest.mark.parametrize("in_child, in_parent, error", [
+        ("raise ValueError('worker failed')", "pass",
+         "RuntimeError: null model worker for simulations 2-50 exited 1 after sending 0 bytes"),
+        ("os._exit(0)", "pass",
+         "RuntimeError: null model worker for simulations 2-50 exited 0 after sending 0 bytes"),
+        # an interrupt here while the worker still runs kills it
+        ("time.sleep(60)", "raise KeyboardInterrupt", "KeyboardInterrupt: "),
+    ])
+    def test_failure_raises_and_leaves_no_child(self, in_child, in_parent, error):
+        seen = fresh(WITH_FAILURE.format(in_child=in_child, in_parent=in_parent))
+        assert seen == [error, False]
+
+
+def test_threaded_process_runs_serially(small_city, monkeypatch):
+    # with a second thread running, the call never forks and warns of
+    # nothing, even with every batch large enough to fork
+    roster, _, dm, curve = small_city
+    want = null_distribution_s_d(roster, dm, curve, 1, 100, 5, observed=0.0)
+
+    def no_fork():
+        raise AssertionError("forked with a second thread running")
+
+    monkeypatch.setattr(nullmodel, "MIN_WORKER_S", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = null_distribution_s_d(roster, dm, curve, 1, 100, 5, observed=0.0)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert np.array_equal(got.samples, want.samples)
+    assert got.to_dict() == want.to_dict()
 
 
 def test_analysis_peaks_below_one_dense_matrix():

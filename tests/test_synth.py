@@ -156,6 +156,17 @@ class TestGenerateApartments:
         assert np.array_equal(
             table, dense_generate_apartments(cfg, roster, n, 1.5, seed=9, local_radius_km=0.3))
 
+    @pytest.mark.parametrize("coupling", [0.0, -0.0])
+    def test_zero_coupling_matches_dense(self, city, coupling, monkeypatch):
+        # a price reads no local mean at coupling 0, so none is computed,
+        # and the table is the dense oracle's, bit for bit
+        cfg, roster = city
+        n = 2 * (synth.BLOCK_CELLS // len(roster)) + 7
+        monkeypatch.setattr(synth, "_local_score_z", None)
+        table = generate_apartments(cfg, roster, n, coupling, seed=9)
+        want = dense_generate_apartments(cfg, roster, n, coupling, seed=9)
+        assert table.tobytes() == want.tobytes()
+
     def test_nearest_school_branch_reached(self, city):
         cfg, roster = city
         table = generate_apartments(cfg, roster, 200, 1.5, seed=9, local_radius_km=0.3)
@@ -171,7 +182,8 @@ class TestGenerateApartments:
         roster, _, _ = generate_city(cfg)
         tracemalloc.start()
         try:
-            generate_apartments(cfg, roster, 30_000, 0.0, seed=3)
+            # a coupling other than 0, which prices from the blocks
+            generate_apartments(cfg, roster, 30_000, 1.0, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
