@@ -33,19 +33,22 @@ k vectorised rounds; the pick sorts no random keys, and only the picked
 arcs are gathered. At k = 1 that is arc first + floor(u * degree).
 
 Workers: simulation i is seeded from (seed, i) alone, so simulations can
-run anywhere. The first max(1, simulations // 50) run in-process and are
-timed. The rest, and any re-draws after discards, come in batches of the
-values still missing; a batch predicted to give each of at least two
-workers MIN_WORKER_S is split into contiguous index ranges, one forked
-process per CPU of the affinity mask, the caller taking the last range.
-Children send their values back through pipes as float64 bytes, and the
-caller consumes every value in index order with the serial loop's
-discard and DegenerateNull rules, so samples, discard counts and errors
-do not depend on the worker count. It forks only where os.fork exists
-and /proc/self/task shows one thread (the CLI runs one BLAS thread);
-elsewhere, as in a threaded library caller, it runs serially. Fork, not
-a spawned pool: a spawned worker would import numpy and rebuild the pair
-table, which costs about as much as the work it takes over.
+run anywhere. They come in batches of the values still missing: all of
+them, then re-draws after discards. A batch predicted to give each of at
+least two workers MIN_WORKER_S is split into contiguous index ranges,
+one forked process per CPU of the affinity mask, the caller taking the
+last range. The prediction counts what one simulation handles (its
+uniforms, its expected ties and its n k picks) at ELEMENT_S each, so it
+depends on the input alone and an input takes the same path on every
+run, however loaded the host. Children send their values back through
+pipes as float64 bytes, and the caller consumes every value in index
+order with the serial loop's discard and DegenerateNull rules, so
+samples, discard counts and errors do not depend on the worker count.
+It forks only where os.fork exists and /proc/self/task shows one thread
+(the CLI runs one BLAS thread); elsewhere, as in a threaded library
+caller, it runs serially. Fork, not a spawned pool: a spawned worker
+would import numpy and rebuild the pair table, which costs about as much
+as the work it takes over.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from __future__ import annotations
 import math
 import os
 import signal
-import time
 import traceback
 from dataclasses import dataclass, field, fields
 
@@ -70,6 +72,12 @@ from .model import (DecayCurve, School, check_roster, group_arcs, k_subsets, pea
 # so a split of 0.16 s over two workers (a 1,200-school city at 100
 # simulations and k = 5) measured no faster than running it here.
 MIN_WORKER_S = 0.14
+# Predicted seconds per element of a simulation's work: a uniform of its
+# block, an expected tie or a school's pick. About 20 ns at 600 and 1,200
+# schools on a 2-vCPU Xeon VM (numpy 2.4, one BLAS thread). A constant
+# rather than a timing, so one input takes the same path on every run: a
+# timed simulation's cost swung twofold with the host's load.
+ELEMENT_S = 20e-9
 
 
 @dataclass(frozen=True)
@@ -219,26 +227,16 @@ def _s_d_on_edges(a: np.ndarray, b: np.ndarray, n: int, scores: np.ndarray,
         return None
 
 
-def _simulated(simulate, simulations: int):
+def _simulated(simulate, simulations: int, per_simulation_s: float):
     """simulate(0), simulate(1), ... in index order, in batches, until
-    `simulations` of them are not NaN. The first max(1, simulations // 50)
-    run here and are timed; each later batch holds as many indices as
+    `simulations` of them are not NaN. Each batch holds as many indices as
     values are still missing, and `_batch` may split it over workers."""
-    values, seconds = np.empty(max(1, simulations // 50)), []
-    for i in range(len(values)):
-        start = time.perf_counter()
-        values[i] = simulate(i)
-        seconds.append(time.perf_counter() - start)
-    # the fastest: the first simulations also pay for warming caches
-    per_simulation = min(seconds)
     index, missing = 0, simulations
-    while True:
+    while missing:
+        values = _batch(simulate, index, index + missing, per_simulation_s * missing)
         yield from values.tolist()
         index += len(values)
         missing -= np.count_nonzero(~np.isnan(values))
-        if missing == 0:
-            return
-        values = _batch(simulate, index, index + missing, per_simulation * missing)
 
 
 def _batch(simulate, start: int, stop: int, predicted_s: float) -> np.ndarray:
@@ -351,6 +349,8 @@ def null_distribution_s_d(
         raise KOutOfRange(f"k={k} outside [1, {len(roster) - 1}]")
     table = _pair_table(curve, dm)
     scores = np.array([s.score for s in roster])
+    elements = (len(table.slot_log_q) + table.counts @ table.probs + len(table.certain)
+                + len(roster) * k)
 
     def simulate(index: int) -> float:
         """S_d of simulation `index`, or NaN where it is undefined."""
@@ -362,7 +362,7 @@ def null_distribution_s_d(
     samples = np.empty(simulations)
     collected = 0
     discarded = 0
-    for value in _simulated(simulate, simulations):
+    for value in _simulated(simulate, simulations, ELEMENT_S * elements):
         if discarded > simulations // 2:
             raise DegenerateNull(
                 f"{discarded} of {collected + discarded} simulations discarded"

@@ -636,7 +636,7 @@ class TestForkedWorkers:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_same_samples_as_serial(self, k, workers):
         seen = fresh(SERIAL_AND_FORKED, k, workers)
-        # the first 2 simulations run here, the other 98 in one batch
+        # the 100 simulations come in one batch
         assert seen["forks"] == workers - 1
         assert seen["forked"] == seen["serial"]
         assert len(seen["forked"]["samples"]) == 100
@@ -657,9 +657,9 @@ class TestForkedWorkers:
 
     @pytest.mark.parametrize("in_child, in_parent, error", [
         ("raise ValueError('worker failed')", "pass",
-         "RuntimeError: null model worker for simulations 2-50 exited 1 after sending 0 bytes"),
+         "RuntimeError: null model worker for simulations 0-49 exited 1 after sending 0 bytes"),
         ("os._exit(0)", "pass",
-         "RuntimeError: null model worker for simulations 2-50 exited 0 after sending 0 bytes"),
+         "RuntimeError: null model worker for simulations 0-49 exited 0 after sending 0 bytes"),
         # an interrupt here while the worker still runs kills it
         ("time.sleep(60)", "raise KeyboardInterrupt", "KeyboardInterrupt: "),
     ])
@@ -693,6 +693,24 @@ def test_threaded_process_runs_serially(small_city, monkeypatch):
     assert not thread.is_alive()
     assert np.array_equal(got.samples, want.samples)
     assert got.to_dict() == want.to_dict()
+
+
+def test_fork_choice_depends_on_input_alone(small_city, monkeypatch):
+    # each batch's predicted work counts the input's elements, not a
+    # timing, so two calls on one input predict the same seconds
+    roster, _, dm, curve = small_city
+    predicted = []
+
+    def recording(simulate, start, stop, predicted_s):
+        predicted.append((start, stop, predicted_s))
+        return np.array([simulate(i) for i in range(start, stop)])
+
+    monkeypatch.setattr(nullmodel, "_batch", recording)
+    for _ in range(2):
+        null_distribution_s_d(roster, dm, curve, 3, 100, 5, observed=0.0)
+    assert predicted[0][:2] == (0, 100)
+    assert predicted[0][2] > 0
+    assert predicted[:len(predicted) // 2] == predicted[len(predicted) // 2:]
 
 
 def test_analysis_peaks_below_one_dense_matrix():
