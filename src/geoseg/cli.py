@@ -154,52 +154,56 @@ def _analyze(args, center: GeoPoint, out_dir: str) -> None:
     network.write_edge_list_csv(net_a, os.path.join(out_dir, "network_a.csv"))
     network.write_edge_list_csv(net_ahat,
                                 os.path.join(out_dir, "network_ahat.csv"))
+    del net_ahat  # read no more: the null model's children would inherit it
 
     dm = geo.school_distance_matrix(roster)
     curve = decay.tie_probability_curve(net_a, dm, args.bin_km)
-    fit_payload = {"bin_km": args.bin_km, "min_pairs_per_bin": args.min_pairs_per_bin}
-    try:
-        exponent, prefactor = decay.fit_power_law(
-            curve, min_pairs_per_bin=args.min_pairs_per_bin
+    # the null model's children draw while the observed statistics run
+    with nullmodel.NullRun(roster, dm, curve, args.null_k, args.simulations,
+                           args.seed) as run:
+        fit_payload = {"bin_km": args.bin_km, "min_pairs_per_bin": args.min_pairs_per_bin}
+        try:
+            exponent, prefactor = decay.fit_power_law(
+                curve, min_pairs_per_bin=args.min_pairs_per_bin
+            )
+            fit_payload.update({"exponent": exponent, "prefactor": prefactor})
+        except (TooFewBins, DegenerateFit) as exc:
+            # fit is optional curve metadata; the null model needs only the bins
+            fit_payload.update({"exponent": None, "prefactor": None, "error": str(exc)})
+        decay.write_curve_csv(curve, os.path.join(out_dir, "decay_curve.csv"))
+        write_json(os.path.join(out_dir, "decay_fit.json"), fit_payload)
+
+        reports = [
+            geo.neighborhood_affluence_segregation(
+                roster, apartments, args.radius_km, args.permutations, args.seed),
+            geo.center_distance_correlation(roster, center, args.permutations, args.seed),
+        ]
+        # one ranking per school and kind: the --k reports, the k=1..K profile
+        # and the observed S_d(--null-k) all read prefixes of these tables
+        geo_means = segregation.geographic_means(roster, dm, args.k, args.seed)
+        dig_means = segregation.digital_means(roster, net_a, max(args.k, args.null_k),
+                                              args.seed)
+        reports += [
+            segregation.geographic_report(roster, geo_means, args.k, args.seed,
+                                          args.permutations),
+            segregation.digital_report(roster, dig_means, args.k, args.seed,
+                                       args.permutations),
+            segregation.degree_outcome_correlation(roster, net_a, args.permutations,
+                                                   args.seed),
+        ]
+
+        profile = [(segregation.geographic_report(roster, geo_means, k, args.seed),
+                    segregation.digital_report(roster, dig_means, k, args.seed))
+                   for k in range(1, args.k + 1)]
+        segregation.write_profile_csv(
+            profile, os.path.join(out_dir, "segregation_profile.csv")
         )
-        fit_payload.update({"exponent": exponent, "prefactor": prefactor})
-    except (TooFewBins, DegenerateFit) as exc:
-        # fit is optional curve metadata; the null model needs only the bins
-        fit_payload.update({"exponent": None, "prefactor": None, "error": str(exc)})
-    decay.write_curve_csv(curve, os.path.join(out_dir, "decay_curve.csv"))
-    write_json(os.path.join(out_dir, "decay_fit.json"), fit_payload)
 
-    reports = [
-        geo.neighborhood_affluence_segregation(
-            roster, apartments, args.radius_km, args.permutations, args.seed),
-        geo.center_distance_correlation(roster, center, args.permutations, args.seed),
-    ]
-    # one ranking per school and kind: the --k reports, the k=1..K profile
-    # and the observed S_d(--null-k) all read prefixes of these tables
-    geo_means = segregation.geographic_means(roster, dm, args.k, args.seed)
-    dig_means = segregation.digital_means(roster, net_a, max(args.k, args.null_k),
-                                          args.seed)
-    reports += [
-        segregation.geographic_report(roster, geo_means, args.k, args.seed,
-                                      args.permutations),
-        segregation.digital_report(roster, dig_means, args.k, args.seed,
-                                   args.permutations),
-        segregation.degree_outcome_correlation(roster, net_a, args.permutations,
-                                               args.seed),
-    ]
-
-    profile = [(segregation.geographic_report(roster, geo_means, k, args.seed),
-                segregation.digital_report(roster, dig_means, k, args.seed))
-               for k in range(1, args.k + 1)]
-    segregation.write_profile_csv(
-        profile, os.path.join(out_dir, "segregation_profile.csv")
-    )
-
-    observed = segregation.digital_report(roster, dig_means, args.null_k,
-                                          args.seed).value
-    null_result = nullmodel.null_distribution_s_d(
-        roster, dm, curve, args.null_k, args.simulations, args.seed, observed
-    )
+        observed = segregation.digital_report(roster, dig_means, args.null_k,
+                                              args.seed).value
+        null_result = nullmodel.null_distribution_s_d(
+            roster, dm, curve, args.null_k, args.simulations, args.seed, observed,
+            run=run)
     nullmodel.write_null_samples_csv(
         null_result, os.path.join(out_dir, "null_distribution.csv")
     )

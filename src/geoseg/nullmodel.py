@@ -34,14 +34,16 @@ arcs are gathered. At k = 1 that is arc first + floor(u * degree).
 
 Workers: simulation i is seeded from (seed, i) alone, so simulations can
 run anywhere. They come in batches of the values still missing: all of
-them, then re-draws after discards. A batch predicted to give each of at
-least two workers MIN_WORKER_S is split into contiguous index ranges,
-one forked process per CPU of the affinity mask, the caller taking the
-last range. The prediction counts what one simulation handles (its
+them, then re-draws after discards. A batch forks one child for each
+MIN_WORKER_S of its predicted work, up to one fewer than the CPUs of the
+affinity mask. The prediction counts what one simulation handles (its
 uniforms, its expected ties and its n k picks) at ELEMENT_S each, so it
 depends on the input alone and an input takes the same path on every
-run, however loaded the host. Children send their values back through
-pipes as float64 bytes, and the caller consumes every value in index
+run, however loaded the host. The block numbers go into one pipe before
+the fork, and each process takes blocks from it until it is empty, into
+shared memory. The CLI starts the first batch (`NullRun`) after the decay
+curve and joins it after the observed statistics, which it computes
+while the children draw. The values are consumed in index
 order with the serial loop's discard and DegenerateNull rules, so
 samples, discard counts and errors do not depend on the worker count.
 It forks only where os.fork exists and /proc/self/task shows one thread
@@ -54,7 +56,9 @@ as the work it takes over.
 from __future__ import annotations
 
 import math
+import mmap
 import os
+import select
 import signal
 import traceback
 from dataclasses import dataclass, field, fields
@@ -66,11 +70,11 @@ from .geo import DistanceMatrix
 from .model import (DecayCurve, School, check_roster, group_arcs, k_subsets, pearson,
                     write_csv)
 
-# A batch of simulations is split over forked workers only while each is
-# predicted at least this many seconds of work: a fork costs a few ms of
-# CPU, and two busy CPUs each run a simulation more slowly than one does,
-# so a split of 0.16 s over two workers (a 1,200-school city at 100
-# simulations and k = 5) measured no faster than running it here.
+# A batch forks a child for each this many seconds of predicted work: a
+# fork costs a few ms of CPU, and two busy CPUs each run a simulation more
+# slowly than one does, so with the caller idle a split of 0.16 s over two
+# processes (a 1,200-school city at 100 simulations and k = 5) gained
+# nothing. Started before the statistics, that child gains their time.
 MIN_WORKER_S = 0.14
 # Predicted seconds per element of a simulation's work: a uniform of its
 # block, an expected tie or a school's pick. About 20 ns at 600 and 1,200
@@ -227,31 +231,6 @@ def _s_d_on_edges(a: np.ndarray, b: np.ndarray, n: int, scores: np.ndarray,
         return None
 
 
-def _simulated(simulate, simulations: int, per_simulation_s: float):
-    """simulate(0), simulate(1), ... in index order, in batches, until
-    `simulations` of them are not NaN. Each batch holds as many indices as
-    values are still missing, and `_batch` may split it over workers."""
-    index, missing = 0, simulations
-    while missing:
-        values = _batch(simulate, index, index + missing, per_simulation_s * missing)
-        yield from values.tolist()
-        index += len(values)
-        missing -= np.count_nonzero(~np.isnan(values))
-
-
-def _batch(simulate, start: int, stop: int, predicted_s: float) -> np.ndarray:
-    """simulate(i) for i in [start, stop), split over one process per CPU
-    of the affinity mask, but no more than give each MIN_WORKER_S of the
-    predicted work, and only where forking is safe."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, stop - start)
-    if MIN_WORKER_S > 0:
-        workers = min(workers, int(predicted_s / MIN_WORKER_S))
-    if workers > 1 and _can_fork():
-        return _forked(simulate, np.linspace(start, stop, workers + 1).astype(int))
-    return np.array([simulate(i) for i in range(start, stop)])
-
-
 def _can_fork() -> bool:
     """True where os.fork exists and /proc/self/task lists one thread: a
     child forked from a process with other threads can deadlock on a lock
@@ -264,64 +243,130 @@ def _can_fork() -> bool:
         return False
 
 
-def _forked(simulate, bounds: np.ndarray) -> np.ndarray:
-    """simulate(i) for i in [bounds[0], bounds[-1]): each range
-    [bounds[j], bounds[j + 1]) but the last in a forked child, which sends
-    its values back through a pipe, and the last range here. RuntimeError
-    when a child exits non-zero or sends a short payload. Every child is
-    reaped before this returns or raises; one not yet reaped (after an
-    error or an interrupt here) is killed first."""
-    ranges = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-    children = []  # (pid, read end of its pipe, lo, hi), not yet reaped
-    try:
-        for lo, hi in ranges[:-1]:
-            read, write = os.pipe()
-            pipe = open(read, "rb")
-            try:
+class NullRun:
+    """The simulations of one null model (module docstring), the first
+    batch started at once; `null_distribution_s_d(..., run=)` joins it.
+    Leaving a `with` on it kills and reaps every child not yet reaped."""
+
+    def __init__(self, roster: list[School], dm: DistanceMatrix, curve: DecayCurve,
+                 k: int, simulations: int, seed: int):
+        if simulations < 100:
+            raise InvalidValue(f"need >= 100 simulations, got {simulations}")
+        check_roster(roster, dm.ids, "distance matrix")
+        if not 1 <= k <= len(roster) - 1:
+            raise KOutOfRange(f"k={k} outside [1, {len(roster) - 1}]")
+        self.args = (id(roster), id(dm), id(curve), k, simulations, seed)
+        self.simulations = simulations
+        table = _pair_table(curve, dm)
+        self.uncovered = table.uncovered
+        scores = np.array([s.score for s in roster])
+        self.per_simulation_s = ELEMENT_S * (
+            len(table.slot_log_q) + table.counts @ table.probs + len(table.certain)
+            + len(roster) * k)
+
+        def simulate(index: int) -> float:
+            """S_d of simulation `index`, or NaN where it is undefined."""
+            rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+            a, b = _draw_ties(table, rng)
+            value = _s_d_on_edges(a, b, len(roster), scores, k, rng)
+            return math.nan if value is None else value
+
+        self.simulate = simulate
+        self.children, self.queue, self.spent = [], None, False
+        self._start(0, simulations)
+
+    def _start(self, start: int, stop: int) -> None:
+        """Queue simulations [start, stop), forking where it is safe."""
+        self.start, self.stop, self.size = start, stop, stop - start
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        workers = cpus - 1
+        if MIN_WORKER_S > 0:
+            workers = min(workers, int(self.per_simulation_s * (stop - start) / MIN_WORKER_S))
+        if workers > 0 and _can_fork():
+            # the int32 tokens go in before the fork, in one write of at
+            # most PIPE_BUF bytes, which an empty pipe takes at once
+            self.queue, write = os.pipe()
+            self.size = -(-(stop - start) // (select.PIPE_BUF // 4))
+        blocks = -(-(stop - start) // self.size)
+        shared = mmap.mmap(-1, 8 * (stop - start) + blocks)
+        self.drawn = np.frombuffer(shared, np.float64, stop - start)
+        self.done = np.frombuffer(shared, np.bool_, blocks, 8 * (stop - start))
+        if self.queue is None:
+            return
+        os.write(write, np.arange(blocks, dtype="<i4").tobytes())
+        os.close(write)
+        np.random.default_rng(0)  # imports numpy.random once, for every child
+        try:
+            for _ in range(workers):
                 pid = os.fork()
                 if pid == 0:
-                    _worker(simulate, lo, hi, write)
-            except BaseException:
-                pipe.close()
-                raise
-            finally:
-                os.close(write)
-            children.append((pid, pipe, lo, hi))
-        lo, hi = ranges[-1]
-        own = np.array([simulate(i) for i in range(lo, hi)])
-        parts = []
-        while children:
-            pid, pipe, lo, hi = children[0]
-            with pipe:
-                payload = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[0]
-            if code != 0 or len(payload) != 8 * (hi - lo):
-                raise RuntimeError(f"null model worker for simulations {lo}-{hi - 1} "
-                                   f"exited {code} after sending {len(payload)} bytes")
-            parts.append(np.frombuffer(payload))
-    finally:
-        for pid, pipe, _, _ in children:
-            pipe.close()
+                    self._child()
+                self.children.append(pid)
+        except BaseException:
+            self.close()
+            raise
+
+    def _draw(self) -> None:
+        """Draw queued blocks; unforked, the one block is the batch."""
+        queued = self.queue is not None
+        for token in iter(lambda: os.read(self.queue, 4), b"") if queued else [bytes(4)]:
+            block = int.from_bytes(token, "little")
+            lo = self.start + block * self.size
+            hi = min(lo + self.size, self.stop)
+            self.drawn[lo - self.start:hi - self.start] = [
+                self.simulate(i) for i in range(lo, hi)]
+            self.done[block] = True
+
+    def _child(self):
+        """A child's whole body: it never returns into the caller's frames,
+        flushes no inherited buffer and runs no exit handler."""
+        status = 1
+        try:
+            self._draw()
+            status = 0
+        except Exception:
+            os.write(2, traceback.format_exc().encode())
+        finally:
+            os._exit(status)
+
+    def values(self):
+        """simulate(0), simulate(1), ... in batches of as many indices as
+        values are missing, until `simulations` are not NaN. RuntimeError
+        when a child exits non-zero or leaves a block undrawn."""
+        index, missing = 0, self.simulations
+        while missing:
+            if index:
+                self._start(index, index + missing)
+            self._draw()
+            codes = []
+            while self.children:
+                codes.append(os.waitstatus_to_exitcode(os.waitpid(self.children[0], 0)[1]))
+                del self.children[0]
+            self.close()
+            if any(codes) or not self.done.all():
+                undrawn = np.repeat(~self.done, self.size)[:len(self.drawn)]
+                raise RuntimeError(f"null model workers exited {codes}; simulations "
+                                   f"{(np.flatnonzero(undrawn) + index).tolist()} undrawn")
+            yield from self.drawn.tolist()
+            index += len(self.drawn)
+            missing -= np.count_nonzero(~np.isnan(self.drawn))
+
+    def close(self) -> None:
+        """Kill and reap every child not yet reaped; the run is spent."""
+        for pid in self.children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return np.concatenate([*parts, own])
+        self.children = []
+        if self.queue is not None:
+            os.close(self.queue)
+            self.queue = None
+        self.spent = True
 
+    def __enter__(self):
+        return self
 
-def _worker(simulate, lo: int, hi: int, fd: int):
-    """A forked child's whole body: send simulate(lo..hi-1) to fd as
-    float64 bytes, then exit. It never returns into the caller's frames,
-    flushes no inherited buffer and runs no exit handler."""
-    status = 1
-    try:
-        values = np.array([simulate(i) for i in range(lo, hi)], dtype=np.float64)
-        with open(fd, "wb") as out:
-            out.write(values.tobytes())
-        status = 0
-    except Exception:
-        os.write(2, traceback.format_exc().encode())
-    finally:
-        os._exit(status)
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def null_distribution_s_d(
@@ -332,6 +377,7 @@ def null_distribution_s_d(
     simulations: int,
     seed: int,
     observed: float,
+    run: NullRun | None = None,
 ) -> NullModelResult:
     """Monte Carlo null distribution of S_d(k) under the geography-
     preserving random graph, compared against the observed value.
@@ -340,38 +386,28 @@ def null_distribution_s_d(
     neither execution order nor the number of forked workers (module
     docstring) can change the result. A simulation whose S_d is
     undefined is discarded and re-drawn; DegenerateNull if more than half
-    are discarded. KOutOfRange unless 1 <= k <= n - 1.
+    are discarded. KOutOfRange unless 1 <= k <= n - 1. `run`, a NullRun
+    started with these arguments, supplies the first batch; without one,
+    or with one already joined or closed, the call draws every batch.
     """
-    if simulations < 100:
-        raise InvalidValue(f"need >= 100 simulations, got {simulations}")
-    check_roster(roster, dm.ids, "distance matrix")
-    if not 1 <= k <= len(roster) - 1:
-        raise KOutOfRange(f"k={k} outside [1, {len(roster) - 1}]")
-    table = _pair_table(curve, dm)
-    scores = np.array([s.score for s in roster])
-    elements = (len(table.slot_log_q) + table.counts @ table.probs + len(table.certain)
-                + len(roster) * k)
-
-    def simulate(index: int) -> float:
-        """S_d of simulation `index`, or NaN where it is undefined."""
-        rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-        a, b = _draw_ties(table, rng)
-        value = _s_d_on_edges(a, b, len(roster), scores, k, rng)
-        return math.nan if value is None else value
-
+    if run is None or run.spent:
+        run = NullRun(roster, dm, curve, k, simulations, seed)
+    elif run.args != (id(roster), id(dm), id(curve), k, simulations, seed):
+        raise ValueError("run was started with other arguments")
     samples = np.empty(simulations)
     collected = 0
     discarded = 0
-    for value in _simulated(simulate, simulations, ELEMENT_S * elements):
-        if discarded > simulations // 2:
-            raise DegenerateNull(
-                f"{discarded} of {collected + discarded} simulations discarded"
-            )
-        if math.isnan(value):
-            discarded += 1
-            continue
-        samples[collected] = value
-        collected += 1
+    with run:
+        for value in run.values():
+            if discarded > simulations // 2:
+                raise DegenerateNull(
+                    f"{discarded} of {collected + discarded} simulations discarded"
+                )
+            if math.isnan(value):
+                discarded += 1
+                continue
+            samples[collected] = value
+            collected += 1
     return NullModelResult(
         observed=float(observed),
         simulated_mean=float(samples.mean()),
@@ -382,7 +418,7 @@ def null_distribution_s_d(
         seed=seed,
         k=k,
         discarded=discarded,
-        uncovered_pairs=table.uncovered,
+        uncovered_pairs=run.uncovered,
         samples=samples,
     )
 

@@ -20,6 +20,7 @@ from geoseg.model import (
 )
 
 from dense import dense_weights
+from test_imports import run_fresh
 
 
 def run_synth(out_dir, extra=()):
@@ -309,6 +310,43 @@ class TestAnalyzeCommand:
         assert "degree >= 30" in capsys.readouterr().err
         assert [name for name in EXPECTED_OUTPUTS if (out / name).exists()] == []
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    def test_failed_statistic_after_null_start_leaves_no_child(self, tmp_path):
+        # on a sparse city the null model's child is forked after the
+        # decay curve, and S_d at --k 20 then fails in the caller: the run
+        # exits 2, writes nothing and leaves no child behind
+        city, out = tmp_path / "sparse", tmp_path / "out"
+        assert main(["synth", "--n-schools", "80", "--p0", "0.1", "--seed", "4",
+                     "--out-dir", str(city)]) == 0
+        argv = ["analyze", *[arg for name in ("students", "edges", "schools", "apartments")
+                             for arg in (f"--{name}", str(city / f"{name}.csv"))],
+                "--center-lat", "0", "--center-lon", "0", "--k", "20",
+                "--simulations", "100", "--permutations", "100", "--out-dir", str(out)]
+        seen = run_fresh(f"""
+import contextlib, io, json, os
+from geoseg import cli, nullmodel
+nullmodel.MIN_WORKER_S = 0
+os.sched_getaffinity = lambda pid: {{0, 1}}
+real_fork, forks = os.fork, []
+
+def counted_fork():
+    forks.append(1)
+    return real_fork()
+
+os.fork = counted_fork
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = cli.main({argv!r})
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+print(json.dumps([code, err.getvalue(), len(forks), left]))
+""")
+        assert seen == [2, "error: only 0 schools have degree >= 20\n", 1, False]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sparse"]
 
     @pytest.mark.parametrize("name, line, bad", [
         ("schools.csv", 3, b"s\xe9cole,0.0,0.0,50.0\n"),

@@ -36,6 +36,15 @@ def test_cli_import_starts_no_thread():
     assert tasks == 1
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_test_process_runs_one_thread():
+    # conftest.py sets one OpenBLAS thread before numpy loads, so the
+    # null model may fork in this process
+    import numpy  # noqa: F401
+
+    assert len(os.listdir("/proc/self/task")) == 1
+
+
 def test_library_import_touches_nothing():
     seen = run_fresh("import json, os, sys, geoseg; print(json.dumps(["
                      "'numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS')]))")

@@ -528,6 +528,22 @@ class TestNullDistribution:
         with pytest.raises(DegenerateNull):
             null_distribution_s_d(roster, dm, curve, 1, 100, 0, observed=0.0)
 
+    def test_started_run_gives_the_same_result(self, small_city):
+        # a run is joined once; a spent run makes the call draw everything
+        # itself, and a run started with other arguments is refused
+        roster, _, dm, curve = small_city
+        want = null_distribution_s_d(roster, dm, curve, 2, 100, 5, observed=0.0)
+        with nullmodel.NullRun(roster, dm, curve, 2, 100, 5) as run:
+            with pytest.raises(ValueError, match="other arguments"):
+                null_distribution_s_d(roster, dm, curve, 2, 100, 6, observed=0.0, run=run)
+            joined = null_distribution_s_d(roster, dm, curve, 2, 100, 5, observed=0.0,
+                                           run=run)
+        assert run.spent
+        again = null_distribution_s_d(roster, dm, curve, 2, 100, 5, observed=0.0, run=run)
+        for got in (joined, again):
+            assert np.array_equal(got.samples, want.samples)
+            assert got.to_dict() == want.to_dict()
+
     @pytest.mark.parametrize("k", [0, -1, 40, 45])
     def test_k_outside_roster_rejected_before_drawing(self, k):
         roster, net, _ = generate_city(SynthConfig(n_schools=40, seed=3))
@@ -557,7 +573,9 @@ class TestNullDistribution:
 # The forked path runs in a fresh interpreter on one BLAS thread, so the
 # process has one thread and may fork. FRESH_CITY sets up the 120-school
 # city (or, given p, one flat bin over every pair) and widens the affinity
-# mask to `workers` CPUs; MIN_WORKER_S 0 then lets every batch fork.
+# mask to `workers` CPUs; MIN_WORKER_S 0 then lets every batch fork. The
+# run starts, the caller sleeps `sleep_s` (long enough for the children to
+# take every block of the first batch) and then joins it.
 FRESH_CITY = """
 import json, math, os, time
 import numpy as np
@@ -575,17 +593,36 @@ if {p!r} is not None:
     max_d = float(dm.block(slice(0, len(dm.ids))).max()) + 1.0
     curve = DecayCurve(np.array([0.0, max_d]), np.array([{p!r}]), np.array([1000]))
 os.sched_getaffinity = lambda pid: set(range({workers}))
+parent, real_s_d, calls = os.getpid(), nullmodel._s_d_on_edges, []
 
-def outcome(min_worker_s):
+def counted_s_d(*args):
+    if os.getpid() == parent:
+        calls.append(1)
+    return real_s_d(*args)
+
+nullmodel._s_d_on_edges = counted_s_d
+
+def outcome(min_worker_s, sleep_s=0.0):
     nullmodel.MIN_WORKER_S = min_worker_s
     try:
-        result = nullmodel.null_distribution_s_d(roster, dm, curve, {k}, 100, 7, 0.0)
+        with nullmodel.NullRun(roster, dm, curve, {k}, 100, 7) as run:
+            time.sleep(sleep_s)
+            result = nullmodel.null_distribution_s_d(roster, dm, curve, {k}, 100, 7, 0.0,
+                                                     run=run)
     except (Exception, KeyboardInterrupt) as exc:
         return {{"error": f"{{type(exc).__name__}}: {{exc}}"}}
     return {{"samples": result.samples.tolist(), "result": result.to_dict()}}
+
+def left_child():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        return True
+    except ChildProcessError:
+        return False
 """
 
-# the serial outcome, then the forked one, counting the forks
+# the serial outcome, then the forked one joined at once and after a
+# sleep, counting the forks and the simulations the caller drew itself
 SERIAL_AND_FORKED = """
 serial = outcome(math.inf)
 real_fork, forks = os.fork, []
@@ -595,31 +632,43 @@ def counted_fork():
     return real_fork()
 
 os.fork = counted_fork
-forked = outcome(0)
-print(json.dumps({"serial": serial, "forked": forked, "forks": len(forks)}))
+seen = {"serial": serial, "forks": {}, "calls": {}}
+for name, sleep_s in (("at_once", 0.0), ("after_sleep", 1.0)):
+    forks.clear()
+    calls.clear()
+    seen[name] = outcome(0, sleep_s)
+    seen["forks"][name], seen["calls"][name] = len(forks), len(calls)
+seen["left"] = left_child()
+print(json.dumps(seen))
 """
 
-# the forked outcome with _s_d_on_edges failing as asked in a child, and
-# in the parent after its first 10 calls, then whether a child is left
+# the forked outcome, joined after a sleep, with _s_d_on_edges failing as
+# asked in a child, and in the parent after its first 10 calls, then
+# whether a child is left
 WITH_FAILURE = """
-parent, real, calls = os.getpid(), nullmodel._s_d_on_edges, []
-
 def failing(*args):
-    calls.append(1)
     if os.getpid() != parent:
         {in_child}
     elif len(calls) > 10:
         {in_parent}
-    return real(*args)
+    return counted_s_d(*args)
 
 nullmodel._s_d_on_edges = failing
-seen = outcome(0)
+seen = outcome(0, 1.0)
+print(json.dumps([seen["error"], left_child()]))
+"""
+
+# an error raised in the caller between the start and the join
+BETWEEN = """
+from geoseg.errors import GeosegError
+nullmodel.MIN_WORKER_S = 0
 try:
-    os.waitpid(-1, os.WNOHANG)
-    left = True
-except ChildProcessError:
-    left = False
-print(json.dumps([seen["error"], left]))
+    with nullmodel.NullRun(roster, dm, curve, 1, 100, 7) as run:
+        children = len(run.children)
+        raise {error}
+except (Exception, KeyboardInterrupt) as exc:
+    seen = type(exc).__name__
+print(json.dumps([seen, children, left_child()]))
 """
 
 needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
@@ -633,39 +682,51 @@ def fresh(code: str, k=1, workers=2, p=None):
 @needs_proc
 class TestForkedWorkers:
     @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_same_samples_as_serial(self, k, workers):
         seen = fresh(SERIAL_AND_FORKED, k, workers)
-        # the 100 simulations come in one batch
-        assert seen["forks"] == workers - 1
-        assert seen["forked"] == seen["serial"]
-        assert len(seen["forked"]["samples"]) == 100
+        # the 100 simulations come in one batch; while the caller sleeps,
+        # its children draw every one of them
+        assert seen["forks"] == {"at_once": workers - 1, "after_sleep": workers - 1}
+        assert seen["calls"]["after_sleep"] == (100 if workers == 1 else 0)
+        assert seen["at_once"] == seen["after_sleep"] == seen["serial"]
+        assert len(seen["serial"]["samples"]) == 100
+        assert not seen["left"]
 
     def test_same_discards_as_serial(self):
         # about a third of the simulations tie fewer than two pairs; their
         # replacements come in further batches, each forked again
         seen = fresh(SERIAL_AND_FORKED, p=0.0004)
-        assert seen["forks"] > 1
-        assert seen["forked"] == seen["serial"]
-        assert 10 <= seen["forked"]["result"]["discarded"] <= 50
+        assert min(seen["forks"].values()) > 1
+        assert seen["at_once"] == seen["after_sleep"] == seen["serial"]
+        assert 10 <= seen["serial"]["result"]["discarded"] <= 50
+        assert not seen["left"]
 
     def test_same_degenerate_null_as_serial(self):
         seen = fresh(SERIAL_AND_FORKED, p=0.0)
-        assert seen["forks"] == 1
-        assert seen["forked"] == seen["serial"] == {
+        assert seen["forks"] == {"at_once": 1, "after_sleep": 1}
+        assert seen["at_once"] == seen["after_sleep"] == seen["serial"] == {
             "error": "DegenerateNull: 51 of 51 simulations discarded"}
+        assert not seen["left"]
 
     @pytest.mark.parametrize("in_child, in_parent, error", [
         ("raise ValueError('worker failed')", "pass",
-         "RuntimeError: null model worker for simulations 0-49 exited 1 after sending 0 bytes"),
+         "RuntimeError: null model workers exited [1]; simulations [0] undrawn"),
         ("os._exit(0)", "pass",
-         "RuntimeError: null model worker for simulations 0-49 exited 0 after sending 0 bytes"),
+         "RuntimeError: null model workers exited [0]; simulations [0] undrawn"),
         # an interrupt here while the worker still runs kills it
         ("time.sleep(60)", "raise KeyboardInterrupt", "KeyboardInterrupt: "),
     ])
     def test_failure_raises_and_leaves_no_child(self, in_child, in_parent, error):
+        # the child takes simulation 0 while the caller sleeps, and fails
+        # in it
         seen = fresh(WITH_FAILURE.format(in_child=in_child, in_parent=in_parent))
         assert seen == [error, False]
+
+    @pytest.mark.parametrize("error", ["KeyboardInterrupt", "GeosegError('bad input')"])
+    def test_error_before_join_leaves_no_child(self, error):
+        seen = fresh(BETWEEN.replace("{error}", error))
+        assert seen == [error.split("(")[0], 1, False]
 
 
 def test_threaded_process_runs_serially(small_city, monkeypatch):
@@ -701,11 +762,13 @@ def test_fork_choice_depends_on_input_alone(small_city, monkeypatch):
     roster, _, dm, curve = small_city
     predicted = []
 
-    def recording(simulate, start, stop, predicted_s):
-        predicted.append((start, stop, predicted_s))
-        return np.array([simulate(i) for i in range(start, stop)])
+    start = nullmodel.NullRun._start
 
-    monkeypatch.setattr(nullmodel, "_batch", recording)
+    def recording(run, lo, hi):
+        predicted.append((lo, hi, run.per_simulation_s * (hi - lo)))
+        start(run, lo, hi)
+
+    monkeypatch.setattr(nullmodel.NullRun, "_start", recording)
     for _ in range(2):
         null_distribution_s_d(roster, dm, curve, 3, 100, 5, observed=0.0)
     assert predicted[0][:2] == (0, 100)
