@@ -15,6 +15,7 @@ import ctypes
 import math
 import os
 import shutil
+import signal
 import sys
 import tempfile
 import traceback
@@ -58,6 +59,13 @@ def _pin_malloc_thresholds() -> bool:
     mallopt.restype = ctypes.c_int
     return all(mallopt(param, _MALLOC_THRESHOLD_BYTES) == 1
                for param in (_M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD))
+
+
+def _exit_on_sigterm(signum, frame):
+    """Exit on SIGTERM by raising, with status 128 + SIGTERM, so `with`
+    and `finally` blocks reap the null model's children and remove the
+    work directory, which Python's default action leaves behind."""
+    raise SystemExit(128 + signum)
 
 
 def _check_counts(args) -> None:
@@ -309,6 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _pin_malloc_thresholds()
     args = build_parser().parse_args(argv)
+    try:
+        signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    except ValueError:
+        pass  # called off the main thread, which alone may set a handler
     try:
         args.func(args)
     except (GeosegError, OSError) as exc:

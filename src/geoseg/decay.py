@@ -1,4 +1,10 @@
-"""Empirical tie-probability-vs-distance curve and its power-law fit."""
+"""Empirical tie-probability-vs-distance curve and its power-law fit.
+
+The curve's pair counts are the distance matrix's pair table
+(`DistanceMatrix.uniform_bins`), binned in one pass against edges sized
+from a bound on the farthest pair; the null model and the geographic
+ranking read the same cached table.
+"""
 
 from __future__ import annotations
 
@@ -20,26 +26,30 @@ def tie_probability_curve(
     net: SchoolNetwork, dm: DistanceMatrix, bin_width_km: float = DEFAULT_BIN_WIDTH_KM
 ) -> DecayCurve:
     """Per distance bin [m*w, (m+1)*w): fraction of unordered school pairs
-    with at least one tie. The last bin holds the farthest pair."""
+    with at least one tie. The last bin holds the farthest pair. The pair
+    table under these edges is left cached on dm."""
     if net.schools != dm.ids:
         raise MismatchedIds("network and distance matrix school lists differ")
     # int() of a NaN width fails, and an infinite width gives NaN edges
     if not (math.isfinite(bin_width_km) and bin_width_km > 0):
         raise InvalidValue(f"bin width must be finite and positive, got {bin_width_km}")
-    farthest = dm.farthest
     # the pair table codes up to 65,535 bins in two bytes; past that, a
     # curve of more bins than school pairs is mostly empty bins: refuse it
-    # before the edges are allocated (span is inf for a subnormal width)
+    # before the edges are allocated (span is inf for a subnormal width).
+    # The bins are sized from a bound on the farthest pair; only a bound
+    # past that limit, or a pair past the bound, reads the farthest pair
     pairs = len(dm.ids) * (len(dm.ids) - 1) // 2
-    span = farthest / bin_width_km
-    if span >= max(pairs, 2**16 - 1):
-        bins = math.floor(span) + 1 if math.isfinite(span) else span
-        raise InvalidValue(f"bin width {bin_width_km} km gives {bins:.3g} bins, more "
-                           f"than max(65535, {pairs} school pairs)")
-    # binned by the pair table the null model reads, up to the first edge
-    # past the farthest pair
-    edges = np.arange(int(span) + 3) * bin_width_km
-    edges = edges[: np.searchsorted(edges, farthest, side="right") + 1]
+    limit = max(pairs, 2**16 - 1)
+    bound = dm.distance_bound
+    edges = dm.uniform_bins(bin_width_km, bound) if bound / bin_width_km < limit else None
+    if edges is None:
+        span = dm.farthest / bin_width_km
+        if span >= limit:
+            bins = math.floor(span) + 1 if math.isfinite(span) else span
+            raise InvalidValue(f"bin width {bin_width_km} km gives {bins:.3g} bins, more "
+                               f"than max(65535, {pairs} school pairs)")
+        edges = dm.uniform_bins(bin_width_km, dm.farthest)
+    # binned by the pair table the null model reads
     pair_counts = np.diff(dm.pairs_by_bin(edges)[2][:-1])
     # the tied pairs' distances, a block of ties at a time
     tie_counts = np.zeros(len(edges), dtype=np.int64)

@@ -4,15 +4,20 @@ correlations).
 
 No n x n distance matrix is built. `DistanceMatrix` keeps the schools'
 coordinates in radians with the latitudes' cosines, converted once, and
-each reader computes the distances it needs where it reads them: the
-O(n^2) school-pair structures walk the upper triangle in blocks of rows,
-`model.BLOCK_CELLS` matrix cells each, the geographic ranking computes
-its block of whole rows, and the decay curve the tied pairs' distances
-only. The haversine gives the same bits when its points swap, so every
-computed distance equals the dense matrix's cell. The distance-bin pair
-table keeps one byte per pair until a single stable argsort orders them;
-beside it the builds hold one block at a time and the int64 sort order,
-and the results equal the all-pairs constructions exactly.
+each reader computes the distances it needs where it reads them. The
+distance-bin pair table walks the upper triangle in blocks of rows,
+`model.BLOCK_CELLS` matrix cells each, and is the one O(n^2) pass over
+school pairs in `analyze`: the decay curve sizes its bins from a bound
+on the farthest pair (`DistanceMatrix.distance_bound`, one row), so the
+farthest pair itself (`DistanceMatrix.farthest`) is read only for a
+width whose bound would pass the curve's bin limit. The geographic
+ranking then computes the distances of the candidates that the table
+gives (`nearest_candidates`), and the decay curve those of the tied
+pairs. The haversine gives the same bits when its points swap, so every
+computed distance equals the dense matrix's cell. The pair table keeps
+one byte per pair until a single stable argsort orders them; beside it
+the build holds one block at a time and the int64 sort order, and the
+results equal the all-pairs constructions exactly.
 
 S_n(R) averages the price per sqm of the apartments strictly within R of
 each school. The apartment table (`model.apartment_table`) is sorted by
@@ -24,9 +29,10 @@ in it on the apartments within the longitude gap that bounds R (see
 x apartments.
 
 The ranking kernel ranks a block of schools' candidate cells, fed by
-`_distance_cells` or by `segregation._arc_cells` over a network's arcs.
-Exact key ties are broken by one seeded uniform matrix, cell (i, j) for
-school i's candidate j, drawn a block of rows at a time.
+`nearest_candidates` or by `segregation._arc_cells` over a network's
+arcs, both grouped by school (`grouped_cells`). Exact key ties are
+broken by one seeded uniform matrix, cell (i, j) for school i's
+candidate j, drawn a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from .model import (
     School,
     SegregationReport,
     correlation_report,
+    group_arcs,
     permutation_p_value,  # noqa: F401  (bench/spans.py traces it at this site)
     position_of,
 )
@@ -109,13 +116,26 @@ class DistanceMatrix:
         return max((float(self.block(rows, rows.start).max())
                     for rows, _, _ in upper_triangle_blocks(len(self.ids))), default=0.0)
 
+    @cached_property
+    def distance_bound(self) -> float:
+        """At least every distance between two schools, from one row: twice
+        the largest distance from the school nearest the middle of their
+        coordinates' range (the triangle inequality), widened by a
+        relative 1e-9 for round-off; 0 without schools."""
+        if not self.ids:
+            return 0.0
+        middle = [np.abs(v - (v.min() + v.max()) / 2) for v in (self._lat, self._lon)]
+        c = int(np.argmin(middle[0] + middle[1]))
+        return 2 * float(self.block(slice(c, c + 1)).max()) * (1 + 1e-9)
+
     def pairs_by_bin(self, bin_edges):
         """Upper-triangle pairs (a, b), a < b, sorted by distance bin, and
         the bin offsets: bin m (bin_edges[m] <= d < bin_edges[m + 1]) is
         a[offsets[m]:offsets[m + 1]], and the pairs beyond the last edge
         come last, from offsets[-2]. Within a bin the pairs keep their
         row-major order. Indices are int16 up to 32,768 schools. The
-        read-only arrays are cached for the last edges asked for.
+        read-only arrays are cached for the last edges asked for, here or
+        through uniform_bins.
 
         Each pair's bin is written as one byte (for up to 255 bins), its
         distance computed a block of upper-triangle rows at a time, and
@@ -162,6 +182,31 @@ class DistanceMatrix:
             cache.clear()
             cache[key] = pairs
         return cache[key]
+
+    def uniform_bins(self, width: float, bound: float):
+        """The edges 0, w, 2w, ... of width w up to the first past the
+        farthest pair, with pairs_by_bin's arrays for them cached, from one
+        binning pass against the multiples of w up to bound + 2w, cut after
+        the last occupied bin; the bins cut off are empty, so the pairs'
+        order is the same. None if a pair lies past those multiples, which
+        a bound at least the farthest distance rules out."""
+        edges = np.arange(int(bound / width) + 3) * width
+        a, b, offsets = self.pairs_by_bin(edges)
+        counts = np.diff(offsets)
+        if counts[-1]:
+            return None
+        occupied = np.flatnonzero(counts)
+        edges = edges[:(occupied[-1] if len(occupied) else 0) + 2]
+        self._binned_pairs = {edges.tobytes(): (a, b, offsets[:len(edges) + 1])}
+        return edges
+
+    def binned_pairs(self):
+        """pairs_by_bin's arrays for the edges last asked for, or else for
+        255 equal bins up to distance_bound."""
+        if not self._binned_pairs:
+            self.pairs_by_bin(np.arange(256) * (self.distance_bound / 255 or 1.0))
+        (pairs,) = self._binned_pairs.values()
+        return pairs
 
 
 def upper_triangle_blocks(n: int):
@@ -277,19 +322,38 @@ def ranked_neighbors(cells, n: int, seed: int, k_max: int) -> np.ndarray:
     return ranked
 
 
-def _distance_cells(dm: DistanceMatrix, block: slice, k_max: int):
-    """Candidate cells of the schools in block, keyed by distance, the
-    school itself excluded. Each row is cut at its k_max-th key
-    (introselect, Musser 1997) and every candidate with a key at most that
-    one is kept, so boundary ties stay in."""
-    keys = dm.block(block)
-    np.fill_diagonal(keys[:, block.start:], np.inf)
-    width = keys.shape[1]
-    # at most the (n - 1)-th key: the row's one inf, itself, stays out
-    kth = min(k_max, width - 1) - 1
-    cells = np.flatnonzero(keys <= np.partition(keys, kth, axis=1)[:, kth, None])
-    rows, cols = np.divmod(cells, width)
-    return rows, cols, np.take(keys, cells)
+def grouped_cells(indptr, neighbors, block: slice):
+    """Rows, counted from block.start, and columns of the cells of the
+    schools in block, school i's being neighbors[indptr[i]:indptr[i + 1]]."""
+    counts = np.diff(indptr[block.start:block.stop + 1])
+    return (np.repeat(np.arange(len(counts)), counts),
+            neighbors[indptr[block.start]:indptr[block.stop]])
+
+
+def nearest_candidates(dm: DistanceMatrix, k_max: int):
+    """Each school's candidates for its k_max nearest schools, grouped by
+    school as (indptr, neighbors): the pair table's bins
+    (DistanceMatrix.binned_pairs) walked nearest first, in groups of at
+    least n pairs, each school taking its pairs up to and including the
+    group in which it reaches k_max. A bin's distances all lie below the
+    next bin's, so every school at most as far as the k_max-th nearest,
+    ties included, is a candidate."""
+    a, b, offsets = dm.binned_pairs()
+    n = len(dm.ids)
+    need = np.full(n, k_max)
+    rows, cols = [], []
+    lo, last = 0, len(offsets) - 1
+    while lo < last and need.max() > 0:
+        hi = min(max(int(np.searchsorted(offsets, offsets[lo] + n)), lo + 1), last)
+        pa, pb = a[offsets[lo]:offsets[hi]], b[offsets[lo]:offsets[hi]]
+        active = need > 0
+        take_a, take_b = active[pa], active[pb]
+        rows.append(np.concatenate((pa[take_a], pb[take_b])))
+        cols.append(np.concatenate((pb[take_a], pa[take_b])))
+        need -= np.bincount(rows[-1], minlength=n)
+        lo = hi
+    order, indptr = group_arcs(np.concatenate(rows), n)
+    return indptr, np.concatenate(cols)[order]
 
 
 def geographic_neighbors(dm: DistanceMatrix, school_id: str, k: int,
@@ -304,8 +368,10 @@ def geographic_neighbors(dm: DistanceMatrix, school_id: str, k: int,
     if not 1 <= k <= n - 1:
         raise KOutOfRange(f"k={k} outside [1, {n - 1}]")
     i = position_of(dm.ids, school_id)
+    others = np.delete(np.arange(n), i)
     row = slice(i, i + 1)
-    picked = _rank_cells(_distance_cells(dm, row, k), row, n, seed, k)[0]
+    cells = (np.zeros(n - 1, dtype=np.intp), others, dm.pair_distances(i, others))
+    picked = _rank_cells(cells, row, n, seed, k)[0]
     return [dm.ids[j] for j in picked.tolist()]
 
 

@@ -24,9 +24,10 @@ import numpy as np
 from .errors import InsufficientNeighbors, KOutOfRange, TooFewSamples
 from .geo import (
     DistanceMatrix,
-    _distance_cells,
     _rank_cells,
     geographic_neighbors,  # noqa: F401  (callers look it up here too)
+    grouped_cells,
+    nearest_candidates,
     ranked_neighbors,
 )
 from .model import (
@@ -45,9 +46,8 @@ def _arc_cells(net: SchoolNetwork, block: slice):
     """Candidate cells of the schools in block: their arcs, each keyed by
     minus its weight."""
     indptr, neighbors, weights = net.arcs
-    counts = np.diff(indptr[block.start:block.stop + 1])
-    arcs = slice(indptr[block.start], indptr[block.stop])
-    return np.repeat(np.arange(len(counts)), counts), neighbors[arcs], -weights[arcs]
+    return (*grouped_cells(indptr, neighbors, block),
+            -weights[indptr[block.start]:indptr[block.stop]])
 
 
 def digital_neighbors(net: SchoolNetwork, school_id: str, k: int,
@@ -81,12 +81,19 @@ def _neighbor_means(scores: np.ndarray, ranked: np.ndarray) -> np.ndarray:
 
 
 def geographic_means(roster, dm, k_max, seed) -> np.ndarray:
-    """Neighbor-mean table over each school's k_max nearest schools."""
+    """Neighbor-mean table over each school's k_max nearest schools,
+    ranked among the candidates that the pair table gives
+    (`geo.nearest_candidates`), whose distances alone are computed."""
     check_roster(roster, dm.ids, "distance matrix")
     if not 1 <= k_max <= len(roster) - 1:
         raise KOutOfRange(f"k={k_max} outside [1, {len(roster) - 1}]")
-    ranked = ranked_neighbors(lambda block: _distance_cells(dm, block, k_max),
-                              len(roster), seed, k_max)
+    indptr, neighbors = nearest_candidates(dm, k_max)
+
+    def cells(block):
+        rows, cols = grouped_cells(indptr, neighbors, block)
+        return rows, cols, dm.pair_distances(rows + block.start, cols)
+
+    ranked = ranked_neighbors(cells, len(roster), seed, k_max)
     return _neighbor_means(np.array([s.score for s in roster]), ranked)
 
 

@@ -18,6 +18,13 @@ its files from byte arrays: a fresh array per block, and a Python string
 per student id written through csv.writer. The new code gives the same
 bytes.
 
+`farthest_edges`, `rows_geographic_means` and `loop_permutation_p_value`
+are the kernels that the one-pass pair table, the ranking from it and
+the blocked permutation test replaced: the decay curve's edges cut at
+`DistanceMatrix.farthest`, the geographic ranking over whole rows of
+distances (`distance_cells`), and one `Generator.permutation` call and
+one dot product per permutation.
+
 `haversine`, `degree_centrality` and `generate_null_graph` are the
 one-pair distance, the per-school degree and one null-model graph as
 their own functions; the pipeline computes each inside a larger step.
@@ -39,7 +46,7 @@ import numpy as np
 
 from geoseg import synth
 from geoseg.errors import InvalidConfig
-from geoseg.geo import _haversine_km, _latlon_arrays, upper_triangle_blocks
+from geoseg.geo import _haversine_km, _latlon_arrays, ranked_neighbors, upper_triangle_blocks
 from geoseg.ingest import RawInputs
 from geoseg.model import (
     EARTH_RADIUS_KM,
@@ -47,12 +54,14 @@ from geoseg.model import (
     School,
     SchoolNetwork,
     StudentGraph,
+    _centred_pair,
     apartment_table,
     k_subsets,
     write_csv,
     write_json,
 )
 from geoseg.nullmodel import _draw_ties, _pair_table
+from geoseg.segregation import _neighbor_means
 from geoseg.synth import BASE_PRICE_PER_SQM, CENTER, _disc_points, _to_geopoints
 
 
@@ -363,3 +372,46 @@ def dense_generate_city(cfg):
         "expected_ties": float(p.sum()),
     }
     return roster, net, truth
+
+
+def farthest_edges(dm, width: float) -> np.ndarray:
+    """The decay curve's bin edges from the farthest pair: the multiples
+    of width up to the first one past dm.farthest."""
+    edges = np.arange(int(dm.farthest / width) + 3) * width
+    return edges[: np.searchsorted(edges, dm.farthest, side="right") + 1]
+
+
+def distance_cells(dm, block: slice, k_max: int):
+    """Candidate cells of the schools in block, keyed by distance, the
+    school itself excluded, from whole rows of distances. Each row is cut
+    at its k_max-th key (introselect) and every candidate with a key at
+    most that one is kept, so boundary ties stay in."""
+    keys = dm.block(block)
+    np.fill_diagonal(keys[:, block.start:], np.inf)
+    width = keys.shape[1]
+    # at most the (n - 1)-th key: the row's one inf, itself, stays out
+    kth = min(k_max, width - 1) - 1
+    cells = np.flatnonzero(keys <= np.partition(keys, kth, axis=1)[:, kth, None])
+    rows, cols = np.divmod(cells, width)
+    return rows, cols, np.take(keys, cells)
+
+
+def rows_geographic_means(roster, dm, k_max: int, seed: int) -> np.ndarray:
+    """segregation.geographic_means ranked over distance_cells."""
+    ranked = ranked_neighbors(lambda block: distance_cells(dm, block, k_max),
+                              len(roster), seed, k_max)
+    return _neighbor_means(np.array([s.score for s in roster]), ranked)
+
+
+def loop_permutation_p_value(x, y, permutations: int, seed: int) -> float:
+    """model.permutation_p_value with one rng.permutation(yc) and one dot
+    product per permutation."""
+    xc, sx, yc, sy = _centred_pair(x, y)
+    r_obs = min(1.0, abs(float(xc @ yc)) / (sx * sy))
+    xc /= sx
+    yc /= sy
+    rng = np.random.default_rng(seed)
+    threshold = r_obs - 1e-12
+    hits = sum(abs(float(xc @ rng.permutation(yc))) >= threshold
+               for _ in range(permutations))
+    return (1 + hits) / (permutations + 1)

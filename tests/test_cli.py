@@ -2,6 +2,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -346,6 +347,48 @@ except ChildProcessError:
 print(json.dumps([code, err.getvalue(), len(forks), left]))
 """)
         assert seen == [2, "error: only 0 schools have degree >= 20\n", 1, False]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sparse"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    def test_sigterm_after_null_start_leaves_no_child(self, tmp_path):
+        # SIGTERM while the null model's child draws: the run exits 143
+        # and leaves no child, no output and no work directory behind
+        city, out = tmp_path / "sparse", tmp_path / "out"
+        assert main(["synth", "--n-schools", "80", "--p0", "0.1", "--seed", "4",
+                     "--out-dir", str(city)]) == 0
+        argv = ["analyze", *[arg for name in ("students", "edges", "schools", "apartments")
+                             for arg in (f"--{name}", str(city / f"{name}.csv"))],
+                "--center-lat", "0", "--center-lon", "0", "--k", "3",
+                "--simulations", "100", "--permutations", "100", "--out-dir", str(out)]
+        seen = run_fresh(f"""
+import json, os, signal
+from geoseg import cli, nullmodel, segregation
+nullmodel.MIN_WORKER_S = 0
+os.sched_getaffinity = lambda pid: {{0, 1}}
+real_fork, forks = os.fork, []
+
+def counted_fork():
+    forks.append(1)
+    return real_fork()
+
+def terminated(*args):
+    os.kill(os.getpid(), signal.SIGTERM)
+    return real_means(*args)
+
+os.fork = counted_fork
+real_means, segregation.geographic_means = segregation.geographic_means, terminated
+try:
+    code = cli.main({argv!r})
+except SystemExit as exc:
+    code = exc.code
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+print(json.dumps([code, len(forks), left]))
+""")
+        assert seen == [128 + signal.SIGTERM, 1, False]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sparse"]
 
     @pytest.mark.parametrize("name, line, bad", [

@@ -10,7 +10,8 @@ from geoseg.geo import school_distance_matrix
 from geoseg.model import DecayCurve, GeoPoint, School
 from geoseg.synth import SynthConfig, generate_city
 
-from dense import dense_tie_counts, network_from_dense
+from dense import (dense_distances, dense_pairs_by_bin, dense_tie_counts, farthest_edges,
+                   network_from_dense)
 
 
 def equatorial_roster(n, spacing_km=1.3):
@@ -103,6 +104,40 @@ class TestCurve:
         assert len(tie_probability_curve(net, dm, dm.farthest / 65534).pair_counts) == 65535
         with pytest.raises(InvalidValue, match=r"gives 6.55e\+04 bins, more than max\(65535"):
             tie_probability_curve(net, dm, dm.farthest / 65535)
+
+    @pytest.mark.parametrize("width, bins", [(0.03, 987), (0.1, 296), (0.7, 43), (2.5, 12)])
+    def test_edges_and_table_match_the_farthest_pair(self, width, bins):
+        # over 255 bins, the bins take two bytes; the edges, the counts and
+        # the cached pair table are those of the edges cut at the farthest
+        # pair
+        roster, net, _ = generate_city(SynthConfig(n_schools=60, seed=4))
+        dm = school_distance_matrix(roster)
+        curve = tie_probability_curve(net, dm, width)
+        edges = farthest_edges(school_distance_matrix(roster), width)
+        assert np.array_equal(curve.bin_edges, edges)
+        assert len(edges) == bins + 1
+        dense = dense_pairs_by_bin(dense_distances(roster), edges)
+        assert all(np.array_equal(got, want) for got, want in zip(dm.binned_pairs(), dense))
+        assert np.array_equal(curve.pair_counts, np.diff(dense[2][:-1]))
+
+    def test_bound_short_of_a_pair_reads_the_farthest_pair(self):
+        # a bound below the farthest pair leaves pairs beyond the edges:
+        # the curve then takes its edges from the farthest pair
+        roster, net, _ = generate_city(SynthConfig(n_schools=60, seed=4))
+        dm = school_distance_matrix(roster)
+        dm.distance_bound = dm.farthest / 3
+        curve = tie_probability_curve(net, dm, 1.0)
+        assert np.array_equal(curve.bin_edges, farthest_edges(dm, 1.0))
+        assert curve.pair_counts.sum() == 60 * 59 // 2
+
+    def test_two_schools_at_one_point(self):
+        roster = [School(f"s{i}", GeoPoint(10.0, 20.0), 50.0) for i in range(2)]
+        dm = school_distance_matrix(roster)
+        curve = tie_probability_curve(complete_net(dm.ids), dm, 0.5)
+        assert np.array_equal(curve.bin_edges, farthest_edges(dm, 0.5))
+        assert curve.bin_edges.tolist() == [0.0, 0.5]
+        assert curve.pair_counts.tolist() == [1]
+        assert curve.probabilities.tolist() == [1.0]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_tie_counts_match_weight_matrix(self, seed):

@@ -22,7 +22,7 @@ from geoseg.model import (
 )
 from geoseg.errors import CoordinateOutOfRange, GeosegError
 
-from dense import argsort_group_arcs, same_graph, student_graph
+from dense import argsort_group_arcs, loop_permutation_p_value, same_graph, student_graph
 
 
 def oracle_pearson(x, y):
@@ -157,6 +157,30 @@ class TestPermutationPValue:
     def test_minimum_permutations(self):
         with pytest.raises(ValueError):
             permutation_p_value((1, 2, 3), (2, 4, 7), 50, seed=0)
+
+    @pytest.mark.parametrize("n, permutations", [
+        (3, 100),  # all permutations in one block
+        (300, 1000),  # blocks of 109 rows, the last one short
+        (300, 1001),
+        (40_000, 101),  # one row per block
+    ])
+    def test_blocks_match_one_permutation_at_a_time(self, n, permutations):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n)
+        y = 0.1 * x + rng.normal(size=n)
+        assert (permutation_p_value(x, y, permutations, seed=5)
+                == loop_permutation_p_value(x, y, permutations, seed=5))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_binary_ties_match_one_permutation_at_a_time(self, seed):
+        # 0/1 scores: 12 of them have few arrangements, so many permuted
+        # |r| equal |r_obs| exactly
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 2, 12).astype(float)
+        y = rng.integers(0, 2, 12).astype(float)
+        x[:2], y[:2] = (0, 1), (1, 0)
+        assert (permutation_p_value(x, y, 1000, seed)
+                == loop_permutation_p_value(x, y, 1000, seed))
 
     def test_calibration_under_null(self):
         # independent x, y: p should be uniform; check the 5% rejection rate

@@ -35,7 +35,7 @@ from geoseg.segregation import (
 )
 from geoseg.synth import SynthConfig, generate_city
 
-from dense import dense_weights, network_from_dense
+from dense import dense_weights, network_from_dense, rows_geographic_means
 
 DEG_PER_KM = 180.0 / (math.pi * 6371.0)
 
@@ -326,6 +326,18 @@ def sparse_city():
     return roster, school_distance_matrix(roster), net
 
 
+def outlier_city():
+    """A 40-school synthetic city and one school about 100 km north of it,
+    with no tie."""
+    roster, net, _ = generate_city(SynthConfig(n_schools=40, seed=6))
+    far = School("far", GeoPoint(roster[0].location.latitude + 100 * DEG_PER_KM,
+                                 roster[0].location.longitude), 55.0)
+    w = np.zeros((41, 41), dtype=np.int64)
+    w[:40, :40] = dense_weights(net)
+    roster = roster + [far]
+    return roster, school_distance_matrix(roster), network_from_dense([s.id for s in roster], w)
+
+
 def as_dicts(profile):
     return [(g.to_dict(), d.to_dict()) for g, d in profile]
 
@@ -439,6 +451,37 @@ class TestRankingKernel:
     ])
     def test_tables_match_per_school_ranking(self, city, k_max):
         assert_tables_match(*city(), k_max)
+
+    @pytest.mark.parametrize("table", [
+        None,  # a library call: 255 bins up to the distance bound
+        lambda net, dm: tie_probability_curve(net, dm),  # the curve's 1 km bins
+        lambda net, dm: dm.pairs_by_bin([0.0, 1e6]),  # one bin holds every pair
+        lambda net, dm: dm.pairs_by_bin([0.0, 0.4]),  # most pairs beyond the edges
+        lambda net, dm: dm.pairs_by_bin(np.linspace(0.0, dm.farthest, 3000)),  # thin bins
+    ], ids=["none", "curve", "one_bin", "beyond", "thin_bins"])
+    @pytest.mark.parametrize("city, k_values", [
+        (outlier_city, [1, 5, 40]),
+        (lambda: tied_grid_city(5), [6, 24]),  # ties at the 6th; k_max = n - 1
+    ], ids=["outlier", "tied_grid"])
+    def test_geographic_table_from_any_pair_table(self, city, k_values, table):
+        roster, dm, net = city()
+        if table is not None:
+            table(net, dm)
+        for k_max in k_values:
+            means = geographic_means(roster, dm, k_max, seed=k_max)
+            assert np.array_equal(means, reference_geographic_means(roster, dm, k_max, k_max))
+            assert np.array_equal(means, rows_geographic_means(roster, dm, k_max, k_max))
+
+    def test_outlier_takes_only_its_own_far_pairs(self):
+        # over the curve's 1 km bins the outlier's 5 nearest lie about
+        # 100 km away; the other schools stop long before, so the walk
+        # adds only the outlier's own pairs, and not all of them
+        roster, dm, net = outlier_city()
+        tie_probability_curve(net, dm)
+        indptr, neighbors = geo.nearest_candidates(dm, 5)
+        assert 5 <= indptr[-1] - indptr[-2] < 40
+        assert not np.any(neighbors[:indptr[-2]] == 40)
+        assert indptr[-2] < 40 * 39
 
     def test_cities_tie_at_the_cut(self):
         roster, dm, net = tied_grid_city(5)
