@@ -1,9 +1,9 @@
 """Empirical tie-probability-vs-distance curve and its power-law fit.
 
-The curve's pair counts are the distance matrix's pair table
-(`DistanceMatrix.uniform_bins`), binned in one pass against edges sized
-from a bound on the farthest pair; the null model and the geographic
-ranking read the same cached table.
+The curve's bins and pair counts are the distance matrix's pair table
+(`DistanceMatrix.uniform_bins`), which sizes the bins; the null model and
+the geographic ranking read the same kept table. The curve itself counts
+the tied pairs per bin.
 """
 
 from __future__ import annotations
@@ -27,28 +27,13 @@ def tie_probability_curve(
 ) -> DecayCurve:
     """Per distance bin [m*w, (m+1)*w): fraction of unordered school pairs
     with at least one tie. The last bin holds the farthest pair. The pair
-    table under these edges is left cached on dm."""
+    table under these edges is kept on dm."""
     if net.schools != dm.ids:
         raise MismatchedIds("network and distance matrix school lists differ")
     # int() of a NaN width fails, and an infinite width gives NaN edges
     if not (math.isfinite(bin_width_km) and bin_width_km > 0):
         raise InvalidValue(f"bin width must be finite and positive, got {bin_width_km}")
-    # the pair table codes up to 65,535 bins in two bytes; past that, a
-    # curve of more bins than school pairs is mostly empty bins: refuse it
-    # before the edges are allocated (span is inf for a subnormal width).
-    # The bins are sized from a bound on the farthest pair; only a bound
-    # past that limit, or a pair past the bound, reads the farthest pair
-    pairs = len(dm.ids) * (len(dm.ids) - 1) // 2
-    limit = max(pairs, 2**16 - 1)
-    bound = dm.distance_bound
-    edges = dm.uniform_bins(bin_width_km, bound) if bound / bin_width_km < limit else None
-    if edges is None:
-        span = dm.farthest / bin_width_km
-        if span >= limit:
-            bins = math.floor(span) + 1 if math.isfinite(span) else span
-            raise InvalidValue(f"bin width {bin_width_km} km gives {bins:.3g} bins, more "
-                               f"than max(65535, {pairs} school pairs)")
-        edges = dm.uniform_bins(bin_width_km, dm.farthest)
+    edges = dm.uniform_bins(bin_width_km)
     # binned by the pair table the null model reads
     pair_counts = np.diff(dm.pairs_by_bin(edges)[2][:-1])
     # the tied pairs' distances, a block of ties at a time

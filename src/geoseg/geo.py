@@ -7,17 +7,18 @@ coordinates in radians with the latitudes' cosines, converted once, and
 each reader computes the distances it needs where it reads them. The
 distance-bin pair table walks the upper triangle in blocks of rows,
 `model.BLOCK_CELLS` matrix cells each, and is the one O(n^2) pass over
-school pairs in `analyze`: the decay curve sizes its bins from a bound
-on the farthest pair (`DistanceMatrix.distance_bound`, one row), so the
-farthest pair itself (`DistanceMatrix.farthest`) is read only for a
-width whose bound would pass the curve's bin limit. The geographic
-ranking then computes the distances of the candidates that the table
-gives (`nearest_candidates`), and the decay curve those of the tied
-pairs. The haversine gives the same bits when its points swap, so every
-computed distance equals the dense matrix's cell. The pair table keeps
-one byte per pair until a single stable argsort orders them; beside it
-the build holds one block at a time and the int64 sort order, and the
-results equal the all-pairs constructions exactly.
+school pairs in `analyze`. `DistanceMatrix.uniform_bins` sizes the decay
+curve's bins from a bound on the farthest pair (`distance_bound`, one
+row), so the farthest pair itself (`farthest`) is read only for a width
+whose bound would pass the curve's bin limit, and keeps the one table it
+bins. The geographic ranking then computes the distances of the
+candidates that the table gives (`nearest_candidates`), and the decay
+curve those of the tied pairs. The haversine gives the same bits when
+its points swap, so every computed distance equals the dense matrix's
+cell. The pair table keeps one byte per pair until a single stable
+argsort orders them; beside it the build holds one block at a time and
+the int64 sort order, and the results equal the all-pairs constructions
+exactly.
 
 S_n(R) averages the price per sqm of the apartments strictly within R of
 each school. The apartment table (`model.apartment_table`) is sorted by
@@ -37,6 +38,7 @@ candidate j, drawn a block of rows at a time.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -96,7 +98,8 @@ class DistanceMatrix:
             if array.shape != (n,):
                 raise ValueError(f"coordinates of shape {array.shape} for {n} schools")
             array.setflags(write=False)
-        self._binned_pairs = {}
+        # (edges as bytes, pairs_by_bin's arrays) for the edges last asked for
+        self._binned = None
 
     def block(self, rows: slice, start: int = 0) -> np.ndarray:
         """distances[rows, start:], computed as a new array."""
@@ -134,7 +137,7 @@ class DistanceMatrix:
         a[offsets[m]:offsets[m + 1]], and the pairs beyond the last edge
         come last, from offsets[-2]. Within a bin the pairs keep their
         row-major order. Indices are int16 up to 32,768 schools. The
-        read-only arrays are cached for the last edges asked for, here or
+        read-only arrays are kept for the last edges asked for, here or
         through uniform_bins.
 
         Each pair's bin is written as one byte (for up to 255 bins), its
@@ -144,9 +147,7 @@ class DistanceMatrix:
         no per-pair int64 or float64 array is held beside the order.
         """
         edges = np.asarray(bin_edges, dtype=float)
-        key = edges.tobytes()
-        cache = self._binned_pairs
-        if key not in cache:
+        if self._binned is None or self._binned[0] != edges.tobytes():
             n = len(self.ids)
             beyond = len(edges) - 1
             bins = np.empty(n * (n - 1) // 2, dtype=np.min_scalar_type(beyond))
@@ -179,34 +180,48 @@ class DistanceMatrix:
             pairs = (a, b, np.concatenate(([0], np.cumsum(counts))))
             for array in pairs:
                 array.setflags(write=False)
-            cache.clear()
-            cache[key] = pairs
-        return cache[key]
+            self._binned = (edges.tobytes(), pairs)
+        return self._binned[1]
 
-    def uniform_bins(self, width: float, bound: float):
+    def uniform_bins(self, width: float) -> np.ndarray:
         """The edges 0, w, 2w, ... of width w up to the first past the
-        farthest pair, with pairs_by_bin's arrays for them cached, from one
-        binning pass against the multiples of w up to bound + 2w, cut after
-        the last occupied bin; the bins cut off are empty, so the pairs'
-        order is the same. None if a pair lies past those multiples, which
-        a bound at least the farthest distance rules out."""
+        farthest pair, with pairs_by_bin's arrays for them kept. One binning
+        pass against the multiples of w up to distance_bound + 2w, cut
+        after the last occupied bin: the bins cut off are empty, so the
+        pairs' order is the same. The pair table codes up to 65,535 bins in
+        two bytes, and past that a curve of more bins than school pairs is
+        mostly empty bins: InvalidValue for more than max(65535, pairs)
+        bins, refused before the edges are allocated (the span is inf for a
+        subnormal width). Only a bound past that limit reads the farthest
+        pair. RuntimeError if a pair lies past the multiples, which the
+        bound rules out."""
+        pairs = len(self.ids) * (len(self.ids) - 1) // 2
+        limit = max(pairs, 2**16 - 1)
+        bound = self.distance_bound
+        if not bound / width < limit:
+            span = self.farthest / width
+            if span >= limit:
+                bins = math.floor(span) + 1 if math.isfinite(span) else span
+                raise InvalidValue(f"bin width {width} km gives {bins:.3g} bins, more "
+                                   f"than max(65535, {pairs} school pairs)")
+            bound = self.farthest
         edges = np.arange(int(bound / width) + 3) * width
         a, b, offsets = self.pairs_by_bin(edges)
         counts = np.diff(offsets)
         if counts[-1]:
-            return None
+            raise RuntimeError(f"{counts[-1]} school pairs lie past {edges[-1]} km, "
+                               f"beyond the distance bound {bound} km")
         occupied = np.flatnonzero(counts)
         edges = edges[:(occupied[-1] if len(occupied) else 0) + 2]
-        self._binned_pairs = {edges.tobytes(): (a, b, offsets[:len(edges) + 1])}
+        self._binned = (edges.tobytes(), (a, b, offsets[:len(edges) + 1]))
         return edges
 
     def binned_pairs(self):
         """pairs_by_bin's arrays for the edges last asked for, or else for
         255 equal bins up to distance_bound."""
-        if not self._binned_pairs:
+        if self._binned is None:
             self.pairs_by_bin(np.arange(256) * (self.distance_bound / 255 or 1.0))
-        (pairs,) = self._binned_pairs.values()
-        return pairs
+        return self._binned[1]
 
 
 def upper_triangle_blocks(n: int):

@@ -33,28 +33,31 @@ k vectorised rounds; the pick sorts no random keys, and only the picked
 arcs are gathered. At k = 1 that is arc first + floor(u * degree).
 
 Workers: simulation i is seeded from (seed, i) alone, so simulations can
-run anywhere. They come in batches of the values still missing: all of
-them, then re-draws after discards. A batch forks one child for each
-MIN_WORKER_S of its predicted work, up to one fewer than the CPUs of the
-affinity mask. The prediction counts what one simulation handles (its
-uniforms, its expected ties and its n k picks) at ELEMENT_S each, so it
-depends on the input alone and an input takes the same path on every
-run, however loaded the host. The block numbers go into one pipe before
-the fork, and each process takes blocks from it until it is empty, into
-shared memory. The CLI starts the first batch (`NullRun`) after the decay
-curve and joins it after the observed statistics, which it computes
-while the children draw. The values are consumed in index
-order with the serial loop's discard and DegenerateNull rules, so
-samples, discard counts and errors do not depend on the worker count.
-It forks only where os.fork exists and /proc/self/task shows one thread
-(the CLI runs one BLAS thread); elsewhere, as in a threaded library
-caller, it runs serially. Fork, not a spawned pool: a spawned worker
-would import numpy and rebuild the pair table, which costs about as much
-as the work it takes over.
+run anywhere. A run (`NullRun`) draws simulations 0 .. S - 1 once: it
+forks one child for each MIN_WORKER_S of their predicted work, up to one
+fewer than the CPUs of the affinity mask. The prediction counts what one
+simulation handles (its uniforms, its expected ties and its n k picks)
+at ELEMENT_S each, so it depends on the input alone and an input takes
+the same path on every run, however loaded the host. The block numbers
+go into one pipe before the fork, and every process, the caller at the
+join too, takes blocks from it until it is empty, into shared memory; a
+run with no child is one block that the caller takes. A fork that fails
+leaves fewer children. The CLI starts the run after the decay curve and
+joins it after the observed statistics, which it computes while the
+children draw. The caller then reads the values in index order with the
+discard and DegenerateNull rules, and draws each replacement of a
+discarded simulation itself, S, S + 1, ..., so samples, discard counts
+and errors do not depend on the worker count. It forks only where
+os.fork exists and /proc/self/task shows one thread (the CLI runs one
+BLAS thread); elsewhere, as in a threaded library caller, no child is
+forked. Fork, not a spawned pool: a spawned worker would import numpy and
+rebuild the pair table, which costs about as much as the work it takes
+over.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 import os
@@ -70,7 +73,7 @@ from .geo import DistanceMatrix
 from .model import (DecayCurve, School, check_roster, group_arcs, k_subsets, pearson,
                     write_csv)
 
-# A batch forks a child for each this many seconds of predicted work: a
+# A run forks a child for each this many seconds of predicted work: a
 # fork costs a few ms of CPU, and two busy CPUs each run a simulation more
 # slowly than one does, so with the caller idle a split of 0.16 s over two
 # processes (a 1,200-school city at 100 simulations and k = 5) gained
@@ -244,9 +247,9 @@ def _can_fork() -> bool:
 
 
 class NullRun:
-    """The simulations of one null model (module docstring), the first
-    batch started at once; `null_distribution_s_d(..., run=)` joins it.
-    Leaving a `with` on it kills and reaps every child not yet reaped."""
+    """Simulations 0 .. S - 1 of one null model (module docstring), started
+    at once; `null_distribution_s_d(..., run=)` joins them. Leaving a
+    `with` on it kills and reaps every child not yet reaped."""
 
     def __init__(self, roster: list[School], dm: DistanceMatrix, curve: DecayCurve,
                  k: int, simulations: int, seed: int):
@@ -272,33 +275,32 @@ class NullRun:
             return math.nan if value is None else value
 
         self.simulate = simulate
-        self.children, self.queue, self.spent = [], None, False
-        self._start(0, simulations)
-
-    def _start(self, start: int, stop: int) -> None:
-        """Queue simulations [start, stop), forking where it is safe."""
-        self.start, self.stop, self.size = start, stop, stop - start
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
         workers = cpus - 1
         if MIN_WORKER_S > 0:
-            workers = min(workers, int(self.per_simulation_s * (stop - start) / MIN_WORKER_S))
-        if workers > 0 and _can_fork():
-            # the int32 tokens go in before the fork, in one write of at
-            # most PIPE_BUF bytes, which an empty pipe takes at once
-            self.queue, write = os.pipe()
-            self.size = -(-(stop - start) // (select.PIPE_BUF // 4))
-        blocks = -(-(stop - start) // self.size)
-        shared = mmap.mmap(-1, 8 * (stop - start) + blocks)
-        self.drawn = np.frombuffer(shared, np.float64, stop - start)
-        self.done = np.frombuffer(shared, np.bool_, blocks, 8 * (stop - start))
-        if self.queue is None:
-            return
-        os.write(write, np.arange(blocks, dtype="<i4").tobytes())
-        os.close(write)
-        np.random.default_rng(0)  # imports numpy.random once, for every child
+            workers = min(workers, int(self.per_simulation_s * simulations / MIN_WORKER_S))
+        workers = workers if workers > 0 and _can_fork() else 0
+        # a serial run takes its one block from the queue; a forked run
+        # queues at most PIPE_BUF // 4 blocks, so that the int32 tokens go
+        # in one write that an empty pipe takes at once
+        self.size = -(-simulations // (select.PIPE_BUF // 4)) if workers else simulations
+        blocks = -(-simulations // self.size)
+        shared = mmap.mmap(-1, 8 * simulations + blocks)
+        self.drawn = np.frombuffer(shared, np.float64, simulations)
+        self.done = np.frombuffer(shared, np.bool_, blocks, 8 * simulations)
+        self.children, self.queue, self.spent = [], None, False
         try:
+            self.queue, write = os.pipe()
+            try:
+                os.write(write, np.arange(blocks, dtype="<i4").tobytes())
+            finally:
+                os.close(write)
+            np.random.default_rng(0)  # imports numpy.random once, for every child
             for _ in range(workers):
-                pid = os.fork()
+                try:
+                    pid = os.fork()
+                except OSError:  # at the process limit, say: fewer workers
+                    break
                 if pid == 0:
                     self._child()
                 self.children.append(pid)
@@ -307,14 +309,12 @@ class NullRun:
             raise
 
     def _draw(self) -> None:
-        """Draw queued blocks; unforked, the one block is the batch."""
-        queued = self.queue is not None
-        for token in iter(lambda: os.read(self.queue, 4), b"") if queued else [bytes(4)]:
+        """Draw blocks from the queue until it is empty."""
+        for token in iter(lambda: os.read(self.queue, 4), b""):
             block = int.from_bytes(token, "little")
-            lo = self.start + block * self.size
-            hi = min(lo + self.size, self.stop)
-            self.drawn[lo - self.start:hi - self.start] = [
-                self.simulate(i) for i in range(lo, hi)]
+            lo = block * self.size
+            hi = min(lo + self.size, self.simulations)
+            self.drawn[lo:hi] = [self.simulate(i) for i in range(lo, hi)]
             self.done[block] = True
 
     def _child(self):
@@ -329,27 +329,21 @@ class NullRun:
         finally:
             os._exit(status)
 
-    def values(self):
-        """simulate(0), simulate(1), ... in batches of as many indices as
-        values are missing, until `simulations` are not NaN. RuntimeError
-        when a child exits non-zero or leaves a block undrawn."""
-        index, missing = 0, self.simulations
-        while missing:
-            if index:
-                self._start(index, index + missing)
-            self._draw()
-            codes = []
-            while self.children:
-                codes.append(os.waitstatus_to_exitcode(os.waitpid(self.children[0], 0)[1]))
-                del self.children[0]
-            self.close()
-            if any(codes) or not self.done.all():
-                undrawn = np.repeat(~self.done, self.size)[:len(self.drawn)]
-                raise RuntimeError(f"null model workers exited {codes}; simulations "
-                                   f"{(np.flatnonzero(undrawn) + index).tolist()} undrawn")
-            yield from self.drawn.tolist()
-            index += len(self.drawn)
-            missing -= np.count_nonzero(~np.isnan(self.drawn))
+    def join(self) -> list[float]:
+        """simulate(0), ..., simulate(simulations - 1): the caller draws the
+        blocks still queued, then reaps the children. RuntimeError when a
+        child exits non-zero or leaves a block undrawn."""
+        self._draw()
+        codes = []
+        while self.children:
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(self.children[0], 0)[1]))
+            del self.children[0]
+        self.close()
+        if any(codes) or not self.done.all():
+            undrawn = np.repeat(~self.done, self.size)[:self.simulations]
+            raise RuntimeError(f"null model workers exited {codes}; simulations "
+                               f"{np.flatnonzero(undrawn).tolist()} undrawn")
+        return self.drawn.tolist()
 
     def close(self) -> None:
         """Kill and reap every child not yet reaped; the run is spent."""
@@ -387,8 +381,9 @@ def null_distribution_s_d(
     docstring) can change the result. A simulation whose S_d is
     undefined is discarded and re-drawn; DegenerateNull if more than half
     are discarded. KOutOfRange unless 1 <= k <= n - 1. `run`, a NullRun
-    started with these arguments, supplies the first batch; without one,
-    or with one already joined or closed, the call draws every batch.
+    started with these arguments, supplies simulations 0 .. S - 1;
+    without one, or with one already joined or closed, the call starts
+    its own.
     """
     if run is None or run.spent:
         run = NullRun(roster, dm, curve, k, simulations, seed)
@@ -398,11 +393,14 @@ def null_distribution_s_d(
     collected = 0
     discarded = 0
     with run:
-        for value in run.values():
+        # the replacements of discarded simulations, drawn here one at a time
+        values = itertools.chain(run.join(), map(run.simulate, itertools.count(simulations)))
+        while collected < simulations:
             if discarded > simulations // 2:
                 raise DegenerateNull(
                     f"{discarded} of {collected + discarded} simulations discarded"
                 )
+            value = next(values)
             if math.isnan(value):
                 discarded += 1
                 continue

@@ -82,22 +82,26 @@ def test_criterion_2_null_model_calibration():
         if lo <= observed <= hi:
             inside += 1
 
-    # per-bin frequency over 1,000 generated graphs on one fixed city
+    # per-bin frequency over 1,000 generated graphs on one fixed city,
+    # each graph's ties binned by indexing an independent dense bin matrix
+    # at its tied pairs; the first graphs' totals are checked against the
+    # dense graph's
     roster, net, dm, curve = city_pipeline(SynthConfig(seed=0))
     n = len(roster)
     iu = np.triu_indices(n, 1)
-    bins = np.clip(
-        np.floor(dm.block(slice(0, n))[iu] / 1.0).astype(int), 0,
-        len(curve.probabilities) - 1
-    )
+    n_bins = len(curve.probabilities)
+    bin_matrix = np.clip(np.floor(dm.block(slice(0, n)) / 1.0).astype(int), 0, n_bins - 1)
+    bins = bin_matrix[iu]
     n_graphs = 1000
-    tie_totals = np.zeros(len(curve.probabilities))
+    tie_totals = np.zeros(n_bins)
     for seed in range(n_graphs):
         g = generate_null_graph(curve, dm, seed)
-        tie_totals += np.bincount(
-            bins[dense_weights(g)[iu] > 0], minlength=len(curve.probabilities)
-        )
-    pair_counts = np.bincount(bins, minlength=len(curve.probabilities))
+        totals = np.bincount(bin_matrix[g.a, g.b], minlength=n_bins)
+        if seed < 3:
+            assert np.array_equal(
+                totals, np.bincount(bins[dense_weights(g)[iu] > 0], minlength=n_bins))
+        tie_totals += totals
+    pair_counts = np.bincount(bins, minlength=n_bins)
     ok_bins = checked = 0
     for m, p in enumerate(curve.probabilities):
         if pair_counts[m] == 0 or np.isnan(p):

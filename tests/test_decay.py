@@ -120,15 +120,14 @@ class TestCurve:
         assert all(np.array_equal(got, want) for got, want in zip(dm.binned_pairs(), dense))
         assert np.array_equal(curve.pair_counts, np.diff(dense[2][:-1]))
 
-    def test_bound_short_of_a_pair_reads_the_farthest_pair(self):
-        # a bound below the farthest pair leaves pairs beyond the edges:
-        # the curve then takes its edges from the farthest pair
+    def test_bound_short_of_a_pair_raises(self):
+        # a bound below the farthest pair leaves pairs beyond the edges,
+        # which the triangle inequality rules out: an error, not a curve
         roster, net, _ = generate_city(SynthConfig(n_schools=60, seed=4))
         dm = school_distance_matrix(roster)
         dm.distance_bound = dm.farthest / 3
-        curve = tie_probability_curve(net, dm, 1.0)
-        assert np.array_equal(curve.bin_edges, farthest_edges(dm, 1.0))
-        assert curve.pair_counts.sum() == 60 * 59 // 2
+        with pytest.raises(RuntimeError, match="school pairs lie past"):
+            tie_probability_curve(net, dm, 1.0)
 
     def test_two_schools_at_one_point(self):
         roster = [School(f"s{i}", GeoPoint(10.0, 20.0), 50.0) for i in range(2)]

@@ -1,3 +1,4 @@
+import errno
 import itertools
 import math
 import os
@@ -251,7 +252,7 @@ class TestGenerate:
         tied[0, 1] = tied[1, 0] = 1
         curve = tie_probability_curve(network_from_dense(dm.ids, tied), dm, 0.7)
         # the curve's binning is the one the pair table reads
-        assert curve.bin_edges.tobytes() in dm._binned_pairs
+        assert dm._binned[0] == curve.bin_edges.tobytes()
         table = _pair_table(curve, dm)
         assert table.uncovered == 0
         assert [(table.a[i], table.b[i]) for i in table.certain] == [(0, 1)]
@@ -671,6 +672,22 @@ except (Exception, KeyboardInterrupt) as exc:
 print(json.dumps([seen, children, left_child()]))
 """
 
+# the forked outcome with `target` raising `error` in the run's setup,
+# the open descriptors before and after it, and whether a child is left
+SETUP_FAILS = """
+import mmap
+real = {target}
+
+def fail(*args):
+    raise {error}
+
+before = len(os.listdir("/proc/self/fd"))
+{target} = fail
+seen = outcome(0)
+{target} = real
+print(json.dumps([seen["error"], before, len(os.listdir("/proc/self/fd")), left_child()]))
+"""
+
 needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
 
 
@@ -694,12 +711,15 @@ class TestForkedWorkers:
         assert not seen["left"]
 
     def test_same_discards_as_serial(self):
-        # about a third of the simulations tie fewer than two pairs; their
-        # replacements come in further batches, each forked again
+        # about a third of the simulations tie fewer than two pairs; the
+        # caller draws their replacements itself, after the children
+        # have drawn simulations 0 .. 99
         seen = fresh(SERIAL_AND_FORKED, p=0.0004)
-        assert min(seen["forks"].values()) > 1
+        assert seen["forks"] == {"at_once": 1, "after_sleep": 1}
         assert seen["at_once"] == seen["after_sleep"] == seen["serial"]
-        assert 10 <= seen["serial"]["result"]["discarded"] <= 50
+        discarded = seen["serial"]["result"]["discarded"]
+        assert 10 <= discarded <= 50
+        assert seen["calls"]["after_sleep"] == discarded
         assert not seen["left"]
 
     def test_same_degenerate_null_as_serial(self):
@@ -722,6 +742,17 @@ class TestForkedWorkers:
         # in it
         seen = fresh(WITH_FAILURE.format(in_child=in_child, in_parent=in_parent))
         assert seen == [error, False]
+
+    @pytest.mark.parametrize("target, error, message", [
+        ("mmap.mmap", "MemoryError()", "MemoryError: "),
+        ("os.write", "OSError(28, 'No space left on device')",
+         "OSError: [Errno 28] No space left on device"),
+    ])
+    def test_failed_setup_leaves_no_descriptor(self, target, error, message):
+        # the shared memory comes before the pipe and the queue's one write
+        # after it: whichever fails, no end of the pipe stays open
+        seen = fresh(SETUP_FAILS.format(target=target, error=error))
+        assert seen == [message, seen[1], seen[1], False]
 
     @pytest.mark.parametrize("error", ["KeyboardInterrupt", "GeosegError('bad input')"])
     def test_error_before_join_leaves_no_child(self, error):
@@ -757,23 +788,46 @@ def test_threaded_process_runs_serially(small_city, monkeypatch):
 
 
 def test_fork_choice_depends_on_input_alone(small_city, monkeypatch):
-    # each batch's predicted work counts the input's elements, not a
-    # timing, so two calls on one input predict the same seconds
+    # a run's predicted work counts the input's elements, not a timing,
+    # so two calls on one input predict the same seconds
     roster, _, dm, curve = small_city
     predicted = []
 
-    start = nullmodel.NullRun._start
+    init = nullmodel.NullRun.__init__
 
-    def recording(run, lo, hi):
-        predicted.append((lo, hi, run.per_simulation_s * (hi - lo)))
-        start(run, lo, hi)
+    def recording(run, *args):
+        init(run, *args)
+        predicted.append((run.simulations, run.per_simulation_s * run.simulations))
 
-    monkeypatch.setattr(nullmodel.NullRun, "_start", recording)
+    monkeypatch.setattr(nullmodel.NullRun, "__init__", recording)
     for _ in range(2):
         null_distribution_s_d(roster, dm, curve, 3, 100, 5, observed=0.0)
-    assert predicted[0][:2] == (0, 100)
-    assert predicted[0][2] > 0
+    assert predicted[0][0] == 100
+    assert predicted[0][1] > 0
     assert predicted[:len(predicted) // 2] == predicted[len(predicted) // 2:]
+
+
+def test_failed_fork_leaves_the_draw_to_the_caller(small_city, monkeypatch):
+    # EAGAIN from the first fork, as at the process limit: the run forks no
+    # more and the caller draws every simulation, as a serial run does
+    roster, _, dm, curve = small_city
+    want = null_distribution_s_d(roster, dm, curve, 1, 100, 5, observed=0.0)
+    forks = []
+
+    def failing_fork():
+        forks.append(1)
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(nullmodel, "MIN_WORKER_S", 0)
+    monkeypatch.setattr(nullmodel, "_can_fork", lambda: True)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "fork", failing_fork, raising=False)
+    with nullmodel.NullRun(roster, dm, curve, 1, 100, 5) as run:
+        assert run.children == []
+        got = null_distribution_s_d(roster, dm, curve, 1, 100, 5, observed=0.0, run=run)
+    assert forks == [1]
+    assert np.array_equal(got.samples, want.samples)
+    assert got.to_dict() == want.to_dict()
 
 
 def test_analysis_peaks_below_one_dense_matrix():
